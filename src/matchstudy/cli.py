@@ -80,7 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
         s.add_argument("--config", help="path to a json study configuration")
         s.add_argument("--seed", type=int, help="override the configured base seed")
         s.add_argument("--out", help="override the configured output directory")
-        s.add_argument("--threads", type=int, default=1, help="worker threads for model fits")
 
     for name, (help_text, _) in STAGE_COMMANDS.items():
         common(sub.add_parser(name, help=help_text))
@@ -139,7 +138,7 @@ def main(argv=None) -> int:
 
     if args.command == "run":
         try:
-            out = run_pipeline(cfg, threads=args.threads)
+            out = run_pipeline(cfg)
         except PipelineError as exc:
             cause = exc.__cause__
             if isinstance(cause, _VALIDATION_ERRORS):
@@ -152,10 +151,7 @@ def main(argv=None) -> int:
 
     stage_fn = STAGE_COMMANDS[args.command][1]
     try:
-        if args.command == "propensity":
-            stage_fn(cfg, threads=args.threads)
-        else:
-            stage_fn(cfg)
+        stage_fn(cfg)
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

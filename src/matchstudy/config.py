@@ -24,9 +24,8 @@ from .dataset import (
     OutcomeModel,
     ValidationError,
 )
+from .matching import MAX_CONTROLS
 from .propensity import METHOD_ORDER
-
-MAX_CONTROLS = 15
 
 
 @dataclass(frozen=True)
@@ -293,14 +292,8 @@ def config_from_dict(obj: dict) -> StudyConfig:
     )
 
 
-def _inference_params(alpha=0.05, adjustment="ols", mode="normal-approx", n_draws=100_000, grid=None):
-    return InferenceParams(
-        alpha=alpha,
-        adjustment=adjustment,
-        mode=mode,
-        n_draws=int(n_draws),
-        grid=None if grid is None else tuple(float(g) for g in grid),
-    )
+def _inference_params(n_draws, grid, **rest):
+    return InferenceParams(n_draws=int(n_draws), grid=None if grid is None else tuple(float(g) for g in grid), **rest)
 
 
 def load_config(path: str) -> StudyConfig:

@@ -41,7 +41,6 @@ class InferenceData:
     z: np.ndarray
     x: np.ndarray
     sets: tuple[np.ndarray, ...]
-    ids: tuple[str, ...]
     excluded_sets: tuple[str, ...]
 
 
@@ -54,7 +53,6 @@ def matched_arrays(table: SubjectTable, result: MatchResult, outcome: str) -> In
     j = table.outcome_index(outcome)
     rows: list[int] = []
     sets: list[np.ndarray] = []
-    ids: list[str] = []
     excluded: list[str] = []
     for s in result.sets:
         members = [table.row_of(s.treated_id)] + [table.row_of(c) for c in s.control_ids]
@@ -64,8 +62,6 @@ def matched_arrays(table: SubjectTable, result: MatchResult, outcome: str) -> In
         start = len(rows)
         rows.extend(members)
         sets.append(np.arange(start, start + len(members)))
-        ids.append(s.treated_id)
-        ids.extend(s.control_ids)
     if not sets:
         raise ValueError(f"no matched sets with observed outcome {outcome!r}")
     idx = np.array(rows, dtype=int)
@@ -74,9 +70,34 @@ def matched_arrays(table: SubjectTable, result: MatchResult, outcome: str) -> In
         z=table.z[idx].copy(),
         x=table.covariates[idx].copy(),
         sets=tuple(sets),
-        ids=tuple(ids),
         excluded_sets=tuple(excluded),
     )
+
+
+def set_segments(sets: tuple[np.ndarray, ...], z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lay the members of every matched set end to end, treated member first.
+
+    Set i occupies ``rows[starts[i] : starts[i] + sizes[i]]``, so
+    ``values[rows][starts]`` are the treated values and
+    ``np.add.reduceat(values[rows], starts)`` the set sums. Raises unless
+    every set holds exactly one treated subject (``z == 1``).
+    """
+    if not sets:
+        raise ValueError("need at least one matched set")
+    sizes = np.fromiter(map(len, sets), dtype=np.intp, count=len(sets))
+    rows = np.concatenate(sets).astype(np.intp, copy=False)
+    starts = np.cumsum(sizes) - sizes
+    treated = np.asarray(z)[rows] == 1
+    if sizes.min() == 0 or np.any(np.add.reduceat(treated, starts) != 1):
+        raise ValueError("each matched set must contain exactly one treated subject")
+    at = np.flatnonzero(treated)
+    rows[starts], rows[at] = rows[at], rows[starts]
+    return rows, starts, sizes
+
+
+def set_means(laid: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Per-set means of values laid out by ``set_segments`` (along axis 0)."""
+    return np.add.reduceat(laid, starts, axis=0) / sizes.reshape((-1,) + (1,) * (laid.ndim - 1))
 
 
 def align_responses(
@@ -92,14 +113,15 @@ def align_responses(
     covariate columns are centered the same way. Both come back with set
     means that are exactly zero up to rounding.
     """
-    adjusted = r - tau0 * z
-    aligned = np.empty_like(adjusted)
-    aligned_x = np.empty_like(x) if x is not None else None
-    for s in sets:
-        aligned[s] = adjusted[s] - adjusted[s].mean()
-        if x is not None:
-            aligned_x[s] = x[s] - x[s].mean(axis=0)
-    return aligned, aligned_x
+    rows, starts, sizes = set_segments(sets, z)
+
+    def centre(values: np.ndarray) -> np.ndarray:
+        laid = values[rows]
+        out = np.empty_like(values)
+        out[rows] = laid - np.repeat(set_means(laid, starts, sizes), sizes, axis=0)
+        return out
+
+    return centre(r - tau0 * z), (centre(x) if x is not None else None)
 
 
 def covariance_adjust(
@@ -166,15 +188,11 @@ def permutational_t_test(
     ``auto`` picks exact when feasible, otherwise Monte Carlo. Two-sided p is
     twice the smaller tail, capped at 1.
     """
-    if not sets:
-        raise ValueError("need at least one matched set")
+    rows, starts, sizes = set_segments(sets, z)
     resid = np.asarray(resid, dtype=float)
-    t_obs = float(sum(resid[s][z[s] == 1][0] for s in sets))
-    n_assign = 1
-    for s in sets:
-        n_assign *= len(s)
-        if n_assign > EXACT_LIMIT:
-            break
+    laid = resid[rows]
+    t_obs = float(laid[starts].sum())
+    n_assign = math.prod(sizes.tolist())
     if mode == "auto":
         mode = "exact" if n_assign <= EXACT_LIMIT else "monte-carlo"
     detail: dict = {}
@@ -199,8 +217,9 @@ def permutational_t_test(
         p_lower = (1.0 + np.count_nonzero(acc <= t_obs + tol)) / (n_draws + 1.0)
         detail.update(n_draws=n_draws, seed=seed)
     elif mode == "normal-approx":
-        mean = float(sum(resid[s].mean() for s in sets))
-        var = float(sum(np.var(resid[s]) for s in sets))  # population variance per set
+        means = set_means(laid, starts, sizes)
+        mean = float(means.sum())
+        var = float(set_means((laid - np.repeat(means, sizes)) ** 2, starts, sizes).sum())  # population variances
         detail.update(null_mean=mean, null_var=var)
         if var <= 0.0:
             p_upper = p_lower = 1.0
@@ -310,17 +329,9 @@ def _binary_set_margins(
     y = np.asarray(y)
     if not np.isin(y, (0, 1)).all():
         raise ValueError("binary outcome must be 0/1")
-    t = np.empty(len(sets))
-    d = np.empty(len(sets))
-    n = np.empty(len(sets))
-    for i, s in enumerate(sets):
-        zs = z[s]
-        if zs.sum() != 1:
-            raise ValueError("each matched set must contain exactly one treated subject")
-        t[i] = float(y[s][zs == 1][0])
-        d[i] = float(y[s].sum())
-        n[i] = float(len(s))
-    return t, d, n
+    rows, starts, sizes = set_segments(sets, z)
+    laid = y[rows].astype(float)
+    return laid[starts], np.add.reduceat(laid, starts), sizes.astype(float)
 
 
 @dataclass(frozen=True)

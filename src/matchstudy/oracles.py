@@ -101,18 +101,24 @@ def brute_force_tail_probabilities(
     """(upper, lower, n_assignments) by direct enumeration of treated slots."""
     resid = np.asarray(resid, dtype=float)
     t_obs = float(sum(resid[s][z[s] == 1][0] for s in sets))
-    n_assign = 1
-    for s in sets:
-        n_assign *= len(s)
+    n_assign = math.prod(len(s) for s in sets)
     if n_assign > ENUMERATION_LIMIT:
         raise ValueError("instance too large for brute force")
-    sums = []
-    for pick in product(*[range(len(s)) for s in sets]):
-        sums.append(sum(float(resid[s[i]]) for s, i in zip(sets, pick)))
+    sums = [sum(float(resid[s[i]]) for s, i in zip(sets, pick)) for pick in product(*[range(len(s)) for s in sets])]
     tol = 1e-9 * max(1.0, max(abs(v) for v in sums))
     ge = sum(1 for v in sums if v >= t_obs - tol)
     le = sum(1 for v in sums if v <= t_obs + tol)
     return ge / n_assign, le / n_assign, n_assign
+
+
+def _hidden_bias_moments(v: np.ndarray, gamma: float, u_grid: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(means, variances) of one set's treated draw, one per hidden-bias
+    vector u in u_grid^n, with the treated slot chosen with probability
+    proportional to gamma**u."""
+    w = gamma ** np.array(list(product(u_grid, repeat=v.size)))
+    p = w / w.sum(axis=1, keepdims=True)
+    mean = p @ v
+    return mean, p @ (v * v) - mean * mean
 
 
 def sensitivity_grid_max_p(
@@ -131,32 +137,28 @@ def sensitivity_grid_max_p(
     """
     resid = np.asarray(resid, dtype=float)
     t_obs = float(sum(resid[s][z[s] == 1][0] for s in sets))
-    log_g = math.log(gamma)
-    total = 1
-    for s in sets:
-        total *= len(u_grid) ** len(s)
-    if total > ENUMERATION_LIMIT:
+    if len(u_grid) ** sum(len(s) for s in sets) > ENUMERATION_LIMIT:
         raise ValueError("instance too large for brute force")
-    mus = np.zeros(1)
-    nus = np.zeros(1)
+    mus, nus = np.zeros(1), np.zeros(1)
     for s in sets:
-        v = resid[s]
-        m_list = []
-        n_list = []
-        for combo in product(u_grid, repeat=v.size):
-            w = np.exp(log_g * np.asarray(combo))
-            p = w / w.sum()
-            m = float(p @ v)
-            m_list.append(m)
-            n_list.append(float(p @ (v * v)) - m * m)
-        mus = (mus[:, None] + np.asarray(m_list)[None, :]).ravel()
-        nus = (nus[:, None] + np.asarray(n_list)[None, :]).ravel()
+        m, nu = _hidden_bias_moments(resid[s], gamma, u_grid)
+        mus = (mus[:, None] + m[None, :]).ravel()
+        nus = (nus[:, None] + nu[None, :]).ravel()
     p = np.empty_like(mus)
     degenerate = nus <= 0.0
     p[degenerate] = (mus[degenerate] >= t_obs).astype(float)
     ok = ~degenerate
     p[ok] = norm.sf((t_obs - mus[ok]) / np.sqrt(nus[ok]))
     return float(p.max())
+
+
+def brute_force_worst_moments(values: np.ndarray, gamma: float) -> tuple[float, float]:
+    """Worst-case (mean, variance) of one set's treated draw by enumerating
+    hidden-bias vectors u in {0,1}^n: the largest mean, and the largest
+    variance among the vectors attaining it (to rounding)."""
+    mean, var = _hidden_bias_moments(np.asarray(values, dtype=float), gamma, (0.0, 1.0))
+    top = mean.max()
+    return float(top), float(var[mean >= top - 1e-12 * max(1.0, abs(top))].max())
 
 
 @dataclass(frozen=True)
@@ -207,24 +209,21 @@ def _check_tie_rule(rng: np.random.Generator) -> OracleCheck:
     return OracleCheck("assignment-permutation", True, "60 tie-heavy instances, same canonical sets under permutation")
 
 
-def _random_sets(rng: np.random.Generator, sizes: list[int]) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
-    n = sum(sizes)
-    resid = rng.integers(-5, 6, size=n).astype(float)
-    z = np.zeros(n, dtype=int)
-    sets = []
-    start = 0
-    for size in sizes:
-        idx = np.arange(start, start + size)
-        z[idx[int(rng.integers(0, size))]] = 1
-        sets.append(idx)
-        start += size
-    return resid, z, tuple(sets)
+def _random_sets(
+    rng: np.random.Generator, sizes: np.ndarray, resid: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """Sets of the given sizes over shuffled rows, each with one treated
+    member at a random position."""
+    sets = tuple(np.split(rng.permutation(resid.size), np.cumsum(sizes)[:-1]))
+    z = np.zeros(resid.size, dtype=int)
+    z[[s[rng.integers(0, s.size)] for s in sets]] = 1
+    return resid, z, sets
 
 
 def _check_permutation(rng: np.random.Generator) -> OracleCheck:
     for trial in range(20):
-        sizes = [int(s) for s in rng.integers(2, 5, size=int(rng.integers(2, 6)))]
-        resid, z, sets = _random_sets(rng, sizes)
+        sizes = rng.integers(2, 5, size=int(rng.integers(2, 6)))
+        resid, z, sets = _random_sets(rng, sizes, rng.integers(-5, 6, size=sizes.sum()).astype(float))
         got = inference.permutational_t_test(resid, z, sets, mode="exact")
         up, lo, n_assign = brute_force_tail_probabilities(resid, z, sets)
         if not (got.p_upper == up and got.p_lower == lo):
@@ -233,7 +232,7 @@ def _check_permutation(rng: np.random.Generator) -> OracleCheck:
             )
         if got.detail["n_assignments"] != n_assign:
             return OracleCheck("exact-permutation", False, f"trial {trial}: assignment count mismatch")
-    return OracleCheck("exact-permutation", True, "20 instances, tail probabilities equal")
+    return OracleCheck("exact-permutation", True, "20 shuffled instances, tail probabilities equal")
 
 
 def sensitivity_instance() -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
@@ -253,15 +252,10 @@ def sensitivity_instance() -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ..
         np.array([1.2, -0.6, -0.6]),
     ]
     resid = np.concatenate(parts)
+    starts = np.cumsum([0] + [part.size for part in parts[:-1]])
     z = np.zeros(resid.size, dtype=int)
-    sets = []
-    start = 0
-    for part in parts:
-        idx = np.arange(start, start + part.size)
-        z[idx[0]] = 1
-        sets.append(idx)
-        start += part.size
-    return resid, z, tuple(sets)
+    z[starts] = 1
+    return resid, z, tuple(np.split(np.arange(resid.size), starts[1:]))
 
 
 def _check_sensitivity(rng: np.random.Generator) -> OracleCheck:
@@ -276,6 +270,21 @@ def _check_sensitivity(rng: np.random.Generator) -> OracleCheck:
     return OracleCheck("sensitivity-grid", True, "separable bound dominates within 0.01 at 4 gammas")
 
 
+def _check_moments(rng: np.random.Generator) -> OracleCheck:
+    for trial in range(30):
+        sizes = rng.integers(1, 9, size=int(rng.integers(1, 5)))
+        # Three values per instance: equal values are common, exact ties
+        # between different cuts of a set are not.
+        resid, z, sets = _random_sets(rng, sizes, rng.normal(size=3)[rng.integers(0, 3, size=sizes.sum())])
+        for gamma in (1.5, 2.0, 3.0):
+            got = sensitivity.sensitivity_residual(resid, z, sets, gamma, direction="greater").detail
+            want = np.sum([brute_force_worst_moments(resid[s], gamma) for s in sets], axis=0)
+            dev = np.abs(np.array([got["worst_mean"], got["worst_var"]]) - want)
+            if np.any(dev > 1e-9 * np.maximum(1.0, np.abs(want))):
+                return OracleCheck("separable-moments", False, f"trial {trial}, gamma {gamma}: {got} vs {want}")
+    return OracleCheck("separable-moments", True, "30 instances at 3 gammas, worst-case moments within 1e-9")
+
+
 def run_oracle_suite(seed: int = 0) -> list[OracleCheck]:
     """Run all brute-force cross-checks on seeded instances."""
     rng = np.random.default_rng(seed)
@@ -284,4 +293,5 @@ def run_oracle_suite(seed: int = 0) -> list[OracleCheck]:
         _check_permutation(rng),
         _check_sensitivity(rng),
         _check_tie_rule(rng),
+        _check_moments(rng),
     ]

@@ -23,7 +23,6 @@ import json
 import math
 import os
 import re
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -209,21 +208,11 @@ def _jsonable(value):
     return value
 
 
-def stage_propensity(cfg: StudyConfig, threads: int = 1) -> None:
+def stage_propensity(cfg: StudyConfig) -> None:
     tables = _comparison_tables(cfg)
     jobs = [(comp.name, method) for comp in cfg.comparisons for method in cfg.propensity_methods]
-
-    def run(job):
-        name, method = job
-        return _fit_one(cfg, name, tables[name], method)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            fits = list(pool.map(run, jobs))
-    else:
-        fits = [run(job) for job in jobs]
+    fits = [_fit_one(cfg, name, tables[name], method) for name, method in jobs]
     for (name, method), (fit, seed) in zip(jobs, fits):
-        ct = tables[name]
         _write_json(
             _path(cfg, f"propensity_{name}_{method}.json"),
             {
@@ -233,7 +222,7 @@ def stage_propensity(cfg: StudyConfig, threads: int = 1) -> None:
                 "converged": bool(fit.converged),
                 "beta": _jsonable(fit.beta) if fit.beta is not None else None,
                 "diagnostics": _jsonable(fit.diagnostics),
-                "ids": list(ct.ids),
+                "ids": list(tables[name].ids),
                 "scores": _jsonable(fit.scores),
             },
         )
@@ -941,7 +930,7 @@ def _write_failure_manifest(cfg: StudyConfig, stage: str, error: Exception) -> N
         pass  # reporting the original failure matters more
 
 
-def run_pipeline(cfg: StudyConfig, threads: int = 1) -> str:
+def run_pipeline(cfg: StudyConfig) -> str:
     """Run every stage in order; returns the output directory.
 
     Synthesizes the cohort first when the config carries a simulate block
@@ -956,7 +945,7 @@ def run_pipeline(cfg: StudyConfig, threads: int = 1) -> str:
                 raise MissingIntermediateError(_data_path(cfg), "simulate")
             stage_simulate(cfg)
         stage = "propensity"
-        stage_propensity(cfg, threads=threads)
+        stage_propensity(cfg)
         stage = "match"
         stage_match(cfg)
         stage = "balance"

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import norm
 
-from .inference import MH_EXACT_LIMIT, _binary_set_margins, event_tail_probabilities
+from .inference import MH_EXACT_LIMIT, _binary_set_margins, event_tail_probabilities, set_means, set_segments
 
 #: Default Gamma grid: 1.0 through 3.0 in steps of 0.05.
 DEFAULT_GAMMA_GRID = np.linspace(1.0, 3.0, 41)
@@ -34,30 +34,31 @@ class SensitivityBound:
     detail: dict = field(default_factory=dict)
 
 
-def _worst_case_moments(values: np.ndarray, gamma: float) -> tuple[float, float]:
-    """Worst-case (mean, variance) of one set's treated draw.
+def _worst_case_moments(laid: np.ndarray, starts: np.ndarray, sizes: np.ndarray, gamma: float):
+    """Worst-case (mean, variance) of each set's treated draw, for sets laid
+    end to end by ``set_segments``; the sets of each size n form one block.
 
     The bias-maximizing assignment puts probability gamma/(gamma*a + n - a)
     on each of the a largest values and 1/(gamma*a + n - a) on the rest, for
     some cut a. The cut maximizing the mean is chosen, breaking exact ties
     toward the larger variance.
     """
-    v = np.sort(np.asarray(values, dtype=float))[::-1]
-    n = v.size
-    if n == 1:
-        return float(v[0]), 0.0
-    a = np.arange(1, n)
-    denom = gamma * a + (n - a)
-    top = np.cumsum(v)[:-1]
-    top2 = np.cumsum(v * v)[:-1]
-    total = float(v.sum())
-    total2 = float((v * v).sum())
-    mu = (gamma * top + (total - top)) / denom
-    ex2 = (gamma * top2 + (total2 - top2)) / denom
-    nu = ex2 - mu * mu
-    best = np.flatnonzero(mu == mu.max())
-    pick = best[np.argmax(nu[best])]
-    return float(mu[pick]), float(nu[pick])
+    mu, nu = np.zeros(sizes.size), np.zeros(sizes.size)
+    for n in np.unique(sizes):
+        which = np.flatnonzero(sizes == n)
+        v = np.sort(laid[starts[which, None] + np.arange(n)], axis=1)[:, ::-1]
+        if n == 1:
+            mu[which] = v[:, 0]
+            continue
+        a = np.arange(1, n)
+        denom = gamma * a + (n - a)
+        top, top2 = np.cumsum(v, axis=1)[:, :-1], np.cumsum(v * v, axis=1)[:, :-1]
+        cut_mu = (gamma * top + (v.sum(axis=1, keepdims=True) - top)) / denom
+        cut_nu = (gamma * top2 + ((v * v).sum(axis=1, keepdims=True) - top2)) / denom - cut_mu * cut_mu
+        pick = np.argmax(np.where(cut_mu == cut_mu.max(axis=1, keepdims=True), cut_nu, -np.inf), axis=1)
+        block = np.arange(which.size)
+        mu[which], nu[which] = cut_mu[block, pick], cut_nu[block, pick]
+    return mu, nu
 
 
 def _resolve_direction(direction: str, t_obs: float, center: float) -> str:
@@ -84,18 +85,15 @@ def sensitivity_residual(
     """
     if gamma < 1.0:
         raise ValueError("gamma must be at least 1")
-    resid = np.asarray(resid, dtype=float)
-    t_obs = float(sum(resid[s][z[s] == 1][0] for s in sets))
-    center = float(sum(resid[s].mean() for s in sets))
+    rows, starts, sizes = set_segments(sets, z)
+    laid = np.asarray(resid, dtype=float)[rows]
+    t_obs = float(laid[starts].sum())
+    center = float(set_means(laid, starts, sizes).sum())
     side = _resolve_direction(direction, t_obs, center)
     sign = 1.0 if side == "greater" else -1.0
 
-    mu_total = 0.0
-    nu_total = 0.0
-    for s in sets:
-        mu, nu = _worst_case_moments(sign * resid[s], gamma)
-        mu_total += mu
-        nu_total += nu
+    mu, nu = _worst_case_moments(sign * laid, starts, sizes, gamma)
+    mu_total, nu_total = float(mu.sum()), float(nu.sum())
     if nu_total <= 0.0:
         p_one = 1.0
         deviate = 0.0

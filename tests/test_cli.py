@@ -235,13 +235,6 @@ class TestFullRun:
             assert main([command, "--config", cfg_path]) == 0, command
         assert dir_digest(out_dir) == digests
 
-    def test_thread_count_does_not_change_outputs(self, completed_run, tmp_path):
-        _, _, digests = completed_run
-        out_dir = os.path.join(str(tmp_path), "out")
-        cfg_path = write_config(tmp_path, reduced_config_dict(out_dir))
-        assert main(["run", "--config", cfg_path, "--threads", "4"]) == 0
-        assert dir_digest(out_dir) == digests
-
     def test_seed_override_changes_cohort(self, completed_run, tmp_path):
         _, _, digests = completed_run
         out_dir = os.path.join(str(tmp_path), "out")

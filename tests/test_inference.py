@@ -23,7 +23,7 @@ from matchstudy.inference import (
 from matchstudy.matching import MatchCounts, MatchResult, MatchedSet
 from matchstudy.oracles import brute_force_tail_probabilities
 
-from util import make_table, random_matched_instance
+from util import make_table, random_matched_instance, shuffled_matched_instance
 
 
 def pair_result(n_pairs, ids):
@@ -215,6 +215,47 @@ class TestPermutationalTTest:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
             permutational_t_test(np.array([1.0, 0.0]), np.array([1, 0]), (np.array([0, 1]),), mode="bootstrap")
+
+
+class TestScrambledSets:
+    """Segment reductions against per-set loops, on sets that are neither
+    contiguous nor treated-first, of mixed sizes and with tied values."""
+
+    def test_align_responses_matches_per_set_loop(self):
+        rng = np.random.default_rng(21)
+        for _ in range(5):
+            r, z, sets = shuffled_matched_instance(rng, 40)
+            x = np.round(rng.normal(size=(r.size, 3)), 1)
+            aligned, aligned_x = align_responses(r, z, sets, tau0=0.3, x=x)
+            ref, ref_x = np.empty_like(r), np.empty_like(x)
+            for s in sets:
+                adjusted = r[s] - 0.3 * z[s]
+                ref[s] = adjusted - adjusted.mean()
+                ref_x[s] = x[s] - x[s].mean(axis=0)
+            np.testing.assert_allclose(aligned, ref, rtol=1e-12, atol=1e-12 * np.abs(r).max())
+            np.testing.assert_allclose(aligned_x, ref_x, rtol=1e-12, atol=1e-12 * np.abs(x).max())
+
+    def test_normal_approx_matches_per_set_loop(self):
+        rng = np.random.default_rng(22)
+        for _ in range(5):
+            r, z, sets = shuffled_matched_instance(rng, 40)
+            out = permutational_t_test(r, z, sets, mode="normal-approx")
+            t = sum(r[s][z[s] == 1][0] for s in sets)
+            mean = sum(r[s].mean() for s in sets)
+            var = sum(np.var(r[s]) for s in sets)
+            deviate = (t - mean) / math.sqrt(var)
+            assert out.statistic == pytest.approx(t, rel=1e-12)
+            assert out.detail["null_mean"] == pytest.approx(mean, rel=1e-12)
+            assert out.detail["null_var"] == pytest.approx(var, rel=1e-12)
+            assert out.p_upper == pytest.approx(norm.sf(deviate), rel=1e-12)
+            assert out.p_lower == pytest.approx(norm.cdf(deviate), rel=1e-12)
+
+    @pytest.mark.parametrize("z", [[1, 1, 0, 0, 1], [0, 0, 0, 0, 1]], ids=["two-treated", "no-treated"])
+    def test_set_without_exactly_one_treated_rejected(self, z):
+        resid = np.array([0.5, -1.0, 2.0, 0.3, -0.2])
+        sets = (np.array([2, 0, 1]), np.array([4, 3]))
+        with pytest.raises(ValueError, match="exactly one treated"):
+            permutational_t_test(resid, np.array(z), sets, mode="normal-approx")
 
 
 class TestMatchedArrays:

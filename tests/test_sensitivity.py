@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from matchstudy.inference import mantel_haenszel, permutational_t_test
 from matchstudy.oracles import sensitivity_grid_max_p, sensitivity_instance
@@ -12,7 +13,7 @@ from matchstudy.sensitivity import (
     sensitivity_residual,
 )
 
-from util import random_matched_instance
+from util import random_matched_instance, shuffled_matched_instance
 
 
 class TestResidualBound:
@@ -81,6 +82,51 @@ class TestResidualBound:
         resid = np.array([1.0, -1.0])
         with pytest.raises(ValueError, match="direction"):
             sensitivity_residual(resid, np.array([1, 0]), (np.array([0, 1]),), 1.5, direction="both")
+
+
+def per_set_worst_moments(values, gamma):
+    """One set's worst-case (mean, variance): the largest-mean cut of the
+    sorted values, exact ties going to the larger variance."""
+    v = np.sort(values)[::-1]
+    if v.size == 1:
+        return v[0], 0.0
+    a = np.arange(1, v.size)
+    denom = gamma * a + (v.size - a)
+    top, top2 = np.cumsum(v)[:-1], np.cumsum(v * v)[:-1]
+    mu = (gamma * top + (v.sum() - top)) / denom
+    nu = (gamma * top2 + ((v * v).sum() - top2)) / denom - mu * mu
+    best = np.flatnonzero(mu == mu.max())
+    pick = best[np.argmax(nu[best])]
+    return mu[pick], nu[pick]
+
+
+class TestScrambledSets:
+    """The batched bound against a per-set loop, on sets that are neither
+    contiguous nor treated-first, of mixed sizes and with tied values."""
+
+    def test_bound_matches_per_set_loop(self):
+        rng = np.random.default_rng(23)
+        for _ in range(5):
+            resid, z, sets = shuffled_matched_instance(rng, 40)
+            t = sum(resid[s][z[s] == 1][0] for s in sets)
+            sign = 1.0 if t >= sum(resid[s].mean() for s in sets) else -1.0
+            for gamma in (1.0, 1.5, 3.0):
+                bound = sensitivity_residual(resid, z, sets, gamma)
+                moments = [per_set_worst_moments(sign * resid[s], gamma) for s in sets]
+                mu = sum(m for m, _ in moments)
+                nu = sum(v for _, v in moments)
+                assert bound.direction == ("greater" if sign > 0 else "less")
+                assert bound.statistic == pytest.approx(t, rel=1e-12)
+                assert bound.detail["worst_mean"] == pytest.approx(sign * mu, rel=1e-12)
+                assert bound.detail["worst_var"] == pytest.approx(nu, rel=1e-12)
+                assert bound.p_one_sided == pytest.approx(norm.sf((sign * t - mu) / math.sqrt(nu)), rel=1e-12)
+
+    @pytest.mark.parametrize("z", [[1, 1, 0, 0, 1], [0, 0, 0, 0, 1]], ids=["two-treated", "no-treated"])
+    def test_set_without_exactly_one_treated_rejected(self, z):
+        resid = np.array([0.5, -1.0, 2.0, 0.3, -0.2])
+        sets = (np.array([2, 0, 1]), np.array([4, 3]))
+        with pytest.raises(ValueError, match="exactly one treated"):
+            sensitivity_residual(resid, np.array(z), sets, 1.5)
 
 
 class TestMhBound:

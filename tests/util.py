@@ -76,3 +76,20 @@ def random_matched_instance(rng, n_sets, max_controls=3, values=None):
         sets.append(np.arange(pos, pos + size))
         pos += size
     return np.asarray(resid), np.asarray(z, dtype=np.int64), tuple(sets)
+
+
+def shuffled_matched_instance(rng, n_sets, max_size=16):
+    """Residuals, treatment indicator, and set index arrays in a scrambled layout.
+
+    Sets of sizes 2..max_size draw their members from a random permutation of
+    the rows, so no set is contiguous or sorted, and the treated member is
+    never listed first. Residuals are rounded to one decimal, so values tie
+    within and across sets.
+    """
+    sizes = rng.integers(2, max_size + 1, size=n_sets)
+    n = int(sizes.sum())
+    sets = tuple(np.split(rng.permutation(n), np.cumsum(sizes)[:-1]))
+    z = np.zeros(n, dtype=np.int64)
+    for s in sets:
+        z[s[rng.integers(1, s.size)]] = 1
+    return np.round(rng.normal(size=n), 1), z, sets
