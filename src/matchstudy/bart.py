@@ -100,9 +100,15 @@ class BartBinaryFit:
 
 
 class _Tree:
-    """Mutable tree used during sampling; nodes live in parallel lists."""
+    """Mutable tree used during sampling; nodes live in parallel lists.
 
-    __slots__ = ("feature", "threshold", "left", "right", "depth", "value", "free")
+    ``value`` is node-indexed; an internal node keeps the value it had as a
+    leaf. ``shape`` caches the compacted (order, feature, threshold, left,
+    right) arrays of the last snapshot; every accepted move clears it, since
+    between moves only leaf values change.
+    """
+
+    __slots__ = ("feature", "threshold", "left", "right", "depth", "value", "free", "shape")
 
     def __init__(self) -> None:
         self.feature = [-1]
@@ -110,8 +116,9 @@ class _Tree:
         self.left = [-1]
         self.right = [-1]
         self.depth = [0]
-        self.value = [0.0]
+        self.value = np.zeros(1)
         self.free: list[int] = []
+        self.shape: tuple[np.ndarray, ...] | None = None
 
     def alloc(self, depth: int) -> int:
         if self.free:
@@ -127,8 +134,34 @@ class _Tree:
         self.left.append(-1)
         self.right.append(-1)
         self.depth.append(depth)
-        self.value.append(0.0)
+        self.value = np.append(self.value, 0.0)
         return len(self.feature) - 1
+
+    def split(self, leaf: int, feature: int, threshold: float) -> tuple[int, int]:
+        a = self.alloc(self.depth[leaf] + 1)
+        c = self.alloc(self.depth[leaf] + 1)
+        self.feature[leaf] = feature
+        self.threshold[leaf] = threshold
+        self.left[leaf] = a
+        self.right[leaf] = c
+        self.shape = None
+        return a, c
+
+    def collapse(self, node: int) -> None:
+        self.feature[node] = -1
+        self.free.extend((self.left[node], self.right[node]))
+        self.shape = None
+
+    def resplit(self, node: int, feature: int, threshold: float) -> None:
+        self.feature[node] = feature
+        self.threshold[node] = threshold
+        self.shape = None
+
+    def leaves(self) -> list[int]:
+        # Live leaves in index order; each holds at least one row, so this is
+        # the sorted list of node ids that occur in the tree's leaf_of.
+        free = set(self.free)
+        return [i for i, f in enumerate(self.feature) if f < 0 and i not in free]
 
     def prunable_nodes(self) -> list[int]:
         # Internal nodes whose both children are leaves, in index order.
@@ -144,8 +177,8 @@ class _Tree:
                 return i
         return -1
 
-    def snapshot(self) -> TreeSnapshot:
-        # Compact the reachable nodes into contiguous arrays.
+    def compact(self) -> tuple[np.ndarray, ...]:
+        # The reachable nodes in depth-first order, with children renumbered.
         order: list[int] = []
         remap: dict[int, int] = {}
         stack = [0]
@@ -156,11 +189,24 @@ class _Tree:
             if self.feature[i] >= 0:
                 stack.append(self.right[i])
                 stack.append(self.left[i])
-        feature = np.array([self.feature[i] for i in order], dtype=np.int64)
-        left = np.array([remap[self.left[i]] if self.feature[i] >= 0 else -1 for i in order], dtype=np.int64)
-        right = np.array([remap[self.right[i]] if self.feature[i] >= 0 else -1 for i in order], dtype=np.int64)
-        threshold = np.array([self.threshold[i] for i in order], dtype=float)
-        value = np.array([self.value[i] for i in order], dtype=float)
+        arrays = (
+            np.array(order, dtype=np.int64),
+            np.array([self.feature[i] for i in order], dtype=np.int64),
+            np.array([self.threshold[i] for i in order], dtype=float),
+            np.array([remap[self.left[i]] if self.feature[i] >= 0 else -1 for i in order], dtype=np.int64),
+            np.array([remap[self.right[i]] if self.feature[i] >= 0 else -1 for i in order], dtype=np.int64),
+        )
+        for a in arrays:
+            a.setflags(write=False)
+        return arrays
+
+    def snapshot(self) -> TreeSnapshot:
+        # Snapshots share the read-only shape arrays until the next move.
+        if self.shape is None:
+            self.shape = self.compact()
+        order, feature, threshold, left, right = self.shape
+        value = self.value[order]
+        value.setflags(write=False)
         return TreeSnapshot(feature=feature, threshold=threshold, left=left, right=right, value=value)
 
 
@@ -208,9 +254,9 @@ class _Sampler:
             return  # reverse move impossible, so the MH ratio is zero
         tree = self.trees[t]
         leaf_of = self.leaf_of[t]
-        leaves = np.unique(leaf_of)
+        leaves = tree.leaves()
         b = len(leaves)
-        leaf = int(leaves[self.rng.integers(b)])
+        leaf = leaves[self.rng.integers(b)]
         j = int(self.rng.integers(self.p))
         cuts = self.cuts[j]
         if cuts.size == 0:
@@ -246,12 +292,7 @@ class _Sampler:
                 w2_new -= 1
         logprop = math.log(self.params.p_prune * b) - math.log(self.params.p_grow * w2_new)
         if math.log(self.rng.random()) < loglik + logprior + logprop:
-            a = tree.alloc(d + 1)
-            c = tree.alloc(d + 1)
-            tree.feature[leaf] = j
-            tree.threshold[leaf] = cut
-            tree.left[leaf] = a
-            tree.right[leaf] = c
+            a, c = tree.split(leaf, j, cut)
             rows = np.flatnonzero(mask)
             leaf_of[rows[go_left]] = a
             leaf_of[rows[~go_left]] = c
@@ -282,11 +323,10 @@ class _Sampler:
         ps_d = _split_prob(self.params, d)
         ps_child = _split_prob(self.params, d + 1)
         logprior = math.log(1.0 - ps_d) - math.log(ps_d) - 2.0 * math.log(1.0 - ps_child)
-        b_after = len(np.unique(leaf_of)) - 1
+        b_after = len(tree.leaves()) - 1
         logprop = math.log(self.params.p_grow * w2) - math.log(self.params.p_prune * b_after)
         if math.log(self.rng.random()) < loglik + logprior + logprop:
-            tree.feature[v] = -1
-            tree.free.extend((a, c))
+            tree.collapse(v)
             leaf_of[mask_a | mask_c] = v
 
     def _change(self, t: int, resid: np.ndarray, sigma2: float) -> None:
@@ -325,8 +365,7 @@ class _Sampler:
             - _cell_core(s_old_r, n_old_r, sigma2, self.leaf_var)
         )
         if math.log(self.rng.random()) < loglik:
-            tree.feature[v] = j
-            tree.threshold[v] = cut
+            tree.resplit(v, j, cut)
             leaf_of[rows[go_left]] = a
             leaf_of[rows[~go_left]] = c
 
@@ -334,23 +373,39 @@ class _Sampler:
 
     def backfit_iteration(self, y: np.ndarray, sigma2: float, validate: bool = False) -> None:
         for t in range(self.params.num_trees):
+            tree = self.trees[t]
+            leaf_of = self.leaf_of[t]
             resid = y - self.total + self.fits[t]
             self._try_move(t, resid, sigma2)
-            leaves, inverse, counts = np.unique(self.leaf_of[t], return_inverse=True, return_counts=True)
-            sums = np.bincount(inverse, weights=resid)
-            post_var = 1.0 / (counts / sigma2 + 1.0 / self.leaf_var)
-            post_mean = (sums / sigma2) * post_var
-            vals = post_mean + np.sqrt(post_var) * self.rng.standard_normal(len(leaves))
-            tree = self.trees[t]
-            for node, val in zip(leaves, vals):
-                tree.value[int(node)] = float(val)
-            new_fit = vals[inverse]
-            self.total = self.total + (new_fit - self.fits[t])
+            # Leaf statistics by node id. bincount sums each bin in row order,
+            # and every live leaf holds a row, so the nonzero counts are the
+            # live leaves in index order.
+            size = len(tree.feature)
+            counts = np.bincount(leaf_of, minlength=size)
+            sums = np.bincount(leaf_of, weights=resid, minlength=size)
+            live = np.flatnonzero(counts)
+            post_var = 1.0 / (counts[live] / sigma2 + 1.0 / self.leaf_var)
+            post_mean = (sums[live] / sigma2) * post_var
+            tree.value[live] = post_mean + np.sqrt(post_var) * self.rng.standard_normal(live.size)
+            new_fit = tree.value[leaf_of]
+            self.total += new_fit - self.fits[t]
             self.fits[t] = new_fit
+            if validate:
+                self._check_tree(t)
         if validate:
             recomputed = self.fits.sum(axis=0)
             if np.max(np.abs(recomputed - self.total)) > 1e-10:
                 raise AssertionError("backfitting identity violated")
+
+    def _check_tree(self, t: int) -> None:
+        # Test-only: the node bookkeeping must agree with a rescan of the data.
+        tree = self.trees[t]
+        if tree.leaves() != np.unique(self.leaf_of[t]).tolist():
+            raise AssertionError("leaf list differs from the rows' leaves")
+        if tree.shape is not None and not all(
+            np.array_equal(a, b) for a, b in zip(tree.shape, tree.compact())
+        ):
+            raise AssertionError("cached tree shape is stale")
 
     def snapshot_forest(self) -> list[TreeSnapshot]:
         return [tree.snapshot() for tree in self.trees]

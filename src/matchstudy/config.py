@@ -258,6 +258,7 @@ def config_from_dict(obj: dict) -> StudyConfig:
         if name not in obj:
             return default
         merged = dataclasses.asdict(default)
+        _expect_keys(obj[name], set(), set(merged), name)
         merged.update(obj[name])
         return parser(**merged)
 

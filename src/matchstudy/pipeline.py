@@ -806,7 +806,7 @@ def _decisions_text(cfg: StudyConfig, balances, inferences, sensitivities) -> st
             entry = inf0[o.name]
             hull = entry["hull"]
             hull_text = "empty" if hull is None else f"[{hull[0]!r}, {hull[1]!r}]"
-            bh = f"{adjusted[j]!r}" if applied else "-"
+            bh = f"{float(adjusted[j])!r}" if applied else "-"
             so = sens0[o.name]
             if so["beyond_grid"]:
                 gtext = f"beyond grid (> {cfg.sensitivity.stop:.2f})"

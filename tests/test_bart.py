@@ -251,3 +251,71 @@ class TestSerialization:
             bart_predict_proba(back, probe), bart_predict_proba(fit, probe)
         )
         np.testing.assert_array_equal(back.in_sample_probs, fit.in_sample_probs)
+
+
+def small_pinned_data():
+    rng = np.random.default_rng(12)
+    x = np.round(rng.normal(size=(60, 3)), 2)
+    z = (x[:, 0] + 0.5 * x[:, 1] + 0.5 * rng.normal(size=60) > 0).astype(int)
+    y = np.sin(2.0 * x[:, 0]) + x[:, 2] + 0.3 * rng.normal(size=60)
+    return x, z, y
+
+
+PINNED_PARAMS = BartParams(num_trees=5, burn_in=20, draws=20)
+
+# Final forests (feature, threshold, left, right) of seed-3 fits on
+# small_pinned_data. Thresholds are data values, so they compare exactly; a
+# leaf keeps the threshold its node held when it was last split. Any change to
+# the RNG call sequence or to a move decision changes these.
+PINNED_BINARY = [
+    ([0, -1, -1], [-0.35, 0.0, 0.0], [1, -1, -1], [2, -1, -1]),
+    ([1, -1, -1], [-0.5, 0.06, 1.23], [1, -1, -1], [2, -1, -1]),
+    ([2, -1, -1], [-1.43, 0.0, -2.38], [1, -1, -1], [2, -1, -1]),
+    ([0, -1, -1], [0.99, 0.06, 0.0], [1, -1, -1], [2, -1, -1]),
+    ([0, 2, -1, -1, -1], [-0.61, -0.87, 0.0, 0.0, 0.0], [1, 2, -1, -1, -1], [4, 3, -1, -1, -1]),
+]
+PINNED_REGRESSION = [
+    ([2, -1, -1], [-0.11, -0.68, 0.0], [1, -1, -1], [2, -1, -1]),
+    (
+        [0, 0, -1, -1, 2, -1, -1],
+        [0.18, -1.88, 0.0, 0.0, -1.43, 0.0, 0.0],
+        [1, 2, -1, -1, 5, -1, -1],
+        [4, 3, -1, -1, 6, -1, -1],
+    ),
+    ([2, -1, -1], [0.51, -1.75, -0.02], [1, -1, -1], [2, -1, -1]),
+    ([0, 0, -1, -1, -1], [0.23, -1.47, 0.66, 0.0, -1.16], [1, 2, -1, -1, -1], [4, 3, -1, -1, -1]),
+    ([0, -1, -1], [1.64, 1.23, 0.0], [1, -1, -1], [2, -1, -1]),
+]
+
+
+def forest_shapes(forest):
+    return [
+        (t.feature.tolist(), t.threshold.tolist(), t.left.tolist(), t.right.tolist()) for t in forest
+    ]
+
+
+class TestSamplerBookkeeping:
+    def test_binary_final_forest_pinned(self):
+        x, z, _ = small_pinned_data()
+        fit = fit_bart_binary(x, z, params=PINNED_PARAMS, seed=3)
+        assert forest_shapes(fit.forests[-1]) == PINNED_BINARY
+
+    def test_regression_final_forest_pinned(self):
+        x, _, y = small_pinned_data()
+        fit = fit_bart_regression(x, y, params=PINNED_PARAMS, seed=3)
+        assert forest_shapes(fit.forests[-1]) == PINNED_REGRESSION
+
+    def test_every_snapshot_reproduces_its_draw(self):
+        # a snapshot that reused a shape cached before an accepted move would
+        # route rows to the wrong leaves
+        x, z, _ = small_pinned_data()
+        fit = fit_bart_binary(x, z, params=BartParams(num_trees=8, burn_in=10, draws=60), seed=4)
+        np.testing.assert_allclose(bart_predict_proba(fit, x), fit.in_sample_probs, rtol=0, atol=1e-10)
+
+    def test_snapshot_arrays_are_read_only(self):
+        x, _, y = small_pinned_data()
+        fit = fit_bart_regression(x, y, params=PINNED_PARAMS, seed=3)
+        for forest in fit.forests:
+            for tree in forest:
+                for name in ("feature", "threshold", "left", "right", "value"):
+                    assert not getattr(tree, name).flags.writeable, name

@@ -7,6 +7,7 @@ import pytest
 
 from matchstudy.cli import main
 from matchstudy.config import config_from_dict, default_config, default_config_dict
+from matchstudy.dataset import ValidationError
 
 
 def reduced_config_dict(out_dir, seed=7):
@@ -126,6 +127,21 @@ class TestValidation:
         cfg_path = write_config(tmp_path, obj)
         assert main(["run", "--config", cfg_path]) == 1
         assert "matcing" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", ["matching", "inference", "sensitivity"])
+    def test_unknown_section_key_named_in_error(self, section):
+        with pytest.raises(ValidationError, match="n_drawz"):
+            config_from_dict({section: {"n_drawz": 5}})
+
+    def test_unknown_section_key_is_a_configuration_error(self, tmp_path, capsys):
+        obj = reduced_config_dict(os.path.join(str(tmp_path), "out"))
+        obj["inference"] = {"n_drawz": 5}
+        cfg_path = write_config(tmp_path, obj)
+        assert main(["run", "--config", cfg_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid configuration: ")
+        assert "n_drawz" in err
+        assert "Traceback" not in err
 
     def test_bad_json_rejected(self, tmp_path, capsys):
         path = os.path.join(str(tmp_path), "broken.json")
@@ -271,6 +287,15 @@ class TestFullRun:
         # the margin is a configured choice, not an estimate; the report says so
         if "equivalence margin" in text:
             assert "configured choice" in text
+
+    def test_decisions_report_prints_plain_floats(self, completed_run):
+        # the adjusted secondary p-values are written as bare floats, so the
+        # report does not depend on how the numpy version prints its scalars
+        _, out_dir, _ = completed_run
+        with open(os.path.join(out_dir, "decisions.txt"), encoding="utf-8") as fh:
+            text = fh.read()
+        assert "bh p = -" not in text
+        assert "np." not in text
 
 
 class TestFailureManifest:
