@@ -12,9 +12,10 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
+from scipy.special import expit
 from scipy.stats import norm
 
-from . import inference, matching, sensitivity
+from . import inference, matching, propensity, sensitivity
 
 #: Cap on enumerated states in any single brute-force pass.
 ENUMERATION_LIMIT = 4_000_000
@@ -285,6 +286,50 @@ def _check_moments(rng: np.random.Generator) -> OracleCheck:
     return OracleCheck("separable-moments", True, "30 instances at 3 gammas, worst-case moments within 1e-9")
 
 
+def l1_kkt_violation(x: np.ndarray, z: np.ndarray, beta: np.ndarray, lam: float) -> float:
+    """Largest violation of the KKT conditions of
+    loglik(beta) - lam * sum_{j>=1} |beta_j| at ``beta``: the intercept's
+    gradient must vanish, a zero coefficient needs |g_j| <= lam and a
+    nonzero one g_j = lam * sign(beta_j), where g is the log-likelihood
+    gradient."""
+    design = np.column_stack([np.ones(len(z)), x])
+    grad = design.T @ (z - expit(design @ beta))
+    b, g = beta[1:], grad[1:]
+    gap = np.where(b == 0.0, np.maximum(np.abs(g) - lam, 0.0), np.abs(g - lam * np.sign(b)))
+    return float(max(abs(grad[0]), gap.max(initial=0.0)))
+
+
+def _check_l1_kkt(rng: np.random.Generator) -> OracleCheck:
+    """KKT certificates of L1 fits on small instances, a third of them with an
+    all-zero column and a third with a duplicated one. The gap may reach the
+    solver's coefficient tolerance (1e-7) times n, the scale of the
+    curvature; exact finishes leave about 1e-13, duplicated columns, where
+    only the sweeps converge, up to about 5e-7."""
+    worst = 0.0
+    for trial in range(12):
+        n = int(rng.integers(40, 81))
+        p = int(rng.integers(2, 7))
+        x = rng.normal(size=(n, p))
+        if trial % 3 == 1:
+            x[:, -1] = 0.0  # zero curvature
+        elif trial % 3 == 2:
+            x[:, -1] = x[:, 0]  # singular Gram matrix once both copies are active
+        # Half the rows treated, ranked by a logistic index: signal in x, no
+        # fitted probability near the solver's clip, and no 2-fold split
+        # that leaves a fold with one arm.
+        index = x @ rng.normal(scale=0.5, size=p) + rng.logistic(size=n)
+        z = (np.argsort(np.argsort(index)) >= n // 2).astype(int)
+        lam_max = propensity.l1_lambda_grid(x, z)[0]
+        for frac in (1.0, 0.5, 0.2, 0.1):
+            fit = propensity.fit_l1(x, z, penalties=np.array([frac * lam_max]), folds=2)
+            gap = l1_kkt_violation(x, z, fit.beta, frac * lam_max)
+            worst = max(worst, gap)
+            if not fit.converged or gap > 1e-7 * n:
+                detail = f"trial {trial}, penalty {frac} x max: KKT gap {gap:.3g}, converged {fit.converged}"
+                return OracleCheck("l1-kkt", False, detail)
+    return OracleCheck("l1-kkt", True, f"12 instances at 4 penalties, max KKT gap {worst:.2g}")
+
+
 def run_oracle_suite(seed: int = 0) -> list[OracleCheck]:
     """Run all brute-force cross-checks on seeded instances."""
     rng = np.random.default_rng(seed)
@@ -294,4 +339,5 @@ def run_oracle_suite(seed: int = 0) -> list[OracleCheck]:
         _check_sensitivity(rng),
         _check_tie_rule(rng),
         _check_moments(rng),
+        _check_l1_kkt(rng),
     ]

@@ -132,54 +132,106 @@ def fit_mle(x: np.ndarray, z: np.ndarray) -> PropensityFit:
 # L1-penalized logistic regression
 # ---------------------------------------------------------------------------
 
-# Weights in the IRLS quadratic approximation are clipped away from zero so a
-# saturated fit cannot freeze the working response.
+# Probabilities in the IRLS expansion are clipped away from 0 and 1, so the
+# weights stay positive and a saturated fit keeps curvature in every nonzero
+# column.
 _PROB_CLIP = 1e-5
 
 
 def _l1_coordinate_descent(
     design: np.ndarray, z: np.ndarray, lam: float, beta: np.ndarray, tol: float = 1e-7, max_outer: int = 100
-) -> np.ndarray:
-    """Cyclic coordinate descent on the IRLS quadratic approximation.
+) -> tuple[np.ndarray, bool]:
+    """IRLS with covariance-update coordinate descent and an exact finish.
 
-    The intercept (column 0) is never thresholded. The penalty uses the sum
-    form: NLL(beta) + lam * sum_j |beta_j|.
+    Minimizes NLL(beta) + lam * sum_{j>=1} |beta_j| (the sum form; the
+    intercept, column 0, is never thresholded). Each IRLS step expands the
+    log-likelihood to second order at the current beta and forms the Gram
+    matrix G = X'WX and the gradient X'(z - p) once; a coordinate update then
+    touches only d-vectors: beta_j <- S(g_j + G_jj beta_j, lam) / G_jj and
+    g -= G[j] * delta, where g is the gradient of the quadratic model
+    (Friedman, Hastie & Tibshirani 2010, covariance updates).
+
+    Once a sweep leaves the signed support unchanged, the step's weighted
+    lasso is solved exactly on that support (G_AA delta = g_A - lam * s_A);
+    the solution is kept only if its signs agree and every zero coordinate
+    has |g_j| <= lam. Otherwise, or when G_AA is singular, the sweeps go on
+    until none moves a coefficient by tol (at most 1000 sweeps). IRLS stops
+    when a step moves no coefficient by tol (at most max_outer steps). A
+    column of zero curvature is all zero; its coefficient stays 0.
+
+    Returns (beta, converged); converged is False when a cap was hit.
     """
-    n, d = design.shape
+    d = design.shape[1]
+    lam = float(lam)
     beta = beta.copy()
-    sq = design**2
     for _ in range(max_outer):
-        eta = design @ beta
-        prob = np.clip(expit(eta), _PROB_CLIP, 1.0 - _PROB_CLIP)
-        w = prob * (1.0 - prob)
-        # Working response for the quadratic expansion at the current beta.
-        work = eta + (z - prob) / w
-        denom = sq.T @ w
-        resid = work - eta
-        outer_start = beta.copy()
+        prob = np.clip(expit(design @ beta), _PROB_CLIP, 1.0 - _PROB_CLIP)
+        gram = design.T @ (design * (prob * (1.0 - prob))[:, None])
+        grad = design.T @ (z - prob)
+        curv = np.diag(gram).tolist()
+        rows = gram.tolist()
+        live = [j for j in range(d) if curv[j] > 0.0]
+        b = [v if curv[j] > 0.0 else 0.0 for j, v in enumerate(beta.tolist())]
+        g = grad.tolist()
+        solved = False
         for _ in range(1000):
+            before = [(v > 0.0) - (v < 0.0) for v in b[1:]]
             max_delta = 0.0
-            for j in range(d):
-                if denom[j] == 0.0:
-                    # w is clipped positive, so this means the column is all
-                    # zero; it carries nothing and its coefficient stays 0
-                    beta[j] = 0.0
-                    continue
-                old = beta[j]
-                rho = float(design[:, j] @ (w * resid)) + denom[j] * old
-                if j == 0:
-                    new = rho / denom[j]
-                else:
-                    new = _soft_threshold(rho, lam) / denom[j]
+            for j in live:
+                old = b[j]
+                rho = g[j] + curv[j] * old
+                new = (rho if j == 0 else _soft_threshold(rho, lam)) / curv[j]
                 if new != old:
-                    resid = resid - design[:, j] * (new - old)
-                    beta[j] = new
-                    max_delta = max(max_delta, abs(new - old))
+                    delta = new - old
+                    g = [gi - gji * delta for gi, gji in zip(g, rows[j])]
+                    b[j] = new
+                    max_delta = max(max_delta, abs(delta))
+            signs = [(v > 0.0) - (v < 0.0) for v in b[1:]]
+            if signs == before:
+                exact = _exact_on_support(gram, np.array(g), np.array(b), lam, np.array([0.0] + signs))
+                if exact is not None:
+                    b, solved = exact, True
+                    break
             if max_delta < tol:
+                solved = True
                 break
-        if np.max(np.abs(beta - outer_start)) < tol:
-            break
-    return beta
+        start, beta = beta, np.asarray(b, dtype=float)
+        if np.max(np.abs(beta - start)) < tol:
+            return beta, solved
+    return beta, False
+
+
+def _exact_on_support(
+    gram: np.ndarray, grad: np.ndarray, beta: np.ndarray, lam: float, signs: np.ndarray
+) -> np.ndarray | None:
+    """Exact minimizer of the quadratic model on a signed support, or None.
+
+    ``grad`` is the model's gradient at ``beta``; the support is the
+    intercept plus the coordinates with nonzero ``signs``. The candidate
+    solves G_AA delta = grad_A - lam * signs_A and is returned only when G_AA
+    is numerically nonsingular (a Cholesky factor exists and its smallest
+    pivot exceeds size * eps times the largest diagonal entry), the
+    candidate's signs agree with ``signs`` and every coordinate off the
+    support has |grad_j| <= lam at the candidate.
+    """
+    active = np.concatenate(([0], np.flatnonzero(signs)))
+    block = gram.take(active, 0).take(active, 1)
+    try:
+        pivots = np.diag(np.linalg.cholesky(block)) ** 2
+    except np.linalg.LinAlgError:
+        return None
+    if pivots.min() <= np.diag(block).max() * active.size * np.finfo(float).eps:
+        return None
+    delta = np.linalg.solve(block, grad[active] - lam * signs[active])
+    out = beta.copy()
+    out[active] += delta
+    if not np.array_equal(np.sign(out[active[1:]]), signs[active[1:]]):
+        return None
+    resid = grad - gram[:, active] @ delta
+    resid[active] = 0.0
+    if np.max(np.abs(resid[1:])) > lam:
+        return None
+    return out
 
 
 def _soft_threshold(value: float, lam: float) -> float:
@@ -194,13 +246,39 @@ def _binomial_deviance(design: np.ndarray, z: np.ndarray, beta: np.ndarray) -> f
     return -2.0 * _loglik(design, z, beta)
 
 
+def _null_gradient(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Log-likelihood gradient in the covariate coefficients at the
+    intercept-only fit; every penalty at least its max-norm has the all-zero
+    solution."""
+    return x.T @ (z - z.mean())
+
+
 def l1_lambda_grid(x: np.ndarray, z: np.ndarray, num: int = 50, ratio: float = 1e-3) -> np.ndarray:
     """Log-spaced penalty grid from the smallest all-zero penalty downward."""
     x, z = _check_inputs(x, z)
-    zbar = z.mean()
-    lam_max = float(np.max(np.abs(x.T @ (z - zbar))))
+    lam_max = float(np.max(np.abs(_null_gradient(x, z))))
     lam_max = max(lam_max, 1e-10)
     return np.geomspace(lam_max, lam_max * ratio, num)
+
+
+def _l1_path(x: np.ndarray, z: np.ndarray, penalties: np.ndarray):
+    """Solutions at descending penalties, each warm-started from the last.
+
+    Yields (beta, converged) per penalty. A penalty at least the max-norm of
+    ``_null_gradient`` gets the intercept-only fit, with every covariate
+    coefficient exactly 0, without iterating.
+    """
+    design = np.column_stack([np.ones(len(z)), x])
+    zero_from = float(np.max(np.abs(_null_gradient(x, z))))
+    zbar = z.mean()
+    beta = np.zeros(design.shape[1])
+    beta[0] = math.log(zbar / (1.0 - zbar))
+    for lam in penalties:
+        if lam >= zero_from:
+            yield beta.copy(), True
+        else:
+            beta, converged = _l1_coordinate_descent(design, z, lam, beta)
+            yield beta, converged
 
 
 def fit_l1(
@@ -215,10 +293,15 @@ def fit_l1(
     The path is computed from the largest penalty down with warm starts; CV
     loss is mean held-out binomial deviance, fold assignment is a seeded
     permutation, and ties prefer the larger (sparser) penalty. The final
-    model is refit on the full data at the chosen penalty.
+    model is refit on the full data at the chosen penalty. Each penalty is
+    solved by ``_l1_coordinate_descent`` (IRLS steps of covariance-update
+    coordinate descent, finished exactly on a stable signed support);
+    penalties at or above the all-zero bound of ``l1_lambda_grid`` give the
+    intercept-only fit directly. ``converged`` is False, with a warning, if
+    any fit of the folds or of the final path hit an iteration cap.
     """
     x, z = _check_inputs(x, z)
-    n, p = x.shape
+    n = x.shape[0]
     if penalties is None:
         penalties = l1_lambda_grid(x, z)
     penalties = np.asarray(penalties, dtype=float)
@@ -234,35 +317,34 @@ def fit_l1(
     fold_of[perm] = np.arange(n) % folds
 
     cv_loss = np.zeros(len(penalties))
+    converged = True
     for f in range(folds):
         train = fold_of != f
         test = ~train
         if not (z[train].any() and (1 - z[train]).any()):
             raise ValueError("a CV fold lost one arm entirely; use fewer folds")
-        beta = np.zeros(p + 1)
-        for i, lam in enumerate(penalties):
-            beta = _l1_coordinate_descent(design[train], z[train], lam, beta)
+        for i, (beta, ok) in enumerate(_l1_path(x[train], z[train], penalties)):
+            converged = converged and ok
             cv_loss[i] += _binomial_deviance(design[test], z[test], beta) / test.sum()
     cv_loss /= folds
     best = int(np.flatnonzero(cv_loss == cv_loss.min())[0])  # first index = largest penalty
 
-    beta = np.zeros(p + 1)
-    path_nonzero = []
-    for i, lam in enumerate(penalties):
-        beta = _l1_coordinate_descent(design, z, lam, beta)
-        path_nonzero.append(int(np.count_nonzero(beta[1:])))
-        if i == best:
-            chosen = beta.copy()
+    path = list(_l1_path(x, z, penalties))
+    converged = converged and all(ok for _, ok in path)
+    if not converged:
+        warnings.warn("L1 coordinate descent hit an iteration cap; penalized fit may be inaccurate", stacklevel=2)
+    chosen = path[best][0]
     scores = _clip_scores(expit(design @ chosen))
     return PropensityFit(
         method=L1,
         scores=scores,
         beta=chosen,
+        converged=converged,
         diagnostics={
             "penalty": float(penalties[best]),
             "penalties": penalties,
             "cv_loss": cv_loss,
-            "path_nonzero": tuple(path_nonzero),
+            "path_nonzero": tuple(int(np.count_nonzero(beta[1:])) for beta, _ in path),
             "nonzero": int(np.count_nonzero(chosen[1:])),
             "folds": folds,
             "seed": seed,

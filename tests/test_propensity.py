@@ -1,7 +1,13 @@
+import functools
+
 import numpy as np
 import pytest
 from scipy.special import expit
 
+from matchstudy import pipeline, propensity
+from matchstudy.config import config_from_dict, default_config_dict
+from matchstudy.dataset import generate_synthetic
+from matchstudy.oracles import l1_kkt_violation
 from matchstudy.propensity import (
     fit_bart_propensity,
     fit_bayes,
@@ -19,6 +25,28 @@ def logistic_data(seed, n, coefs, intercept=0.0):
     probs = expit(intercept + x @ np.asarray(coefs))
     z = (rng.random(n) < probs).astype(np.int64)
     return x, z
+
+
+def default_comparison_one(seed, n=200):
+    """Covariates and arms of comparison-1 in a default-config cohort."""
+    raw = default_config_dict()
+    raw["simulate"]["n"] = n
+    cfg = config_from_dict(raw)
+    table = pipeline.prepare(cfg, generate_synthetic(cfg.simulate, seed=seed).table)
+    ct = pipeline.comparison_table(cfg, table, cfg.comparisons[0])
+    return ct.covariates, ct.z
+
+
+def assert_l1_kkt(x, z, beta, lam):
+    """Stationarity of loglik(beta) - lam * sum_{j>=1} |beta_j|."""
+    design = np.column_stack([np.ones(len(z)), x])
+    grad = design.T @ (z - expit(design @ beta))  # of the unpenalized loglik
+    assert abs(grad[0]) < 1e-4  # intercept unpenalized
+    for g, b in zip(grad[1:], beta[1:]):
+        if b == 0.0:
+            assert abs(g) <= lam + 1e-6
+        else:
+            assert abs(g - lam * np.sign(b)) < 1e-4
 
 
 def irls_reference(x, z, tol=1e-12, iters=200):
@@ -112,15 +140,7 @@ class TestFitL1:
     def test_kkt_conditions_at_solution(self):
         x, z = logistic_data(seed=7, n=250, coefs=[0.9, 0.0, 0.0, -0.6, 0.0])
         fit = fit_l1(x, z, seed=0)
-        lam = fit.diagnostics["penalty"]
-        design = np.column_stack([np.ones(len(z)), x])
-        grad = design.T @ (z - expit(design @ fit.beta))  # of the unpenalized loglik
-        assert abs(grad[0]) < 1e-4  # intercept unpenalized
-        for g, b in zip(grad[1:], fit.beta[1:]):
-            if b == 0.0:
-                assert abs(g) <= lam + 1e-6
-            else:
-                assert abs(abs(g) - lam) < 1e-4
+        assert_l1_kkt(x, z, fit.beta, fit.diagnostics["penalty"])
 
     def test_row_reordering_at_fixed_penalty(self):
         x, z = logistic_data(seed=20, n=150, coefs=[0.8, -0.4])
@@ -137,6 +157,10 @@ class TestFitL1:
         assert all(a <= b for a, b in zip(path, path[1:]))
         assert path[0] == 0
 
+    # CV choice (grid index) per default-config cohort seed, as chosen before
+    # the first penalty was made exactly all-zero; the fix moves none of them.
+    DEFAULT_COHORT_CHOICES = (14, 10, 14, 12, 13, 9, 15, 11, 14, 17, 8, 11, 13, 15, 12, 12, 12, 16, 8, 11)
+
     def test_auto_grid_starts_at_all_zero_penalty(self):
         x, z = logistic_data(seed=9, n=100, coefs=[0.5, 0.5])
         grid = l1_lambda_grid(x, z)
@@ -144,6 +168,75 @@ class TestFitL1:
         assert np.all(np.diff(grid) < 0)
         fit = fit_l1(x, z, penalties=np.array([grid[0]]))
         np.testing.assert_array_equal(fit.beta[1:], 0.0)
+        # grid[0] meets the all-zero bound with equality in one coordinate;
+        # iterating to it used to leave a coefficient of about 1e-16 on
+        # about half of these cohorts
+        for seed, choice in enumerate(self.DEFAULT_COHORT_CHOICES):
+            x, z = default_comparison_one(seed)
+            grid = l1_lambda_grid(x, z)
+            np.testing.assert_array_equal(fit_l1(x, z, penalties=grid[:1]).beta[1:], 0.0)
+            fit = fit_l1(x, z, seed=seed)
+            assert fit.diagnostics["path_nonzero"][0] == 0
+            assert fit.diagnostics["penalty"] == grid[choice]
+
+    def test_kkt_at_every_penalty_of_the_path(self):
+        x, z = logistic_data(seed=7, n=250, coefs=[0.9, 0.0, 0.0, -0.6, 0.0])
+        grid = l1_lambda_grid(x, z)
+        path = list(propensity._l1_path(x, z.astype(float), grid))
+        assert len(path) == len(grid)
+        for lam, (beta, converged) in zip(grid, path):
+            assert converged
+            assert_l1_kkt(x, z, beta, lam)
+            # exact finishes leave rounding, where sweeps alone stop near 1e-6
+            assert l1_kkt_violation(x, z, beta, lam) < 1e-9
+        assert sum(np.count_nonzero(beta[1:]) for beta, _ in path) > 0
+
+    def test_exact_finish_acceptance_rules(self):
+        finish = propensity._exact_on_support
+        gram = np.eye(3)
+        signs = np.array([0.0, 1.0, 0.0])
+        beta = np.array([0.0, 0.1, 0.0])
+        got = finish(gram, np.array([0.5, 2.0, 0.5]), beta, 1.0, signs)
+        np.testing.assert_allclose(got, [0.5, 1.1, 0.0])
+        assert finish(gram, np.array([0.0, 0.0, 0.5]), beta, 1.0, signs) is None  # sign flips
+        assert finish(gram, np.array([0.0, 2.0, 5.0]), beta, 1.0, signs) is None  # |g_2| > lam
+        twin = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
+        both = np.array([0.0, 1.0, 1.0])
+        assert finish(twin, np.array([0.0, 2.0, 2.0]), np.array([0.0, 0.1, 0.1]), 1.0, both) is None  # singular
+        twin[2, 2] += 4e-16  # a Cholesky factor exists, with a pivot at rounding level
+        assert finish(twin, np.array([0.0, 2.0, 2.0]), np.array([0.0, 0.1, 0.1]), 1.0, both) is None
+
+    def test_duplicated_column_gives_finite_kkt_solutions(self):
+        # once both copies are active the active Gram matrix is singular, so
+        # the exact finish must stand aside and the sweeps finish the job
+        x, z = logistic_data(seed=23, n=200, coefs=[0.8, -0.5, 0.3])
+        dup = np.column_stack([x, x[:, 0]])
+        fit = fit_l1(dup, z, seed=1)
+        assert fit.converged
+        assert np.isfinite(fit.scores).all()
+        assert_l1_kkt(dup, z, fit.beta, fit.diagnostics["penalty"])
+        grid = l1_lambda_grid(dup, z)
+        for lam, (beta, converged) in zip(grid, propensity._l1_path(dup, z.astype(float), grid)):
+            assert converged
+            assert np.isfinite(beta).all()
+            assert_l1_kkt(dup, z, beta, lam)
+        # the lasso's fitted values are unique: a copied column changes none
+        ref = fit_l1(x, z, seed=1)
+        assert fit.diagnostics["penalty"] == pytest.approx(ref.diagnostics["penalty"], rel=1e-12)
+        np.testing.assert_allclose(fit.scores, ref.scores, atol=1e-6)
+
+    def test_iteration_cap_reported(self, monkeypatch):
+        x, z = logistic_data(seed=7, n=250, coefs=[0.9, 0.0, 0.0, -0.6, 0.0])
+        design = np.column_stack([np.ones(len(z)), x])
+        lam = l1_lambda_grid(x, z)[10]
+        start = np.zeros(design.shape[1])
+        solve = propensity._l1_coordinate_descent
+        assert not solve(design, z.astype(float), lam, start, max_outer=1)[1]
+        assert solve(design, z.astype(float), lam, start)[1]
+        monkeypatch.setattr(propensity, "_l1_coordinate_descent", functools.partial(solve, max_outer=1))
+        with pytest.warns(UserWarning, match="iteration cap"):
+            fit = fit_l1(x, z, seed=0)
+        assert not fit.converged
 
 
 class TestFitBayes:
