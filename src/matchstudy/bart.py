@@ -10,12 +10,13 @@ with unit variance, truncated by the observed class.
 Split candidates are the observed unique values of each covariate (excluding
 each column's maximum, which cannot separate anything); proposals that would
 create an empty leaf are rejected outright.
+
+A fit keeps its in-sample draws only; the trees themselves are not retained.
 """
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -29,15 +30,15 @@ class BartParams:
     Attributes:
         num_trees: Trees in the ensemble.
         split_prob_base: Base of the depth-decaying split prior, in (0, 1).
-        split_prob_power: Decay exponent; P(split at depth d) =
+        split_prob_power: Decay exponent, >= 0; P(split at depth d) =
             base * (1 + d) ** -power.
-        leaf_prior_k: Shrinkage constant k in the leaf-value prior sd.
-        sigma_prior_df: Degrees of freedom of the inverse-chi-square
+        leaf_prior_k: Shrinkage constant k > 0 in the leaf-value prior sd.
+        sigma_prior_df: Degrees of freedom (> 0) of the inverse-chi-square
             residual-variance prior.
-        sigma_prior_quantile: Prior quantile pinned at the sample sd.
+        sigma_prior_quantile: Prior quantile pinned at the sample sd, in (0, 1).
         burn_in: Discarded iterations.
         draws: Retained posterior draws.
-        p_grow / p_prune / p_change: Proposal mix; must sum to 1.
+        p_grow / p_prune / p_change: Proposal mix; non-negative, summing to 1.
     """
 
     num_trees: int = 50
@@ -53,36 +54,35 @@ class BartParams:
     p_change: float = 0.2
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.split_prob_base < 1.0:
-            raise ValueError("split_prob_base must lie in (0, 1)")
+        # Comparisons are written so that NaN fails them.
+        counts = (self.num_trees, self.draws, self.burn_in)
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in counts):
+            raise ValueError("num_trees, draws and burn_in must be integers")
         if self.num_trees < 1 or self.draws < 1 or self.burn_in < 0:
             raise ValueError("num_trees >= 1, draws >= 1, burn_in >= 0 required")
-        if abs(self.p_grow + self.p_prune + self.p_change - 1.0) > 1e-12:
+        if not 0.0 < self.split_prob_base < 1.0:
+            raise ValueError("split_prob_base must lie in (0, 1)")
+        if not self.split_prob_power >= 0.0:
+            raise ValueError("split_prob_power must be >= 0")
+        if not (self.leaf_prior_k > 0.0 and self.sigma_prior_df > 0.0):
+            raise ValueError("leaf_prior_k and sigma_prior_df must be > 0")
+        if not 0.0 < self.sigma_prior_quantile < 1.0:
+            raise ValueError("sigma_prior_quantile must lie in (0, 1)")
+        mix = (self.p_grow, self.p_prune, self.p_change)
+        if not all(p >= 0.0 for p in mix):
+            raise ValueError("proposal probabilities must be >= 0")
+        if abs(sum(mix) - 1.0) > 1e-12:
             raise ValueError("proposal probabilities must sum to 1")
-
-
-@dataclass(frozen=True)
-class TreeSnapshot:
-    """Immutable flat tree: feature < 0 marks a leaf; children index into the
-    same arrays; ``value`` is meaningful at leaves only."""
-
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    value: np.ndarray
 
 
 @dataclass
 class BartRegressionFit:
     """Posterior sample of a sum-of-trees regression."""
 
-    forests: list[list[TreeSnapshot]]
     sigma_draws: np.ndarray
     in_sample: np.ndarray  # (draws, n) fitted values on the original scale
     y_min: float
     y_scale: float
-    num_features: int
     params: BartParams
     seed: int
     constant_response: bool = False
@@ -92,9 +92,7 @@ class BartRegressionFit:
 class BartBinaryFit:
     """Posterior sample of a probit sum-of-trees classifier."""
 
-    forests: list[list[TreeSnapshot]]
     in_sample_probs: np.ndarray  # (draws, n)
-    num_features: int
     params: BartParams
     seed: int
 
@@ -103,14 +101,13 @@ class _Tree:
     """Mutable tree used during sampling; nodes live in parallel lists.
 
     ``value`` is node-indexed; an internal node keeps the value it had as a
-    leaf. ``shape`` caches the compacted (order, feature, threshold, left,
-    right) arrays of the last snapshot; every accepted move clears it, since
-    between moves only leaf values change.
+    leaf. ``rows`` maps each live leaf to the ascending array of the rows it
+    holds, and ``leaf_of`` maps each row to its leaf.
     """
 
-    __slots__ = ("feature", "threshold", "left", "right", "depth", "value", "free", "shape")
+    __slots__ = ("feature", "threshold", "left", "right", "depth", "value", "free", "rows", "leaf_of")
 
-    def __init__(self) -> None:
+    def __init__(self, n: int) -> None:
         self.feature = [-1]
         self.threshold = [0.0]
         self.left = [-1]
@@ -118,7 +115,8 @@ class _Tree:
         self.depth = [0]
         self.value = np.zeros(1)
         self.free: list[int] = []
-        self.shape: tuple[np.ndarray, ...] | None = None
+        self.rows = {0: np.arange(n)}
+        self.leaf_of = np.zeros(n, dtype=np.int64)
 
     def alloc(self, depth: int) -> int:
         if self.free:
@@ -137,31 +135,39 @@ class _Tree:
         self.value = np.append(self.value, 0.0)
         return len(self.feature) - 1
 
-    def split(self, leaf: int, feature: int, threshold: float) -> tuple[int, int]:
+    def _assign(self, leaf: int, rows: np.ndarray) -> None:
+        self.rows[leaf] = rows
+        self.leaf_of[rows] = leaf
+
+    def split(self, leaf: int, feature: int, threshold: float, go_left: np.ndarray) -> None:
         a = self.alloc(self.depth[leaf] + 1)
         c = self.alloc(self.depth[leaf] + 1)
         self.feature[leaf] = feature
         self.threshold[leaf] = threshold
         self.left[leaf] = a
         self.right[leaf] = c
-        self.shape = None
-        return a, c
+        rows = self.rows.pop(leaf)
+        self._assign(a, rows[go_left])
+        self._assign(c, rows[~go_left])
 
     def collapse(self, node: int) -> None:
+        rows = _union(*self.children_rows(node))
         self.feature[node] = -1
         self.free.extend((self.left[node], self.right[node]))
-        self.shape = None
+        del self.rows[self.left[node]], self.rows[self.right[node]]
+        self._assign(node, rows)
 
-    def resplit(self, node: int, feature: int, threshold: float) -> None:
+    def resplit(
+        self, node: int, feature: int, threshold: float, rows: np.ndarray, go_left: np.ndarray
+    ) -> None:
         self.feature[node] = feature
         self.threshold[node] = threshold
-        self.shape = None
+        self._assign(self.left[node], rows[go_left])
+        self._assign(self.right[node], rows[~go_left])
 
     def leaves(self) -> list[int]:
-        # Live leaves in index order; each holds at least one row, so this is
-        # the sorted list of node ids that occur in the tree's leaf_of.
-        free = set(self.free)
-        return [i for i, f in enumerate(self.feature) if f < 0 and i not in free]
+        # Live leaves in index order.
+        return sorted(self.rows)
 
     def prunable_nodes(self) -> list[int]:
         # Internal nodes whose both children are leaves, in index order.
@@ -177,37 +183,16 @@ class _Tree:
                 return i
         return -1
 
-    def compact(self) -> tuple[np.ndarray, ...]:
-        # The reachable nodes in depth-first order, with children renumbered.
-        order: list[int] = []
-        remap: dict[int, int] = {}
-        stack = [0]
-        while stack:
-            i = stack.pop()
-            remap[i] = len(order)
-            order.append(i)
-            if self.feature[i] >= 0:
-                stack.append(self.right[i])
-                stack.append(self.left[i])
-        arrays = (
-            np.array(order, dtype=np.int64),
-            np.array([self.feature[i] for i in order], dtype=np.int64),
-            np.array([self.threshold[i] for i in order], dtype=float),
-            np.array([remap[self.left[i]] if self.feature[i] >= 0 else -1 for i in order], dtype=np.int64),
-            np.array([remap[self.right[i]] if self.feature[i] >= 0 else -1 for i in order], dtype=np.int64),
-        )
-        for a in arrays:
-            a.setflags(write=False)
-        return arrays
+    def children_rows(self, node: int) -> tuple[np.ndarray, np.ndarray]:
+        # Rows of a prunable node's two leaves.
+        return self.rows[self.left[node]], self.rows[self.right[node]]
 
-    def snapshot(self) -> TreeSnapshot:
-        # Snapshots share the read-only shape arrays until the next move.
-        if self.shape is None:
-            self.shape = self.compact()
-        order, feature, threshold, left, right = self.shape
-        value = self.value[order]
-        value.setflags(write=False)
-        return TreeSnapshot(feature=feature, threshold=threshold, left=left, right=right, value=value)
+
+def _union(ra: np.ndarray, rc: np.ndarray) -> np.ndarray:
+    # Ascending union of two disjoint row lists.
+    rows = np.concatenate((ra, rc))
+    rows.sort()
+    return rows
 
 
 def _split_prob(params: BartParams, depth: int) -> float:
@@ -222,54 +207,61 @@ def _cell_core(total: float, count: int, sigma2: float, leaf_var: float) -> floa
 
 
 class _Sampler:
-    """One backfitting state shared by the regression and probit fits."""
+    """One backfitting state shared by the regression and probit fits.
+
+    Every residual sum is taken over a leaf's rows in ascending row order, so
+    a fit's draws are a function of the data and the seed alone.
+    """
 
     def __init__(self, x: np.ndarray, params: BartParams, leaf_sd: float, seed: int):
-        self.x = x
         self.n, self.p = x.shape
+        # One contiguous copy per feature, for the split-column gathers.
+        self.columns = np.ascontiguousarray(x.T)
         self.params = params
         self.leaf_var = leaf_sd * leaf_sd
         self.rng = np.random.default_rng(seed)
         # Global split candidates: observed uniques minus each column's max.
-        self.cuts = [np.unique(x[:, j])[:-1] for j in range(self.p)]
+        self.cuts = [np.unique(col)[:-1] for col in self.columns]
         m = params.num_trees
-        self.trees = [_Tree() for _ in range(m)]
-        self.leaf_of = [np.zeros(self.n, dtype=np.int64) for _ in range(m)]
+        self.trees = [_Tree(self.n) for _ in range(m)]
         self.fits = np.zeros((m, self.n))
         self.total = np.zeros(self.n)
 
     # -- tree move proposals -------------------------------------------------
 
-    def _try_move(self, t: int, resid: np.ndarray, sigma2: float) -> None:
+    def _try_move(self, tree: _Tree, resid: np.ndarray, sigma2: float) -> None:
         u = self.rng.random()
         if u < self.params.p_grow:
-            self._grow(t, resid, sigma2)
+            self._grow(tree, resid, sigma2)
         elif u < self.params.p_grow + self.params.p_prune:
-            self._prune(t, resid, sigma2)
+            self._prune(tree, resid, sigma2)
         else:
-            self._change(t, resid, sigma2)
+            self._change(tree, resid, sigma2)
 
-    def _grow(self, t: int, resid: np.ndarray, sigma2: float) -> None:
-        if self.params.p_prune == 0.0:
-            return  # reverse move impossible, so the MH ratio is zero
-        tree = self.trees[t]
-        leaf_of = self.leaf_of[t]
-        leaves = tree.leaves()
-        b = len(leaves)
-        leaf = leaves[self.rng.integers(b)]
+    def _propose_cut(self) -> tuple[int, float] | None:
         j = int(self.rng.integers(self.p))
         cuts = self.cuts[j]
         if cuts.size == 0:
+            return None
+        return j, float(cuts[self.rng.integers(cuts.size)])
+
+    def _grow(self, tree: _Tree, resid: np.ndarray, sigma2: float) -> None:
+        if self.params.p_prune == 0.0:
+            return  # reverse move impossible, so the MH ratio is zero
+        leaves = tree.leaves()
+        b = len(leaves)
+        leaf = leaves[self.rng.integers(b)]
+        proposal = self._propose_cut()
+        if proposal is None:
             return
-        cut = float(cuts[self.rng.integers(cuts.size)])
-        mask = leaf_of == leaf
-        xs = self.x[mask, j]
-        go_left = xs <= cut
+        j, cut = proposal
+        rows = tree.rows[leaf]
+        go_left = self.columns[j][rows] <= cut
         nl = int(np.count_nonzero(go_left))
-        nr = int(mask.sum()) - nl
+        nr = rows.size - nl
         if nl == 0 or nr == 0:
             return  # empty-leaf proposal rejected outright
-        rs = resid[mask]
+        rs = resid[rows]
         sl = float(rs[go_left].sum())
         s = float(rs.sum())
         sr = s - sl
@@ -292,123 +284,110 @@ class _Sampler:
                 w2_new -= 1
         logprop = math.log(self.params.p_prune * b) - math.log(self.params.p_grow * w2_new)
         if math.log(self.rng.random()) < loglik + logprior + logprop:
-            a, c = tree.split(leaf, j, cut)
-            rows = np.flatnonzero(mask)
-            leaf_of[rows[go_left]] = a
-            leaf_of[rows[~go_left]] = c
+            tree.split(leaf, j, cut, go_left)
 
-    def _prune(self, t: int, resid: np.ndarray, sigma2: float) -> None:
+    def _prune(self, tree: _Tree, resid: np.ndarray, sigma2: float) -> None:
         if self.params.p_grow == 0.0:
             return  # reverse move impossible, so the MH ratio is zero
-        tree = self.trees[t]
-        leaf_of = self.leaf_of[t]
         prunable = tree.prunable_nodes()
         w2 = len(prunable)
         if w2 == 0:
             return
         v = prunable[int(self.rng.integers(w2))]
-        a, c = tree.left[v], tree.right[v]
-        mask_a = leaf_of == a
-        mask_c = leaf_of == c
-        na = int(mask_a.sum())
-        nc = int(mask_c.sum())
-        sa = float(resid[mask_a].sum())
-        sc = float(resid[mask_c].sum())
+        ra, rc = tree.children_rows(v)
+        sa = float(resid[ra].sum())
+        sc = float(resid[rc].sum())
         loglik = (
-            _cell_core(sa + sc, na + nc, sigma2, self.leaf_var)
-            - _cell_core(sa, na, sigma2, self.leaf_var)
-            - _cell_core(sc, nc, sigma2, self.leaf_var)
+            _cell_core(sa + sc, ra.size + rc.size, sigma2, self.leaf_var)
+            - _cell_core(sa, ra.size, sigma2, self.leaf_var)
+            - _cell_core(sc, rc.size, sigma2, self.leaf_var)
         )
         d = tree.depth[v]
         ps_d = _split_prob(self.params, d)
         ps_child = _split_prob(self.params, d + 1)
         logprior = math.log(1.0 - ps_d) - math.log(ps_d) - 2.0 * math.log(1.0 - ps_child)
-        b_after = len(tree.leaves()) - 1
+        b_after = len(tree.rows) - 1
         logprop = math.log(self.params.p_grow * w2) - math.log(self.params.p_prune * b_after)
         if math.log(self.rng.random()) < loglik + logprior + logprop:
             tree.collapse(v)
-            leaf_of[mask_a | mask_c] = v
 
-    def _change(self, t: int, resid: np.ndarray, sigma2: float) -> None:
-        tree = self.trees[t]
-        leaf_of = self.leaf_of[t]
+    def _change(self, tree: _Tree, resid: np.ndarray, sigma2: float) -> None:
         prunable = tree.prunable_nodes()
         if not prunable:
             return
         v = prunable[int(self.rng.integers(len(prunable)))]
-        j = int(self.rng.integers(self.p))
-        cuts = self.cuts[j]
-        if cuts.size == 0:
+        proposal = self._propose_cut()
+        if proposal is None:
             return
-        cut = float(cuts[self.rng.integers(cuts.size)])
-        a, c = tree.left[v], tree.right[v]
-        region = (leaf_of == a) | (leaf_of == c)
-        rows = np.flatnonzero(region)
-        xs = self.x[rows, j]
-        go_left = xs <= cut
+        j, cut = proposal
+        ra, rc = tree.children_rows(v)
+        rows = _union(ra, rc)
+        go_left = self.columns[j][rows] <= cut
         nl = int(np.count_nonzero(go_left))
         nr = rows.size - nl
         if nl == 0 or nr == 0:
             return
         rs = resid[rows]
+        s = float(rs.sum())
         s_new_l = float(rs[go_left].sum())
-        s_new_r = float(rs.sum()) - s_new_l
-        old_left = leaf_of[rows] == a
-        s_old_l = float(rs[old_left].sum())
-        s_old_r = float(rs.sum()) - s_old_l
-        n_old_l = int(np.count_nonzero(old_left))
-        n_old_r = rows.size - n_old_l
+        s_old_l = float(resid[ra].sum())
         loglik = (
             _cell_core(s_new_l, nl, sigma2, self.leaf_var)
-            + _cell_core(s_new_r, nr, sigma2, self.leaf_var)
-            - _cell_core(s_old_l, n_old_l, sigma2, self.leaf_var)
-            - _cell_core(s_old_r, n_old_r, sigma2, self.leaf_var)
+            + _cell_core(s - s_new_l, nr, sigma2, self.leaf_var)
+            - _cell_core(s_old_l, ra.size, sigma2, self.leaf_var)
+            - _cell_core(s - s_old_l, rc.size, sigma2, self.leaf_var)
         )
         if math.log(self.rng.random()) < loglik:
-            tree.resplit(v, j, cut)
-            leaf_of[rows[go_left]] = a
-            leaf_of[rows[~go_left]] = c
+            tree.resplit(v, j, cut, rows, go_left)
 
     # -- Gibbs steps -----------------------------------------------------------
 
     def backfit_iteration(self, y: np.ndarray, sigma2: float, validate: bool = False) -> None:
-        for t in range(self.params.num_trees):
-            tree = self.trees[t]
-            leaf_of = self.leaf_of[t]
+        inv_leaf_var = 1.0 / self.leaf_var
+        for t, tree in enumerate(self.trees):
             resid = y - self.total + self.fits[t]
-            self._try_move(t, resid, sigma2)
-            # Leaf statistics by node id. bincount sums each bin in row order,
-            # and every live leaf holds a row, so the nonzero counts are the
-            # live leaves in index order.
-            size = len(tree.feature)
-            counts = np.bincount(leaf_of, minlength=size)
-            sums = np.bincount(leaf_of, weights=resid, minlength=size)
-            live = np.flatnonzero(counts)
-            post_var = 1.0 / (counts[live] / sigma2 + 1.0 / self.leaf_var)
-            post_mean = (sums[live] / sigma2) * post_var
-            tree.value[live] = post_mean + np.sqrt(post_var) * self.rng.standard_normal(live.size)
-            new_fit = tree.value[leaf_of]
+            self._try_move(tree, resid, sigma2)
+            # Leaf posteriors, in leaf index order. bincount adds each leaf's
+            # residuals in row order.
+            sums = np.bincount(tree.leaf_of, weights=resid).tolist()
+            live = tree.leaves()
+            noise = self.rng.standard_normal(len(live)).tolist()
+            for leaf, e in zip(live, noise):
+                post_var = 1.0 / (tree.rows[leaf].size / sigma2 + inv_leaf_var)
+                post_mean = (sums[leaf] / sigma2) * post_var
+                tree.value[leaf] = post_mean + math.sqrt(post_var) * e
+            new_fit = tree.value[tree.leaf_of]
             self.total += new_fit - self.fits[t]
             self.fits[t] = new_fit
             if validate:
-                self._check_tree(t)
+                self._check_tree(tree)
         if validate:
             recomputed = self.fits.sum(axis=0)
             if np.max(np.abs(recomputed - self.total)) > 1e-10:
                 raise AssertionError("backfitting identity violated")
 
-    def _check_tree(self, t: int) -> None:
-        # Test-only: the node bookkeeping must agree with a rescan of the data.
-        tree = self.trees[t]
-        if tree.leaves() != np.unique(self.leaf_of[t]).tolist():
+    def _check_tree(self, tree: _Tree) -> None:
+        # Test-only: the node bookkeeping must agree with a walk of the tree
+        # and a rescan of the data.
+        reachable, stack = [], [0]
+        while stack:
+            i = stack.pop()
+            if tree.feature[i] < 0:
+                reachable.append(i)
+            else:
+                stack.extend((tree.left[i], tree.right[i]))
+        if tree.leaves() != sorted(reachable):
+            raise AssertionError("row-list keys differ from the tree's leaves")
+        if tree.leaves() != np.unique(tree.leaf_of).tolist():
             raise AssertionError("leaf list differs from the rows' leaves")
-        if tree.shape is not None and not all(
-            np.array_equal(a, b) for a, b in zip(tree.shape, tree.compact())
-        ):
-            raise AssertionError("cached tree shape is stale")
-
-    def snapshot_forest(self) -> list[TreeSnapshot]:
-        return [tree.snapshot() for tree in self.trees]
+        for leaf, rows in tree.rows.items():
+            if np.any(np.diff(rows) <= 0):
+                raise AssertionError(f"rows of leaf {leaf} are not strictly ascending")
+            if np.any(tree.leaf_of[rows] != leaf):
+                raise AssertionError(f"rows of leaf {leaf} disagree with leaf_of")
+        covered = np.sort(np.concatenate(list(tree.rows.values())))
+        if not np.array_equal(covered, np.arange(self.n)):
+            raise AssertionError("row lists do not partition the rows")
 
 
 def _standardize(y: np.ndarray) -> tuple[np.ndarray, float, float]:
@@ -431,24 +410,12 @@ def fit_bart_regression(
     n = x.shape[0]
     y_std, y_min, y_scale = _standardize(y)
     if y_scale == 0.0:
-        # Degenerate response: intercept-only forests reproducing the constant.
-        leaf = -0.5 / params.num_trees
-        stump = TreeSnapshot(
-            feature=np.array([-1]),
-            threshold=np.array([0.0]),
-            left=np.array([-1]),
-            right=np.array([-1]),
-            value=np.array([leaf]),
-        )
-        forests = [[stump] * params.num_trees for _ in range(params.draws)]
-        in_sample = np.full((params.draws, n), y_min)
+        # Degenerate response: every draw reproduces the constant.
         return BartRegressionFit(
-            forests=forests,
             sigma_draws=np.zeros(params.draws),
-            in_sample=in_sample,
+            in_sample=np.full((params.draws, n), y_min),
             y_min=y_min,
             y_scale=1.0,
-            num_features=x.shape[1],
             params=params,
             seed=seed,
             constant_response=True,
@@ -461,7 +428,6 @@ def fit_bart_regression(
     lam = sd_hat * sd_hat * float(chi2.ppf(1.0 - params.sigma_prior_quantile, nu)) / nu
     sigma2 = sd_hat * sd_hat
 
-    forests: list[list[TreeSnapshot]] = []
     sigma_draws = np.empty(params.draws)
     in_sample = np.empty((params.draws, n))
     for it in range(params.burn_in + params.draws):
@@ -470,16 +436,13 @@ def fit_bart_regression(
         sigma2 = (nu * lam + ssr) / float(sampler.rng.chisquare(nu + n))
         if it >= params.burn_in:
             k = it - params.burn_in
-            forests.append(sampler.snapshot_forest())
             sigma_draws[k] = math.sqrt(sigma2) * y_scale
             in_sample[k] = (sampler.total + 0.5) * y_scale + y_min
     return BartRegressionFit(
-        forests=forests,
         sigma_draws=sigma_draws,
         in_sample=in_sample,
         y_min=y_min,
         y_scale=y_scale,
-        num_features=x.shape[1],
         params=params,
         seed=seed,
     )
@@ -505,7 +468,6 @@ def fit_bart_binary(
     sampler = _Sampler(x, params, leaf_sd, seed)
     positive = z == 1
 
-    forests: list[list[TreeSnapshot]] = []
     probs = np.empty((params.draws, n))
     for it in range(params.burn_in + params.draws):
         # Latent responses: N(g, 1) truncated to the observed class's side of 0.
@@ -516,123 +478,5 @@ def fit_bart_binary(
         latent = g + ndtri(np.clip(q, 1e-15, 1.0 - 1e-15))
         sampler.backfit_iteration(latent, 1.0, validate=validate)
         if it >= params.burn_in:
-            forests.append(sampler.snapshot_forest())
             probs[it - params.burn_in] = ndtr(sampler.total)
-    return BartBinaryFit(
-        forests=forests, in_sample_probs=probs, num_features=x.shape[1], params=params, seed=seed
-    )
-
-
-# ---------------------------------------------------------------------------
-# Prediction
-# ---------------------------------------------------------------------------
-
-
-def _route(tree: TreeSnapshot, x: np.ndarray) -> np.ndarray:
-    idx = np.zeros(x.shape[0], dtype=np.int64)
-    while True:
-        feat = tree.feature[idx]
-        active = feat >= 0
-        if not active.any():
-            return tree.value[idx]
-        rows = np.flatnonzero(active)
-        node = idx[rows]
-        go_left = x[rows, tree.feature[node]] <= tree.threshold[node]
-        idx[rows] = np.where(go_left, tree.left[node], tree.right[node])
-
-
-def _forest_totals(forests: list[list[TreeSnapshot]], x: np.ndarray) -> np.ndarray:
-    out = np.zeros((len(forests), x.shape[0]))
-    for d, forest in enumerate(forests):
-        total = np.zeros(x.shape[0])
-        for tree in forest:
-            total += _route(tree, x)
-        out[d] = total
-    return out
-
-
-def bart_predict(fit: BartRegressionFit, x: np.ndarray, per_draw: bool = False) -> np.ndarray:
-    """Posterior-mean prediction (or the per-draw matrix) on the y scale."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] != fit.num_features:
-        raise ValueError(f"x must have {fit.num_features} columns")
-    draws = (_forest_totals(fit.forests, x) + 0.5) * fit.y_scale + fit.y_min
-    return draws if per_draw else draws.mean(axis=0)
-
-
-def bart_predict_proba(fit: BartBinaryFit, x: np.ndarray) -> np.ndarray:
-    """Per-draw event probabilities, shape (draws, rows)."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[1] != fit.num_features:
-        raise ValueError(f"x must have {fit.num_features} columns")
-    return ndtr(_forest_totals(fit.forests, x))
-
-
-# ---------------------------------------------------------------------------
-# Serialization (exact round trip)
-# ---------------------------------------------------------------------------
-
-
-def _tree_to_obj(tree: TreeSnapshot) -> dict:
-    return {
-        "feature": tree.feature.tolist(),
-        "threshold": tree.threshold.tolist(),
-        "left": tree.left.tolist(),
-        "right": tree.right.tolist(),
-        "value": tree.value.tolist(),
-    }
-
-
-def _tree_from_obj(obj: dict) -> TreeSnapshot:
-    return TreeSnapshot(
-        feature=np.asarray(obj["feature"], dtype=np.int64),
-        threshold=np.asarray(obj["threshold"], dtype=float),
-        left=np.asarray(obj["left"], dtype=np.int64),
-        right=np.asarray(obj["right"], dtype=np.int64),
-        value=np.asarray(obj["value"], dtype=float),
-    )
-
-
-def forest_to_json(fit: BartRegressionFit | BartBinaryFit) -> str:
-    """Serialize a fit to JSON text; floats round-trip exactly via repr."""
-    obj: dict = {
-        "kind": "regression" if isinstance(fit, BartRegressionFit) else "binary",
-        "num_features": fit.num_features,
-        "seed": fit.seed,
-        "params": {k: getattr(fit.params, k) for k in BartParams.__dataclass_fields__},
-        "forests": [[_tree_to_obj(t) for t in forest] for forest in fit.forests],
-    }
-    if isinstance(fit, BartRegressionFit):
-        obj["y_min"] = fit.y_min
-        obj["y_scale"] = fit.y_scale
-        obj["sigma_draws"] = fit.sigma_draws.tolist()
-        obj["in_sample"] = fit.in_sample.tolist()
-        obj["constant_response"] = fit.constant_response
-    else:
-        obj["in_sample_probs"] = fit.in_sample_probs.tolist()
-    return json.dumps(obj)
-
-
-def forest_from_json(text: str) -> BartRegressionFit | BartBinaryFit:
-    obj = json.loads(text)
-    forests = [[_tree_from_obj(t) for t in forest] for forest in obj["forests"]]
-    params = BartParams(**obj["params"])
-    if obj["kind"] == "regression":
-        return BartRegressionFit(
-            forests=forests,
-            sigma_draws=np.asarray(obj["sigma_draws"], dtype=float),
-            in_sample=np.asarray(obj["in_sample"], dtype=float),
-            y_min=obj["y_min"],
-            y_scale=obj["y_scale"],
-            num_features=obj["num_features"],
-            params=params,
-            seed=obj["seed"],
-            constant_response=obj["constant_response"],
-        )
-    return BartBinaryFit(
-        forests=forests,
-        in_sample_probs=np.asarray(obj["in_sample_probs"], dtype=float),
-        num_features=obj["num_features"],
-        params=params,
-        seed=obj["seed"],
-    )
+    return BartBinaryFit(in_sample_probs=probs, params=params, seed=seed)

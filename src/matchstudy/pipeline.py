@@ -920,7 +920,11 @@ def stage_report(cfg: StudyConfig) -> None:
 
 def _write_failure_manifest(cfg: StudyConfig, stage: str, error: Exception) -> None:
     try:
-        lines = [f"FAILED at stage {stage}\n", f"error: {error}\n", "files written so far:\n"]
+        lines = [
+            f"FAILED at stage {stage}\n",
+            f"error: {type(error).__name__}: {error}\n",
+            "files written so far:\n",
+        ]
         for name in _artifact_names(cfg):
             path = _path(cfg, name)
             if os.path.exists(path):

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Any
 
 import numpy as np
 from scipy.special import expit
@@ -38,7 +37,6 @@ class PropensityFit:
             posterior mean for ``bayes``; None for ``bart``.
         converged: False under detected separation / non-convergence.
         beta_draws: Retained posterior draws (bayes only), intercept first.
-        forest: Fitted sum-of-trees model (bart only).
         diagnostics: Method-specific extras (penalty chosen, acceptance
             rate, CV table, ...).
     """
@@ -48,7 +46,6 @@ class PropensityFit:
     beta: np.ndarray | None = None
     converged: bool = True
     beta_draws: np.ndarray | None = None
-    forest: Any = None
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -443,14 +440,15 @@ def fit_bart_propensity(x: np.ndarray, z: np.ndarray, params=None, seed: int = 0
     x, z = _check_inputs(x, z)
     fit = bart.fit_bart_binary(x, z.astype(int), params=params, seed=seed)
     scores = _clip_scores(fit.in_sample_probs.mean(axis=0))
-    return PropensityFit(method=BART, scores=scores, forest=fit, diagnostics={"seed": seed})
+    return PropensityFit(method=BART, scores=scores, diagnostics={"seed": seed})
 
 
 def predict(fit: PropensityFit, x: np.ndarray) -> np.ndarray:
     """Score new subjects with a fitted model (method-consistent).
 
     For point-estimate methods this is expit(x'beta); for bayes the mean of
-    expit over retained draws; for bart the posterior-mean probit probability.
+    expit over retained draws. A bart fit keeps only its in-sample scores, not
+    its trees, so it cannot score new rows: ``ValueError``.
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
@@ -461,11 +459,7 @@ def predict(fit: PropensityFit, x: np.ndarray) -> np.ndarray:
     elif fit.method == BAYES:
         eta = fit.beta_draws[:, 0][:, None] + fit.beta_draws[:, 1:] @ x.T
         scores = expit(eta).mean(axis=0)
-    elif fit.method == BART:
-        from . import bart
-
-        scores = bart.bart_predict_proba(fit.forest, x).mean(axis=0)
     else:
-        raise ValueError(f"unknown method {fit.method!r}")
+        raise ValueError(f"predict scores mle, l1 and bayes fits, not {fit.method!r}")
     scores = _clip_scores(scores)
     return scores[0] if single else scores

@@ -1,53 +1,28 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 from scipy.stats import chi2
 
-from matchstudy.bart import (
-    BartParams,
-    BartRegressionFit,
-    TreeSnapshot,
-    bart_predict,
-    bart_predict_proba,
-    fit_bart_binary,
-    fit_bart_regression,
-    forest_from_json,
-    forest_to_json,
-)
+from matchstudy import bart
+from matchstudy.bart import BartParams, fit_bart_binary, fit_bart_regression
 
 
-def leaf(value):
-    return TreeSnapshot(
-        feature=np.array([-1]),
-        threshold=np.array([0.0]),
-        left=np.array([-1]),
-        right=np.array([-1]),
-        value=np.array([float(value)]),
-    )
+@pytest.fixture
+def samplers(monkeypatch):
+    """The samplers a fit creates, in order, so a test can read the final trees."""
+    made = []
 
+    class Recording(bart._Sampler):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
 
-def split(feature, threshold, left_value, right_value):
-    return TreeSnapshot(
-        feature=np.array([feature, -1, -1]),
-        threshold=np.array([threshold, 0.0, 0.0]),
-        left=np.array([1, -1, -1]),
-        right=np.array([2, -1, -1]),
-        value=np.array([0.0, float(left_value), float(right_value)]),
-    )
-
-
-def manual_fit(forests, num_features, y_min=-1.0, y_scale=2.0):
-    draws = len(forests)
-    return BartRegressionFit(
-        forests=forests,
-        sigma_draws=np.zeros(draws),
-        in_sample=np.zeros((draws, 1)),
-        y_min=y_min,
-        y_scale=y_scale,
-        num_features=num_features,
-        params=BartParams(draws=draws),
-        seed=0,
-    )
+    monkeypatch.setattr(bart, "_Sampler", Recording)
+    return made
 
 
 class TestParams:
@@ -63,6 +38,30 @@ class TestParams:
         with pytest.raises(ValueError):
             BartParams(num_trees=0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(p_grow=1.2, p_prune=-0.2, p_change=0.0),
+            dict(p_grow=0.6, p_prune=0.6, p_change=-0.2),
+            dict(split_prob_power=-1.0),
+            dict(leaf_prior_k=0.0),
+            dict(leaf_prior_k=-2.0),
+            dict(leaf_prior_k=float("nan")),
+            dict(sigma_prior_df=0.0),
+            dict(sigma_prior_quantile=0.0),
+            dict(sigma_prior_quantile=1.0),
+            dict(sigma_prior_quantile=1.5),
+            dict(draws=10.5),
+            dict(burn_in=5.0),
+            dict(num_trees=2.0),
+        ],
+    )
+    def test_invalid_values_rejected_up_front(self, kwargs):
+        # unchecked, each would fail mid-sampling (math domain error,
+        # ZeroDivisionError, TypeError inside numpy) or run silently
+        with pytest.raises(ValueError):
+            BartParams(**kwargs)
+
 
 class TestRegression:
     def test_constant_response_reproduced_exactly(self):
@@ -70,8 +69,6 @@ class TestRegression:
         x = rng.normal(size=(20, 2))
         fit = fit_bart_regression(x, np.full(20, 3.25), seed=0)
         assert fit.constant_response
-        probe = rng.normal(size=(7, 2))
-        np.testing.assert_allclose(bart_predict(fit, probe), 3.25, atol=1e-6)
         np.testing.assert_allclose(fit.in_sample, 3.25, atol=1e-6)
 
     def test_step_function_beats_best_linear_fit(self):
@@ -96,7 +93,6 @@ class TestRegression:
         b = fit_bart_regression(x, y, params=params, seed=7)
         np.testing.assert_array_equal(a.in_sample, b.in_sample)
         np.testing.assert_array_equal(a.sigma_draws, b.sigma_draws)
-        assert forest_to_json(a) == forest_to_json(b)
 
     def test_backfitting_identity_holds_throughout(self):
         rng = np.random.default_rng(3)
@@ -106,13 +102,14 @@ class TestRegression:
         z = (x[:, 1] > 0).astype(int)
         fit_bart_binary(x, z, params=BartParams(burn_in=30, draws=60), seed=0, validate=True)
 
-    def test_standardization_round_trip_via_per_draw_recompute(self):
+    def test_standardization_round_trip_via_per_draw_recompute(self, samplers):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(50, 2))
         y = 13.0 - 7.0 * x[:, 0] + rng.normal(size=50)  # far from unit scale
         fit = fit_bart_regression(x, y, params=BartParams(burn_in=40, draws=80), seed=0)
-        recomputed = bart_predict(fit, x, per_draw=True)
-        np.testing.assert_allclose(recomputed, fit.in_sample, atol=1e-10)
+        # the last draw, rebuilt from the final trees' leaf values
+        totals = sum(tree.value[tree.leaf_of] for tree in samplers[-1].trees)
+        np.testing.assert_allclose((totals + 0.5) * fit.y_scale + fit.y_min, fit.in_sample[-1], atol=1e-10)
 
     def test_fixed_stump_matches_conjugate_posterior_quadrature(self):
         # p_change=1 never alters a rootless tree, so the chain is exactly a
@@ -165,9 +162,9 @@ class TestBinary:
         accuracy = np.mean((probs > 0.5) == z)
         assert accuracy > 0.85
 
-    def test_single_grow_draw_is_two_level_step(self):
+    def test_single_grow_draw_is_two_level_step(self, samplers):
         # one tree, one retained draw, seed picked so that first move is an
-        # accepted grow: the snapshot must be a stump and the fit a 2-level step
+        # accepted grow: the tree must be a stump and the fit a 2-level step
         rng = np.random.default_rng(7)
         x = rng.normal(size=(200, 1))
         z = (x[:, 0] > 0).astype(int)
@@ -176,81 +173,11 @@ class TestBinary:
         probs = fit.in_sample_probs[0]
         values = np.unique(probs)
         assert len(values) == 2
-        tree = fit.forests[0][0]
+        tree = samplers[-1].trees[0]
+        assert tree.leaves() == [1, 2]
         side = x[:, 0] <= tree.threshold[0]
         assert len(np.unique(probs[side])) == 1
         assert len(np.unique(probs[~side])) == 1
-
-
-class TestPredict:
-    def test_all_zero_leaves_predict_zero(self):
-        # training midpoint at 0: y_min = -y_scale/2, so zero totals map to 0
-        forests = [[leaf(0.0), leaf(0.0)] for _ in range(3)]
-        fit = manual_fit(forests, num_features=2)
-        np.testing.assert_array_equal(bart_predict(fit, np.ones((4, 2))), np.zeros(4))
-
-    def test_two_tree_forest_hand_walked(self):
-        tree_a = split(feature=0, threshold=0.5, left_value=1.0, right_value=2.0)
-        tree_b = split(feature=1, threshold=0.0, left_value=-0.5, right_value=0.25)
-        fit = manual_fit([[tree_a, tree_b]], num_features=2)
-        x = np.array([[0.3, 0.7], [0.9, -0.2]])
-        # row 1: 1.0 + 0.25 = 1.25 -> (1.25 + 0.5) * 2 - 1 = 2.5
-        # row 2: 2.0 - 0.5 = 1.5 -> (1.5 + 0.5) * 2 - 1 = 3.0
-        np.testing.assert_allclose(bart_predict(fit, x), [2.5, 3.0], atol=1e-12)
-
-    def test_training_rows_match_cached_in_sample_mean(self):
-        rng = np.random.default_rng(8)
-        x = rng.normal(size=(70, 2))
-        y = x[:, 0] ** 2 + rng.normal(size=70)
-        fit = fit_bart_regression(x, y, params=BartParams(burn_in=40, draws=100), seed=0)
-        np.testing.assert_allclose(bart_predict(fit, x), fit.in_sample.mean(axis=0), atol=1e-10)
-
-    def test_tree_order_within_draw_is_irrelevant(self):
-        rng = np.random.default_rng(9)
-        x = rng.normal(size=(60, 2))
-        y = x[:, 1] + rng.normal(size=60)
-        fit = fit_bart_regression(x, y, params=BartParams(burn_in=30, draws=50), seed=0)
-        reversed_fit = manual_fit(
-            [list(reversed(forest)) for forest in fit.forests],
-            num_features=2,
-            y_min=fit.y_min,
-            y_scale=fit.y_scale,
-        )
-        probe = rng.normal(size=(12, 2))
-        np.testing.assert_allclose(
-            bart_predict(reversed_fit, probe), bart_predict(fit, probe), atol=1e-12
-        )
-
-    def test_dimension_mismatch_rejected(self):
-        fit = manual_fit([[leaf(0.0)]], num_features=2)
-        with pytest.raises(ValueError):
-            bart_predict(fit, np.ones((3, 5)))
-
-
-class TestSerialization:
-    def test_regression_round_trip_exact(self):
-        rng = np.random.default_rng(10)
-        x = rng.normal(size=(50, 2))
-        y = x[:, 0] + rng.normal(size=50)
-        fit = fit_bart_regression(x, y, params=BartParams(burn_in=20, draws=40), seed=0)
-        text = forest_to_json(fit)
-        back = forest_from_json(text)
-        assert forest_to_json(back) == text
-        probe = rng.normal(size=(9, 2))
-        np.testing.assert_array_equal(bart_predict(back, probe), bart_predict(fit, probe))
-        np.testing.assert_array_equal(back.in_sample, fit.in_sample)
-
-    def test_binary_round_trip_exact(self):
-        rng = np.random.default_rng(11)
-        x = rng.normal(size=(50, 2))
-        z = (x[:, 0] > 0).astype(int)
-        fit = fit_bart_binary(x, z, params=BartParams(burn_in=20, draws=40), seed=0)
-        back = forest_from_json(forest_to_json(fit))
-        probe = rng.normal(size=(9, 2))
-        np.testing.assert_array_equal(
-            bart_predict_proba(back, probe), bart_predict_proba(fit, probe)
-        )
-        np.testing.assert_array_equal(back.in_sample_probs, fit.in_sample_probs)
 
 
 def small_pinned_data():
@@ -263,59 +190,155 @@ def small_pinned_data():
 
 PINNED_PARAMS = BartParams(num_trees=5, burn_in=20, draws=20)
 
-# Final forests (feature, threshold, left, right) of seed-3 fits on
-# small_pinned_data. Thresholds are data values, so they compare exactly; a
-# leaf keeps the threshold its node held when it was last split. Any change to
-# the RNG call sequence or to a move decision changes these.
+# sha256 of the seed-3 fits' draws on small_pinned_data (float64 bytes).
+PINNED_DIGESTS = {
+    "binary in_sample_probs": "7ac404141206c37d24e665ae4aad905df5c2aba942506e2ba21939908e028ce6",
+    "regression in_sample": "bfe1296aeb9f0c92d7fcb48516a4540fa91912fccd35e392fd913c346a7f6f29",
+    "regression sigma_draws": "13a83cbaadc1766ea708140693a8a6a7b42095aecb2fb4cb4ff9069a0ed59005",
+}
+
+# Final node arrays (feature, threshold, left, right) of the samplers of
+# those fits, freed slots included. Thresholds are data values, so they
+# compare exactly. Node ids set the order in which leaves take their normal
+# draws, so the allocation policy is pinned along with the tree shapes; any
+# change to the RNG call sequence or to a move decision changes these.
 PINNED_BINARY = [
     ([0, -1, -1], [-0.35, 0.0, 0.0], [1, -1, -1], [2, -1, -1]),
-    ([1, -1, -1], [-0.5, 0.06, 1.23], [1, -1, -1], [2, -1, -1]),
-    ([2, -1, -1], [-1.43, 0.0, -2.38], [1, -1, -1], [2, -1, -1]),
-    ([0, -1, -1], [0.99, 0.06, 0.0], [1, -1, -1], [2, -1, -1]),
-    ([0, 2, -1, -1, -1], [-0.61, -0.87, 0.0, 0.0, 0.0], [1, 2, -1, -1, -1], [4, 3, -1, -1, -1]),
+    (
+        [1, -1, -1, -1, -1, -1, -1],
+        [-0.5, 0.06, 1.23, 1.05, 0.45, 0.0, 0.0],
+        [1, 3, 6, 6, 5, -1, -1],
+        [2, 4, 5, 5, 6, -1, -1],
+    ),
+    ([2, -1, -1, -1, -1], [-1.43, -2.38, 0.0, 0.0, 0.0], [2, 4, -1, -1, -1], [1, 3, -1, -1, -1]),
+    ([0, -1, -1, -1, -1], [0.99, 0.06, 0.0, 0.0, 0.0], [1, 4, -1, -1, -1], [2, 3, -1, -1, -1]),
+    ([0, 2, -1, -1, -1], [-0.61, -0.87, 0.0, 0.0, 0.0], [1, 4, -1, -1, -1], [2, 3, -1, -1, -1]),
 ]
 PINNED_REGRESSION = [
-    ([2, -1, -1], [-0.11, -0.68, 0.0], [1, -1, -1], [2, -1, -1]),
+    ([2, -1, -1, -1, -1], [-0.11, 0.0, -0.68, 0.0, 0.0], [2, -1, 4, -1, -1], [1, -1, 3, -1, -1]),
     (
-        [0, 0, -1, -1, 2, -1, -1],
-        [0.18, -1.88, 0.0, 0.0, -1.43, 0.0, 0.0],
-        [1, 2, -1, -1, 5, -1, -1],
-        [4, 3, -1, -1, 6, -1, -1],
+        [0, 2, 0, -1, -1, -1, -1],
+        [0.18, -1.43, -1.88, 0.0, 0.0, 0.0, 0.0],
+        [2, 4, 5, -1, -1, -1, -1],
+        [1, 3, 6, -1, -1, -1, -1],
     ),
-    ([2, -1, -1], [0.51, -1.75, -0.02], [1, -1, -1], [2, -1, -1]),
-    ([0, 0, -1, -1, -1], [0.23, -1.47, 0.66, 0.0, -1.16], [1, 2, -1, -1, -1], [4, 3, -1, -1, -1]),
-    ([0, -1, -1], [1.64, 1.23, 0.0], [1, -1, -1], [2, -1, -1]),
+    (
+        [2, -1, -1, -1, -1, -1, -1],
+        [0.51, -1.75, -0.02, 0.19, 0.0, 0.0, 0.0],
+        [1, 3, 3, -1, -1, -1, -1],
+        [2, 4, 4, -1, -1, -1, -1],
+    ),
+    (
+        [0, 0, -1, -1, -1, -1, -1],
+        [0.23, -1.47, -1.16, 0.0, 0.66, 0.0, 0.0],
+        [1, 4, 3, -1, 5, -1, -1],
+        [2, 3, 4, -1, 6, -1, -1],
+    ),
+    ([0, -1, -1, -1, -1], [1.64, 1.23, 0.0, 0.0, 0.0], [1, 4, -1, -1, -1], [2, 3, -1, -1, -1]),
 ]
 
 
-def forest_shapes(forest):
-    return [
-        (t.feature.tolist(), t.threshold.tolist(), t.left.tolist(), t.right.tolist()) for t in forest
-    ]
+def node_arrays(sampler):
+    return [(t.feature, t.threshold, t.left, t.right) for t in sampler.trees]
+
+
+def digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a, dtype=np.float64).tobytes()).hexdigest()
+
+
+#: Proposal mixes (grow, prune, change) for the bookkeeping checks.
+MIXES = [(0.4, 0.4, 0.2), (0.5, 0.5, 0.0), (0.25, 0.25, 0.5), (0.7, 0.3, 0.0), (0.0, 0.5, 0.5)]
 
 
 class TestSamplerBookkeeping:
-    def test_binary_final_forest_pinned(self):
+    def test_draws_pinned(self):
+        x, z, y = small_pinned_data()
+        binary = fit_bart_binary(x, z, params=PINNED_PARAMS, seed=3)
+        regression = fit_bart_regression(x, y, params=PINNED_PARAMS, seed=3)
+        assert {
+            "binary in_sample_probs": digest(binary.in_sample_probs),
+            "regression in_sample": digest(regression.in_sample),
+            "regression sigma_draws": digest(regression.sigma_draws),
+        } == PINNED_DIGESTS
+
+    def test_binary_final_forest_pinned(self, samplers):
         x, z, _ = small_pinned_data()
-        fit = fit_bart_binary(x, z, params=PINNED_PARAMS, seed=3)
-        assert forest_shapes(fit.forests[-1]) == PINNED_BINARY
+        fit_bart_binary(x, z, params=PINNED_PARAMS, seed=3)
+        assert node_arrays(samplers[-1]) == PINNED_BINARY
 
-    def test_regression_final_forest_pinned(self):
+    def test_regression_final_forest_pinned(self, samplers):
         x, _, y = small_pinned_data()
-        fit = fit_bart_regression(x, y, params=PINNED_PARAMS, seed=3)
-        assert forest_shapes(fit.forests[-1]) == PINNED_REGRESSION
+        fit_bart_regression(x, y, params=PINNED_PARAMS, seed=3)
+        assert node_arrays(samplers[-1]) == PINNED_REGRESSION
 
-    def test_every_snapshot_reproduces_its_draw(self):
-        # a snapshot that reused a shape cached before an accepted move would
-        # route rows to the wrong leaves
+    def test_every_snapshot_reproduces_its_draw(self, monkeypatch):
+        # the trees' state at each retained draw, read through the row lists
+        # (not leaf_of), must give that draw; a row list left stale by an
+        # accepted move would put rows under the wrong leaf
+        totals = []
+        step = bart._Sampler.backfit_iteration
+
+        def recording(self, *args, **kwargs):
+            step(self, *args, **kwargs)
+            total = np.zeros(self.n)
+            for tree in self.trees:
+                for leaf, rows in tree.rows.items():
+                    total[rows] += tree.value[leaf]
+            totals.append(total)
+
+        monkeypatch.setattr(bart._Sampler, "backfit_iteration", recording)
         x, z, _ = small_pinned_data()
-        fit = fit_bart_binary(x, z, params=BartParams(num_trees=8, burn_in=10, draws=60), seed=4)
-        np.testing.assert_allclose(bart_predict_proba(fit, x), fit.in_sample_probs, rtol=0, atol=1e-10)
+        params = BartParams(num_trees=8, burn_in=10, draws=60)
+        fit = fit_bart_binary(x, z, params=params, seed=4)
+        rebuilt = ndtr(np.array(totals[params.burn_in :]))
+        np.testing.assert_allclose(rebuilt, fit.in_sample_probs, rtol=0, atol=1e-10)
 
-    def test_snapshot_arrays_are_read_only(self):
-        x, _, y = small_pinned_data()
-        fit = fit_bart_regression(x, y, params=PINNED_PARAMS, seed=3)
-        for forest in fit.forests:
-            for tree in forest:
-                for name in ("feature", "threshold", "left", "right", "value"):
-                    assert not getattr(tree, name).flags.writeable, name
+    @given(
+        seed=st.integers(0, 2**16),
+        n=st.integers(4, 40),
+        p=st.integers(1, 4),
+        num_trees=st.integers(1, 6),
+        mix=st.sampled_from(MIXES),
+        binary=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_validated_fits_keep_row_lists_consistent(self, seed, n, p, num_trees, mix, binary):
+        # rounded covariates give tied values and columns without cuts
+        rng = np.random.default_rng(seed)
+        x = np.round(rng.normal(size=(n, p)), 1)
+        y = (x[:, 0] > 0).astype(int) if binary else x[:, 0] + rng.normal(size=n)
+        fit = fit_bart_binary if binary else fit_bart_regression
+        params = BartParams(
+            num_trees=num_trees, burn_in=3, draws=5, p_grow=mix[0], p_prune=mix[1], p_change=mix[2]
+        )
+        checked = fit(x, y, params=params, seed=seed, validate=True)
+        plain = fit(x, y, params=params, seed=seed)
+        # the checks draw no random numbers
+        draws = "in_sample_probs" if binary else "in_sample"
+        np.testing.assert_array_equal(getattr(checked, draws), getattr(plain, draws))
+
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            ("unsorted", "not strictly ascending"),
+            ("row_dropped", "do not partition"),
+            ("leaf_of", "disagree with leaf_of"),
+            ("internal_key", "differ from the tree's leaves"),
+        ],
+    )
+    def test_check_tree_catches_corrupt_row_lists(self, corrupt, message):
+        x = np.arange(6.0)[:, None]
+        sampler = bart._Sampler(x, BartParams(num_trees=1), leaf_sd=0.1, seed=0)
+        tree = sampler.trees[0]
+        tree.split(0, 0, 2.0, sampler.columns[0] <= 2.0)
+        sampler._check_tree(tree)
+        if corrupt == "unsorted":
+            tree.rows[1] = tree.rows[1][::-1]
+        elif corrupt == "row_dropped":
+            tree.rows[1] = tree.rows[1][1:]
+        elif corrupt == "leaf_of":
+            tree.leaf_of[0] = 2
+        else:
+            tree.rows[0] = np.array([], dtype=np.int64)
+        with pytest.raises(AssertionError, match=message):
+            sampler._check_tree(tree)

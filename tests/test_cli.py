@@ -310,6 +310,8 @@ class TestFailureManifest:
         with open(manifest, encoding="utf-8") as fh:
             text = fh.read()
         assert text.startswith("FAILED at stage inference\n")
+        # the error line names the exception type, not only its message
+        assert text.splitlines()[1] == "error: ValueError: no matched sets with observed outcome 'y'"
         assert "files written so far:" in text
         # stages before the failure left their artifacts behind
         assert "propensity_comparison-1_mle.json" in text

@@ -5,6 +5,7 @@ import pytest
 from scipy.special import expit
 
 from matchstudy import pipeline, propensity
+from matchstudy.bart import BartParams
 from matchstudy.config import config_from_dict, default_config_dict
 from matchstudy.dataset import generate_synthetic
 from matchstudy.oracles import l1_kkt_violation
@@ -342,27 +343,11 @@ class TestPredict:
         with pytest.raises(ValueError):
             predict(fit, np.ones((4, 3)))
 
-    def test_bart_scores_match_per_tree_recomputation(self):
-        from scipy.special import ndtr
-
+    def test_bart_fit_is_rejected(self):
+        # a bart fit keeps its in-sample scores only, not its trees
         rng = np.random.default_rng(22)
-        x = rng.normal(size=(60, 2))
-        z = (x[:, 0] + 0.5 * rng.normal(size=60) > 0).astype(np.int64)
-        fit = fit_bart_propensity(x, z, seed=4)
-        probe = rng.normal(size=(15, 2))
-
-        def walk(tree, row):
-            node = 0
-            while tree.feature[node] >= 0:
-                if row[tree.feature[node]] <= tree.threshold[node]:
-                    node = tree.left[node]
-                else:
-                    node = tree.right[node]
-            return tree.value[node]
-
-        manual = np.zeros(len(probe))
-        for forest in fit.forest.forests:
-            totals = np.array([sum(walk(t, row) for t in forest) for row in probe])
-            manual += ndtr(totals)
-        manual /= len(fit.forest.forests)
-        np.testing.assert_allclose(predict(fit, probe), manual, atol=1e-10)
+        x = rng.normal(size=(30, 2))
+        z = (x[:, 0] > 0).astype(np.int64)
+        fit = fit_bart_propensity(x, z, params=BartParams(num_trees=3, burn_in=2, draws=4), seed=4)
+        with pytest.raises(ValueError, match="bart"):
+            predict(fit, x)
