@@ -4,11 +4,13 @@ Treated subjects are matched to controls inside cells formed by crossing the
 design strata with propensity-score intervals; the interval index k doubles as
 the number of controls sought per treated subject (capped at 15). Distances
 are rank-based Mahalanobis with a soft propensity caliper. Each cell is solved
-to exact optimality by reduction to rectangular linear assignment.
+to exact optimality by one rectangular linear assignment in which each
+treated subject owns up to k identical rows.
 """
 from __future__ import annotations
 
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -232,14 +234,20 @@ def match_bucket(
 ) -> tuple[list[tuple[str, tuple[str, ...]]], list[tuple[str, str]]]:
     """Optimally match one cell at ratio up to 1:k.
 
-    Three regimes, each solved exactly as a rectangular assignment on
-    integer-scaled costs:
+    One rectangular assignment on integer-scaled costs gives each treated
+    subject between 1 and k controls. Every treated subject owns
+    ``copies = max(1, min(k, n_c - n_t + 1))`` identical rows, and a row
+    assigned to a real control joins that control to the row's owner. The
+    solver fills min(rows, n_c) entries, so:
 
-    * surplus controls (n_c >= k*n_t): every treated subject gets exactly k
-      controls, leftover controls are discarded optimally;
-    * intermediate (n_t <= n_c < k*n_t): every treated subject gets between
-      1 and k controls and every control is used;
-    * scarce controls (n_c < n_t): optimal pairs, surplus treated discarded.
+    * with k*n_t <= n_c controls, every treated subject gets exactly k
+      controls and the leftover controls are discarded optimally;
+    * with fewer controls than treated subjects (one row each), the cell is
+      optimal pairs and the surplus treated subjects are discarded;
+    * in between, every control is used and every treated subject gets at
+      least one. Where the rows outnumber the controls, dummy columns take
+      the extra rows; a dummy costs 0 except on a subject's first row, where
+      it costs more than any feasible real total.
 
     Ties among optimal matches are broken by one canonical rule: read the
     controls in id order, label each with the id rank of the treated subject
@@ -253,7 +261,8 @@ def match_bucket(
     are not folded, and the solver's choice among tied optima stands.
 
     Returns (sets, dropped) where sets pair each matched treated id with its
-    control ids and dropped lists (id, reason) rows.
+    control ids and dropped lists (id, reason) rows: the treated subjects
+    without a control, then the controls no row took.
     """
     dist = np.asarray(dist, dtype=float)
     n_t, n_c = len(treated_ids), len(control_ids)
@@ -264,56 +273,34 @@ def match_bucket(
         return [], dropped
     if not np.isfinite(dist).all() or (dist < 0).any():
         raise ValueError("distances must be finite and non-negative")
-    # No regime assigns more than max(n_c, k * n_t) entries.
+    # No assignment takes more than max(n_c, k * n_t) entries.
     cost = _fold_tie_rule(np.round(dist * _COST_SCALE), treated_ids, control_ids, max(n_c, k * n_t))
 
-    assigned: dict[int, list[int]] = {i: [] for i in range(n_t)}
-    dropped: list[tuple[str, str]] = []
-    if n_c < n_t:
-        # Scarce controls: controls on the small side, pairs only.
-        rows, cols = linear_sum_assignment(cost.T)
-        matched_treated = set()
-        for c, t in zip(rows, cols):
-            assigned[int(t)].append(int(c))
-            matched_treated.add(int(t))
-        for t in range(n_t):
-            if t not in matched_treated:
-                dropped.append((treated_ids[t], REASON_OPTIMAL_DISCARD))
-    elif n_c >= k * n_t:
-        # Surplus controls: k exact copies of each treated row.
-        rep = np.repeat(cost, k, axis=0)
-        rows, cols = linear_sum_assignment(rep)
-        used = set()
-        for r, c in zip(rows, cols):
-            assigned[int(r) // k].append(int(c))
-            used.add(int(c))
-        for c in range(n_c):
-            if c not in used:
-                dropped.append((control_ids[c], REASON_OPTIMAL_DISCARD))
-    else:
-        # Intermediate: replicate up to `copies` per treated and pad with
-        # dummy columns. First copies may only take real controls, so every
-        # treated subject receives at least one; the square assignment uses
-        # every real control. The finite forbidden cost exceeds any feasible
-        # real total, so it is never paid.
-        copies = min(k, n_c - n_t + 1)
-        rep = np.repeat(cost, copies, axis=0)
-        n_rows = n_t * copies
-        n_dummy = n_rows - n_c
+    copies = max(1, min(k, n_c - n_t + 1))
+    matrix = cost if copies == 1 else np.repeat(cost, copies, axis=0)
+    n_rows = n_t * copies
+    if copies > 1 and n_rows > n_c:
+        # The finite forbidden cost exceeds any feasible real total, so it is
+        # never paid.
         forbidden = float(np.sort(cost, axis=None)[-n_c:].sum()) + 1.0
-        dummy = np.zeros((n_rows, n_dummy))
-        first_copy = (np.arange(n_rows) % copies) == 0
-        dummy[first_copy, :] = forbidden
-        rows, cols = linear_sum_assignment(np.hstack([rep, dummy]))
-        for r, c in zip(rows, cols):
-            if int(c) < n_c:
-                assigned[int(r) // copies].append(int(c))
+        dummy = np.zeros((n_rows, n_rows - n_c))
+        dummy[::copies] = forbidden
+        matrix = np.hstack([matrix, dummy])
+    rows, cols = linear_sum_assignment(matrix)
 
-    sets = []
-    for t in range(n_t):
-        if assigned[t]:
-            controls = tuple(sorted(control_ids[c] for c in assigned[t]))
-            sets.append((treated_ids[t], controls))
+    assigned: list[list[int]] = [[] for _ in range(n_t)]
+    taken = np.zeros(n_c, dtype=bool)
+    for r, c in zip(rows.tolist(), cols.tolist()):
+        if c < n_c:
+            assigned[r // copies].append(c)
+            taken[c] = True
+    sets = [
+        (treated_ids[t], tuple(sorted(control_ids[c] for c in controls)))
+        for t, controls in enumerate(assigned)
+        if controls
+    ]
+    dropped = [(treated_ids[t], REASON_OPTIMAL_DISCARD) for t, controls in enumerate(assigned) if not controls]
+    dropped += [(control_ids[c], REASON_OPTIMAL_DISCARD) for c in np.flatnonzero(~taken).tolist()]
     return sets, dropped
 
 
@@ -334,16 +321,16 @@ def _fold_tie_rule(
     rank of c). A match's secondary total is then its label vector read as a
     base-(n_t + 1) number, less a constant, and it is below the primary
     scale, so it orders only matches of equal primary cost. The result is
-    shifted to a zero minimum; every regime fills a fixed number of real
-    entries, so the shift moves all feasible totals alike. ``max_rows``
-    bounds the number of entries an assignment takes.
+    shifted to a zero minimum; every assignment of a cell fills the same
+    number of real entries, so the shift moves all feasible totals alike.
+    ``max_rows`` bounds the number of entries an assignment takes.
     """
     n_t, n_c = cost.shape
     base = n_t + 1
     scale = base**n_c
     low = int(cost.min())
     span = (int(cost.max()) - low + 1) * scale
-    # The intermediate regime's forbidden entry is at most n_c * span + 1.
+    # A forbidden dummy entry of match_bucket is at most n_c * span + 1.
     if max_rows * (n_c * span + 1) >= 2**53:
         return cost
     place = base ** (n_c - 1 - _id_ranks(control_ids))
@@ -368,16 +355,9 @@ def build_match(table: SubjectTable, fit: PropensityFit, config: MatchConfig | N
     if scores.shape != (table.n,):
         raise ValueError("fit.scores must align with the table rows")
 
-    dropped: list[tuple[str, str]] = []
     kept_table, miss_ledger = drop_missingness_determined(table)
-    miss_t = miss_c = 0
-    for subject_id, _ in _dedupe_ledger(miss_ledger):
-        # A subject can trip several indicators; drop it once.
-        dropped.append((subject_id, REASON_MISSINGNESS))
-        if table.z[table.row_of(subject_id)] == 1:
-            miss_t += 1
-        else:
-            miss_c += 1
+    # A subject can trip several indicators; drop it once.
+    dropped = [(subject_id, REASON_MISSINGNESS) for subject_id, _ in _dedupe_ledger(miss_ledger)]
     kept_rows = np.array([table.row_of(s) for s in kept_table.ids], dtype=int)
     scores = scores[kept_rows]
 
@@ -385,10 +365,7 @@ def build_match(table: SubjectTable, fit: PropensityFit, config: MatchConfig | N
         trim = trim_common_support(scores, kept_table.z)
     except MatchingError as err:
         raise MatchingError(f"{config.comparison}: {err}") from None
-    cs_t = int(np.count_nonzero(kept_table.z[trim] == 1))
-    cs_c = len(trim) - cs_t
-    for i in trim:
-        dropped.append((kept_table.ids[i], REASON_COMMON_SUPPORT))
+    dropped += [(kept_table.ids[i], REASON_COMMON_SUPPORT) for i in trim]
     keep_mask = np.ones(kept_table.n, dtype=bool)
     keep_mask[trim] = False
     work = kept_table.subset(keep_mask)
@@ -407,7 +384,6 @@ def build_match(table: SubjectTable, fit: PropensityFit, config: MatchConfig | N
         cells.setdefault((work.stratum[i], int(intervals[i])), []).append(i)
 
     all_sets: list[MatchedSet] = []
-    matched_t = matched_c = 0
     for stratum, k in sorted(cells):
         rows = np.array(cells[(stratum, k)], dtype=int)
         is_treated = work.z[rows] == 1
@@ -437,28 +413,38 @@ def build_match(table: SubjectTable, fit: PropensityFit, config: MatchConfig | N
         dropped.extend(cell_dropped)
         for treated_id, control_ids in cell_sets:
             all_sets.append(MatchedSet(treated_id=treated_id, control_ids=control_ids, stratum=stratum, interval=k))
-            matched_t += 1
-            matched_c += len(control_ids)
 
     all_sets.sort(key=lambda s: (s.stratum, s.interval, s.treated_id))
-    counts = MatchCounts(
-        n_miss_treated=miss_t,
-        n_miss_control=miss_c,
-        n_cs_treated=cs_t,
-        n_cs_control=cs_c,
-        n_matched_treated=matched_t,
-        n_matched_control=matched_c,
-    )
-    result = MatchResult(
+    counts = match_counts(table, all_sets, dropped)
+    if counts.n_matched + len(dropped) != table.n:
+        raise AssertionError("subject accounting failed: sets + dropped != input")
+    return MatchResult(
         comparison=config.comparison,
         method=config.method or fit.method,
         sets=tuple(all_sets),
         dropped=tuple(dropped),
         counts=counts,
     )
-    if counts.n_matched + len(result.dropped) != table.n:
-        raise AssertionError("subject accounting failed: sets + dropped != input")
-    return result
+
+
+def match_counts(
+    table: SubjectTable, sets: Sequence[MatchedSet], dropped: Sequence[tuple[str, str]]
+) -> MatchCounts:
+    """The subject accounting of a match: treated and control subjects in the
+    ledger for missingness and for common support, and in the matched sets.
+    ``table`` is the comparison table the match was built from."""
+    tallies = {REASON_MISSINGNESS: [0, 0], REASON_COMMON_SUPPORT: [0, 0]}
+    for subject_id, reason in dropped:
+        if reason in tallies:
+            tallies[reason][0 if table.z[table.row_of(subject_id)] == 1 else 1] += 1
+    return MatchCounts(
+        n_miss_treated=tallies[REASON_MISSINGNESS][0],
+        n_miss_control=tallies[REASON_MISSINGNESS][1],
+        n_cs_treated=tallies[REASON_COMMON_SUPPORT][0],
+        n_cs_control=tallies[REASON_COMMON_SUPPORT][1],
+        n_matched_treated=len(sets),
+        n_matched_control=sum(len(s.control_ids) for s in sets),
+    )
 
 
 def composition(result: MatchResult) -> dict[int, int]:

@@ -25,6 +25,7 @@ import os
 import re
 
 import numpy as np
+import scipy
 
 from . import balance as balance_mod
 from . import inference as inference_mod
@@ -308,23 +309,12 @@ def load_match(cfg: StudyConfig, name: str, method: str, ct: SubjectTable) -> ma
             if line:
                 sid, _, reason = line.partition(",")
                 dropped.append((sid, reason))
-    tallies = {
-        matching_mod.REASON_MISSINGNESS: [0, 0],
-        matching_mod.REASON_COMMON_SUPPORT: [0, 0],
-    }
-    for sid, reason in dropped:
-        if reason in tallies:
-            tallies[reason][0 if ct.z[ct.row_of(sid)] == 1 else 1] += 1
-    counts = matching_mod.MatchCounts(
-        n_miss_treated=tallies[matching_mod.REASON_MISSINGNESS][0],
-        n_miss_control=tallies[matching_mod.REASON_MISSINGNESS][1],
-        n_cs_treated=tallies[matching_mod.REASON_COMMON_SUPPORT][0],
-        n_cs_control=tallies[matching_mod.REASON_COMMON_SUPPORT][1],
-        n_matched_treated=len(sets),
-        n_matched_control=sum(len(s.control_ids) for s in sets),
-    )
     return matching_mod.MatchResult(
-        comparison=name, method=method, sets=tuple(sets), dropped=tuple(dropped), counts=counts
+        comparison=name,
+        method=method,
+        sets=tuple(sets),
+        dropped=tuple(dropped),
+        counts=matching_mod.match_counts(ct, sets, dropped),
     )
 
 
@@ -858,6 +848,7 @@ def _manifest_text(cfg: StudyConfig, files: list[str]) -> str:
     for comp in cfg.comparisons:
         selected = load_balance(cfg, comp.name)["selected"]
         out.append(f"selected {comp.name} {selected}\n")
+    out.append(f"numpy {np.__version__}\nscipy {scipy.__version__}\n")
     for name in sorted(files):
         out.append(f"sha256 {_sha256(os.path.join(cfg.output_dir, name))}  {name}\n")
     return "".join(out)

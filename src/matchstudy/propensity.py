@@ -129,10 +129,11 @@ def fit_mle(x: np.ndarray, z: np.ndarray) -> PropensityFit:
 # L1-penalized logistic regression
 # ---------------------------------------------------------------------------
 
-# Probabilities in the IRLS expansion are clipped away from 0 and 1, so the
-# weights stay positive and a saturated fit keeps curvature in every nonzero
-# column.
-_PROB_CLIP = 1e-5
+# The IRLS weights p(1 - p) are floored at their value for p = 1e-5, so a
+# saturated fit keeps curvature in every nonzero column. Only the weights are
+# floored: the gradient uses the exact probabilities, so the fixed point is
+# the penalized MLE.
+_WEIGHT_FLOOR = 1e-5 * (1.0 - 1e-5)
 
 
 def _l1_coordinate_descent(
@@ -162,8 +163,8 @@ def _l1_coordinate_descent(
     lam = float(lam)
     beta = beta.copy()
     for _ in range(max_outer):
-        prob = np.clip(expit(design @ beta), _PROB_CLIP, 1.0 - _PROB_CLIP)
-        gram = design.T @ (design * (prob * (1.0 - prob))[:, None])
+        prob = expit(design @ beta)
+        gram = design.T @ (design * np.maximum(prob * (1.0 - prob), _WEIGHT_FLOOR)[:, None])
         grad = design.T @ (z - prob)
         curv = np.diag(gram).tolist()
         rows = gram.tolist()

@@ -3,10 +3,15 @@ import hashlib
 import json
 import os
 
+import numpy as np
 import pytest
+import scipy
 
+from matchstudy import pipeline
 from matchstudy.cli import main
-from matchstudy.config import config_from_dict, default_config, default_config_dict
+from matchstudy.config import config_from_dict, default_config, default_config_dict, load_config
+from matchstudy.matching import build_match
+from matchstudy.propensity import PropensityFit
 from matchstudy.dataset import ValidationError
 
 
@@ -206,6 +211,13 @@ class TestFullRun:
             assert f"seed {comp} propensity l1 " in text
             assert f"selected {comp} " in text
         assert "seed comparison-1 inference y " in text
+        # the library versions follow the selections and precede the digests
+        lines = text.splitlines()
+        versions = [f"numpy {np.__version__}", f"scipy {scipy.__version__}"]
+        at = lines.index(versions[0])
+        assert lines[at : at + 2] == versions
+        assert lines[at - 1].startswith("selected ")
+        assert lines[at + 2].startswith("sha256 ")
 
     def test_composition_counts_match_set_files(self, completed_run):
         cfg_path, out_dir, _ = completed_run
@@ -259,6 +271,23 @@ class TestFullRun:
         fresh = dir_digest(out_dir)
         assert fresh["cohort.csv"] != digests["cohort.csv"]
         assert fresh["manifest.txt"] != digests["manifest.txt"]
+
+    def test_load_match_round_trips_build_match(self, completed_run):
+        cfg_path, _, _ = completed_run
+        cfg = load_config(cfg_path)
+        pipeline.stage_match(cfg)
+        tables = pipeline._comparison_tables(cfg)
+        for comp in cfg.comparisons:
+            ct = tables[comp.name]
+            for method in cfg.propensity_methods:
+                scores, _ = pipeline._load_scores(cfg, comp.name, method, ct)
+                fit = PropensityFit(method=method, scores=scores)
+                built = build_match(ct, fit, pipeline._match_config(cfg, comp.name, method))
+                loaded = pipeline.load_match(cfg, comp.name, method, ct)
+                assert loaded.sets == built.sets, (comp.name, method)
+                assert loaded.dropped == built.dropped, (comp.name, method)
+                assert loaded.counts == built.counts, (comp.name, method)
+                assert loaded == built
 
     def test_match_stage_rerun_reproduces_run_output(self, completed_run):
         cfg_path, out_dir, digests = completed_run

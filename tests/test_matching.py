@@ -8,17 +8,21 @@ from hypothesis import strategies as st
 from scipy.special import expit, logit
 from scipy.stats import rankdata
 
+from matchstudy import matching
 from matchstudy.matching import (
     MatchConfig,
     MatchCounts,
+    MatchedSet,
     MatchingError,
     REASON_COMMON_SUPPORT,
+    REASON_MISSINGNESS,
     REASON_OPTIMAL_DISCARD,
     REASON_UNMATCHED,
     apply_caliper,
     build_match,
     composition,
     match_bucket,
+    match_counts,
     propensity_interval,
     rank_mahalanobis,
     trim_common_support,
@@ -328,9 +332,29 @@ class TestTieRule:
         rng = np.random.default_rng(16)
         d = rng.integers(0, 1000, size=(1, 40)) / 1000.0
         c_ids = tuple(f"c{j:02d}" for j in range(40))
+        assert_not_folded(d, ("t1",), c_ids, k=3)
         sets, dropped = match_bucket(d, ("t1",), c_ids, k=3)
         assert len(sets[0][1]) == 3 and len(dropped) == 37
         assert match_total_cost(d, ("t1",), c_ids, sets) == pytest.approx(sum(sorted(d[0])[:3]), abs=1e-12)
+
+        # Distances up to 1e8 put the folded totals past 2**53 in small cells
+        # too: 2 treated with 5 controls at k=4 (every control used), and 5
+        # treated with 3 controls (pairs only). Integer distances add exactly.
+        for n_t, n_c, k, n_dropped in ((2, 5, 4, 0), (5, 3, 2, 2)):
+            d = rng.integers(0, 10**8, size=(n_t, n_c)).astype(float)
+            t_ids = tuple(f"t{i}" for i in range(n_t))
+            c_ids = tuple(f"c{j}" for j in range(n_c))
+            assert_not_folded(d, t_ids, c_ids, k)
+            sets, dropped = match_bucket(d, t_ids, c_ids, k)
+            assert len(dropped) == n_dropped
+            assert all(1 <= len(cs) <= k for _, cs in sets)
+            assert match_total_cost(d, t_ids, c_ids, sets) == brute_force_bucket_cost(d, k)
+
+
+def assert_not_folded(dist, t_ids, c_ids, k):
+    """The costs of this cell are too large for the tie-rule fold."""
+    cost = np.round(dist * matching._COST_SCALE)
+    assert matching._fold_tie_rule(cost, t_ids, c_ids, max(len(c_ids), k * len(t_ids))) is cost
 
 
 def simple_instance(rng, n_treated, n_control, strata=("a",), score_range=(0.35, 0.9)):
@@ -385,6 +409,20 @@ class TestBuildMatch:
         matched = {s.treated_id for s in result.sets} | {c for s in result.sets for c in s.control_ids}
         assert matched | set(reasons) == set(table.ids)
         assert len(matched) + len(result.dropped) == table.n
+
+    def test_match_counts_split_the_ledger_by_arm(self):
+        z = np.array([1, 1, 1, 0, 0, 0, 0])
+        table = make_table(z, np.zeros((7, 1)))
+        ids = table.ids
+        dropped = [
+            (ids[0], REASON_MISSINGNESS),
+            (ids[3], REASON_MISSINGNESS),
+            (ids[4], REASON_MISSINGNESS),
+            (ids[1], REASON_COMMON_SUPPORT),
+            (ids[5], REASON_OPTIMAL_DISCARD),
+        ]
+        sets = [MatchedSet(treated_id=ids[2], control_ids=(ids[6],), stratum="a", interval=1)]
+        assert match_counts(table, sets, dropped) == MatchCounts(1, 2, 1, 0, 1, 1)
 
     def test_sets_never_cross_strata(self):
         rng = np.random.default_rng(10)

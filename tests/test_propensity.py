@@ -192,6 +192,27 @@ class TestFitL1:
             assert l1_kkt_violation(x, z, beta, lam) < 1e-9
         assert sum(np.count_nonzero(beta[1:]) for beta, _ in path) > 0
 
+    def test_kkt_exact_where_fitted_probabilities_saturate(self):
+        # A logistic index with coefficient scale 2 drives some fitted
+        # probabilities below 1e-5, where the IRLS weights are floored. The
+        # gradient still uses the exact probabilities, so the fixed point is
+        # the penalized MLE and the exact finish closes the KKT gap.
+        saturated = 0
+        for seed in (0, 2, 5):
+            rng = np.random.default_rng(seed)
+            n, p = int(rng.integers(40, 81)), int(rng.integers(2, 7))
+            x = rng.normal(size=(n, p))
+            index = x @ rng.normal(scale=2.0, size=p) + rng.logistic(size=n)
+            z = (np.argsort(np.argsort(index)) >= n // 2).astype(int)
+            lam_max = l1_lambda_grid(x, z)[0]
+            for frac in (0.05, 0.02):
+                fit = fit_l1(x, z, penalties=np.array([frac * lam_max]), folds=2)
+                assert fit.converged
+                assert l1_kkt_violation(x, z, fit.beta, frac * lam_max) < 1e-9
+                prob = expit(np.column_stack([np.ones(n), x]) @ fit.beta)
+                saturated += np.minimum(prob, 1.0 - prob).min() < 1e-5
+        assert saturated >= 3
+
     def test_exact_finish_acceptance_rules(self):
         finish = propensity._exact_on_support
         gram = np.eye(3)
