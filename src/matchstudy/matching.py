@@ -6,11 +6,25 @@ the number of controls sought per treated subject (capped at 15). Distances
 are rank-based Mahalanobis with a soft propensity caliper. Each cell is solved
 to exact optimality by one rectangular linear assignment in which each
 treated subject owns up to k identical rows.
+
+The cells of one ``build_match`` call are independent, so their assignment
+solves run concurrently on a thread pool with one worker per core this
+process may run on (``os.sched_getaffinity``; one worker on one core).
+Threads pay here because ``linear_sum_assignment`` releases the GIL. The
+main thread builds every cost matrix, largest cell first, and builds the
+next one only when a worker is free; the workers only solve and decode.
+Every big matrix is allocated on the main thread: glibc gives each thread
+its own malloc arena, so matrices built in the workers raised the peak
+resident memory. The warning filter around the distances is not thread-safe
+and stays on the main thread too. Results are gathered in cell order, so
+the output does not depend on the number of workers.
 """
 from __future__ import annotations
 
+import os
 import warnings
 from collections.abc import Sequence
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +46,10 @@ REASON_UNMATCHED = "unmatched-leftover"
 #: Distances are scaled to integers (1e-6 resolution) before assignment so the
 #: solver's optimum is exact in double precision.
 _COST_SCALE = 1e6
+
+#: Treated rows per block of ``apply_caliper``'s penalty, so its temporaries
+#: stay small next to the distance matrix.
+_CALIPER_ROWS = 64
 
 
 class MatchingError(ValueError):
@@ -170,16 +188,26 @@ def apply_caliper(
     rather than forbidden, so feasibility is preserved. The sd is taken over
     ``scale_scores`` when provided (e.g. the whole comparison) and otherwise
     over the pooled scores given here. Default penalty: 1000 x mean distance.
+    The result is a new array, filled in blocks of rows; ``dist`` is not
+    modified.
     """
     lt = logit(np.asarray(scores_treated, dtype=float))
     lc = logit(np.asarray(scores_control, dtype=float))
     pool = logit(np.asarray(scale_scores, dtype=float)) if scale_scores is not None else np.concatenate([lt, lc])
     sd = float(np.std(pool, ddof=1)) if pool.size > 1 else 0.0
     width = width_sd * sd
+    dist = np.asarray(dist)
     if penalty is None:
         penalty = 1000.0 * float(dist.mean()) if dist.size else 0.0
-    gap = np.abs(lt[:, None] - lc[None, :])
-    return dist + penalty * np.maximum(gap - width, 0.0)
+    out = np.empty(dist.shape, dtype=np.result_type(dist, np.float64))
+    for start in range(0, dist.shape[0], _CALIPER_ROWS):
+        block = slice(start, start + _CALIPER_ROWS)
+        excess = np.abs(lt[block, None] - lc[None, :])
+        excess -= width
+        np.maximum(excess, 0.0, out=excess)
+        excess *= penalty
+        np.add(dist[block], excess, out=out[block])
+    return out
 
 
 def trim_common_support(scores: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -262,37 +290,87 @@ def match_bucket(
 
     Returns (sets, dropped) where sets pair each matched treated id with its
     control ids and dropped lists (id, reason) rows: the treated subjects
-    without a control, then the controls no row took.
+    without a control, then the controls no row took. ``dist`` is not
+    modified.
     """
-    dist = np.asarray(dist, dtype=float)
     n_t, n_c = len(treated_ids), len(control_ids)
-    if dist.shape != (n_t, n_c):
+    if np.shape(dist) != (n_t, n_c):
         raise ValueError("distance matrix shape must be (n_treated, n_control)")
     if n_t == 0 or n_c == 0:
         dropped = [(s, REASON_UNMATCHED) for s in treated_ids] + [(s, REASON_UNMATCHED) for s in control_ids]
         return [], dropped
+    return _solve_assignment(_build_assignment(dist, treated_ids, control_ids, k))
+
+
+@dataclass(frozen=True)
+class _Assignment:
+    """One cell's assignment problem, ready for the solver.
+
+    Row r of ``matrix`` belongs to treated subject ``r // copies`` and column
+    c < n_c is control c; later columns are dummies. A ``transposed`` matrix
+    has the controls as rows and the treated subjects as columns.
+    """
+
+    matrix: np.ndarray
+    transposed: bool
+    copies: int
+    treated_ids: tuple[str, ...]
+    control_ids: tuple[str, ...]
+
+
+def _build_assignment(
+    dist: np.ndarray, treated_ids: tuple[str, ...], control_ids: tuple[str, ...], k: int
+) -> _Assignment:
+    """The assignment matrix of a non-empty cell, as ``match_bucket`` documents
+    it, without modifying ``dist``.
+
+    The integer costs are the one full-size array the build allocates besides
+    the replicated rows and dummy columns. A cell with more treated subjects
+    than controls gets its costs laid out as the C-contiguous transpose,
+    which the solver takes without copying; it transposes a tall matrix
+    itself, so the pairs are the same.
+    """
+    dist = np.asarray(dist, dtype=float)
     if not np.isfinite(dist).all() or (dist < 0).any():
         raise ValueError("distances must be finite and non-negative")
+    n_t, n_c = dist.shape
+    transposed = n_t > n_c
+    scaled = np.empty((n_c, n_t)).T if transposed else np.empty((n_t, n_c))
+    np.multiply(dist, _COST_SCALE, out=scaled)
+    np.round(scaled, out=scaled)
     # No assignment takes more than max(n_c, k * n_t) entries.
-    cost = _fold_tie_rule(np.round(dist * _COST_SCALE), treated_ids, control_ids, max(n_c, k * n_t))
+    cost = _fold_tie_rule(scaled, treated_ids, control_ids, max(n_c, k * n_t))
+    if transposed:
+        return _Assignment(np.ascontiguousarray(cost.T), True, 1, treated_ids, control_ids)
 
     copies = max(1, min(k, n_c - n_t + 1))
-    matrix = cost if copies == 1 else np.repeat(cost, copies, axis=0)
+    if copies == 1:
+        return _Assignment(cost, False, 1, treated_ids, control_ids)
     n_rows = n_t * copies
-    if copies > 1 and n_rows > n_c:
+    # Where the rows outnumber the controls, dummy columns square the matrix.
+    matrix = np.zeros((n_rows, max(n_rows, n_c)))
+    for copy in range(copies):
+        matrix[copy::copies, :n_c] = cost
+    if n_rows > n_c:
         # The finite forbidden cost exceeds any feasible real total, so it is
         # never paid.
-        forbidden = float(np.sort(cost, axis=None)[-n_c:].sum()) + 1.0
-        dummy = np.zeros((n_rows, n_rows - n_c))
-        dummy[::copies] = forbidden
-        matrix = np.hstack([matrix, dummy])
-    rows, cols = linear_sum_assignment(matrix)
+        matrix[::copies, n_c:] = float(np.sort(cost, axis=None)[-n_c:].sum()) + 1.0
+    return _Assignment(matrix, False, copies, treated_ids, control_ids)
 
-    assigned: list[list[int]] = [[] for _ in range(n_t)]
+
+def _solve_assignment(cell: _Assignment) -> tuple[list[tuple[str, tuple[str, ...]]], list[tuple[str, str]]]:
+    """Solve one built cell and decode it into ``match_bucket``'s (sets,
+    dropped). Runs on the worker threads of ``build_match``."""
+    rows, cols = linear_sum_assignment(cell.matrix)
+    if cell.transposed:
+        rows, cols = cols, rows
+    treated_ids, control_ids = cell.treated_ids, cell.control_ids
+    n_c = len(control_ids)
+    assigned: list[list[int]] = [[] for _ in treated_ids]
     taken = np.zeros(n_c, dtype=bool)
     for r, c in zip(rows.tolist(), cols.tolist()):
         if c < n_c:
-            assigned[r // copies].append(c)
+            assigned[r // cell.copies].append(c)
             taken[c] = True
     sets = [
         (treated_ids[t], tuple(sorted(control_ids[c] for c in controls)))
@@ -383,33 +461,51 @@ def build_match(table: SubjectTable, fit: PropensityFit, config: MatchConfig | N
     for i in range(work.n):
         cells.setdefault((work.stratum[i], int(intervals[i])), []).append(i)
 
-    all_sets: list[MatchedSet] = []
-    for stratum, k in sorted(cells):
-        rows = np.array(cells[(stratum, k)], dtype=int)
+    members: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
+    for key, rows in cells.items():
+        rows = np.array(rows, dtype=int)
         is_treated = work.z[rows] == 1
-        t_rows = rows[is_treated]
-        c_rows = rows[~is_treated]
         # Deterministic id order inside the cell.
-        t_rows = t_rows[np.argsort([work.ids[i] for i in t_rows])]
-        c_rows = c_rows[np.argsort([work.ids[i] for i in c_rows])]
-        t_ids = tuple(work.ids[i] for i in t_rows)
-        c_ids = tuple(work.ids[i] for i in c_rows)
-        if len(t_rows) == 0 or len(c_rows) == 0:
-            for s in t_ids + c_ids:
-                dropped.append((s, REASON_UNMATCHED))
-            continue
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # constant-column drops are routine in small cells
-            dist = rank_mahalanobis(x_dist[t_rows], x_dist[c_rows])
-        dist = apply_caliper(
-            dist,
-            scores[t_rows],
-            scores[c_rows],
-            width_sd=config.caliper_width_sd,
-            penalty=config.caliper_penalty,
-            scale_scores=scores,
+        members[key] = tuple(
+            part[np.argsort([work.ids[i] for i in part])] for part in (rows[is_treated], rows[~is_treated])
         )
-        cell_sets, cell_dropped = match_bucket(dist, t_ids, c_ids, k)
+
+    # Largest cells first, so the longest solves start early. A matrix is
+    # built only when a worker is free, so at most workers + 1 cells hold one.
+    solvable = [key for key in sorted(members) if all(len(part) for part in members[key])]
+    solvable.sort(key=lambda key: len(members[key][0]) * len(members[key][1]) * key[1], reverse=True)
+    solves = {}
+    workers = _worker_count()
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        running: set = set()
+        for key in solvable:
+            t_rows, c_rows = members[key]
+            while len(running) >= workers:
+                _, running = wait(running, return_when=FIRST_COMPLETED)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # constant-column drops are routine in small cells
+                dist = rank_mahalanobis(x_dist[t_rows], x_dist[c_rows])
+            dist = apply_caliper(
+                dist,
+                scores[t_rows],
+                scores[c_rows],
+                width_sd=config.caliper_width_sd,
+                penalty=config.caliper_penalty,
+                scale_scores=scores,
+            )
+            # The worker holds the only reference to the built matrix.
+            cell = _build_assignment(dist, _ids(work, t_rows), _ids(work, c_rows), key[1])
+            del dist
+            solves[key] = pool.submit(_solve_assignment, cell)
+            del cell
+            running.add(solves[key])
+
+    all_sets: list[MatchedSet] = []
+    for stratum, k in sorted(members):
+        if (stratum, k) not in solves:
+            dropped += [(s, REASON_UNMATCHED) for part in members[(stratum, k)] for s in _ids(work, part)]
+            continue
+        cell_sets, cell_dropped = solves[(stratum, k)].result()
         dropped.extend(cell_dropped)
         for treated_id, control_ids in cell_sets:
             all_sets.append(MatchedSet(treated_id=treated_id, control_ids=control_ids, stratum=stratum, interval=k))
@@ -453,6 +549,18 @@ def composition(result: MatchResult) -> dict[int, int]:
     for s in result.sets:
         out[len(s.control_ids)] += 1
     return out
+
+
+def _ids(table: SubjectTable, rows: np.ndarray) -> tuple[str, ...]:
+    return tuple(table.ids[i] for i in rows)
+
+
+def _worker_count() -> int:
+    """Cores this process may run on; the CPU count where the platform
+    cannot tell."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _dedupe_ledger(ledger: tuple[tuple[str, str], ...]) -> list[tuple[str, str]]:

@@ -299,12 +299,25 @@ def l1_kkt_violation(x: np.ndarray, z: np.ndarray, beta: np.ndarray, lam: float)
     return float(max(abs(grad[0]), gap.max(initial=0.0)))
 
 
+def _ranked_arms(rng: np.random.Generator, x: np.ndarray, scale: float) -> np.ndarray:
+    """Half the rows treated, ranked by a logistic index with normal
+    coefficients of the given scale."""
+    index = x @ rng.normal(scale=scale, size=x.shape[1]) + rng.logistic(size=x.shape[0])
+    return (np.argsort(np.argsort(index)) >= x.shape[0] // 2).astype(int)
+
+
+def _l1_certificate(x: np.ndarray, z: np.ndarray, lam: float) -> tuple[propensity.PropensityFit, float]:
+    """An L1 fit at one penalty and its KKT gap."""
+    fit = propensity.fit_l1(x, z, penalties=np.array([lam]), folds=2)
+    return fit, l1_kkt_violation(x, z, fit.beta, lam)
+
+
 def _check_l1_kkt(rng: np.random.Generator) -> OracleCheck:
     """KKT certificates of L1 fits on small instances, a third of them with an
-    all-zero column and a third with a duplicated one. The gap may reach the
-    solver's coefficient tolerance (1e-7) times n, the scale of the
-    curvature; exact finishes leave about 1e-13, duplicated columns, where
-    only the sweeps converge, up to about 5e-7."""
+    all-zero column and a third with a duplicated one, then a batch whose
+    fits saturate: some fitted probability below 1e-5, where the IRLS weights
+    are floored. The gap may reach the solver's coefficient tolerance (1e-7)
+    times n, the scale of the curvature; exact finishes leave about 1e-11."""
     worst = 0.0
     for trial in range(12):
         n = int(rng.integers(40, 81))
@@ -313,21 +326,40 @@ def _check_l1_kkt(rng: np.random.Generator) -> OracleCheck:
         if trial % 3 == 1:
             x[:, -1] = 0.0  # zero curvature
         elif trial % 3 == 2:
-            x[:, -1] = x[:, 0]  # singular Gram matrix once both copies are active
-        # Half the rows treated, ranked by a logistic index: signal in x, no
-        # fitted probability near the solver's clip, and no 2-fold split
-        # that leaves a fold with one arm.
-        index = x @ rng.normal(scale=0.5, size=p) + rng.logistic(size=n)
-        z = (np.argsort(np.argsort(index)) >= n // 2).astype(int)
+            x[:, -1] = x[:, 0]  # singular Gram matrix unless the copy is left out
+        # Signal in x, no fitted probability near the weight floor, and no
+        # 2-fold split that leaves a fold with one arm.
+        z = _ranked_arms(rng, x, 0.5)
         lam_max = propensity.l1_lambda_grid(x, z)[0]
         for frac in (1.0, 0.5, 0.2, 0.1):
-            fit = propensity.fit_l1(x, z, penalties=np.array([frac * lam_max]), folds=2)
-            gap = l1_kkt_violation(x, z, fit.beta, frac * lam_max)
+            fit, gap = _l1_certificate(x, z, frac * lam_max)
             worst = max(worst, gap)
             if not fit.converged or gap > 1e-7 * n:
                 detail = f"trial {trial}, penalty {frac} x max: KKT gap {gap:.3g}, converged {fit.converged}"
                 return OracleCheck("l1-kkt", False, detail)
-    return OracleCheck("l1-kkt", True, f"12 instances at 4 penalties, max KKT gap {worst:.2g}")
+
+    # Drawn after the instances above, so that those stay the same. A strong
+    # index and small penalties saturate about three fits in four; instances
+    # are drawn until four saturated fits have been certified.
+    saturated = instances = 0
+    while saturated < 4 and instances < 12:
+        n = int(rng.integers(40, 81))
+        p = int(rng.integers(2, 7))
+        x = rng.normal(size=(n, p))
+        z = _ranked_arms(rng, x, 4.0)
+        lam_max = propensity.l1_lambda_grid(x, z)[0]
+        for frac in (0.02, 0.01):
+            fit, gap = _l1_certificate(x, z, frac * lam_max)
+            worst = max(worst, gap)
+            if not fit.converged or gap > 1e-7 * n:
+                detail = f"saturating instance {instances}, penalty {frac} x max: KKT gap {gap:.3g}"
+                return OracleCheck("l1-kkt", False, f"{detail}, converged {fit.converged}")
+            saturated += float(np.minimum(fit.scores, 1.0 - fit.scores).min()) < 1e-5
+        instances += 1
+    if saturated < 4:
+        return OracleCheck("l1-kkt", False, f"{instances} saturating instances gave {saturated} saturated fits")
+    detail = f"12 instances at 4 penalties and {instances} at 2 ({saturated} fits saturated), max KKT gap {worst:.2g}"
+    return OracleCheck("l1-kkt", True, detail)
 
 
 def run_oracle_suite(seed: int = 0) -> list[OracleCheck]:

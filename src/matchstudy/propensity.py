@@ -259,24 +259,45 @@ def l1_lambda_grid(x: np.ndarray, z: np.ndarray, num: int = 50, ratio: float = 1
     return np.geomspace(lam_max, lam_max * ratio, num)
 
 
+def _distinct_columns(design: np.ndarray) -> np.ndarray:
+    """Indices, ascending, of the columns of ``design`` that are not exact
+    copies of an earlier column."""
+    first: dict[bytes, int] = {}
+    for j in range(design.shape[1]):
+        first.setdefault(design[:, j].tobytes(), j)
+    return np.array(sorted(first.values()))
+
+
 def _l1_path(x: np.ndarray, z: np.ndarray, penalties: np.ndarray):
     """Solutions at descending penalties, each warm-started from the last.
 
     Yields (beta, converged) per penalty. A penalty at least the max-norm of
     ``_null_gradient`` gets the intercept-only fit, with every covariate
     coefficient exactly 0, without iterating.
+
+    Columns that exactly copy an earlier column, the intercept included, are
+    left out of the solve: with both copies active the Gram matrix would be
+    singular and the exact finish could never be taken. Such solutions are
+    not unique, since copies may split their coefficient; the one returned
+    gives each group of copies' coefficient to its first column and 0 to the
+    others, which meets the KKT conditions of the full problem.
     """
     design = np.column_stack([np.ones(len(z)), x])
+    keep = _distinct_columns(design)
+    if keep.size < design.shape[1]:
+        design = design.take(keep, axis=1)
     zero_from = float(np.max(np.abs(_null_gradient(x, z))))
     zbar = z.mean()
     beta = np.zeros(design.shape[1])
     beta[0] = math.log(zbar / (1.0 - zbar))
     for lam in penalties:
-        if lam >= zero_from:
-            yield beta.copy(), True
-        else:
+        if lam < zero_from:
             beta, converged = _l1_coordinate_descent(design, z, lam, beta)
-            yield beta, converged
+        else:
+            converged = True
+        full = np.zeros(x.shape[1] + 1)
+        full[keep] = beta
+        yield full, converged
 
 
 def fit_l1(

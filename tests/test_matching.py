@@ -1,10 +1,13 @@
 import itertools
+import os
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 from scipy.special import expit, logit
 from scipy.stats import rankdata
 
@@ -150,6 +153,39 @@ class TestApplyCaliper:
                 assert not violating[names[0].index(t), names[1].index(c)]
 
 
+    @given(
+        n_t=st.one_of(
+            st.sampled_from([matching._CALIPER_ROWS - 1, matching._CALIPER_ROWS, matching._CALIPER_ROWS + 1]),
+            st.integers(1, 3 * matching._CALIPER_ROWS + 5),
+        ),
+        n_c=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+        width_sd=st.floats(0.0, 2.0),
+        penalty=st.one_of(st.none(), st.floats(0.0, 1e6)),
+        scaled=st.booleans(),
+    )
+    @example(n_t=1, n_c=200, seed=0, width_sd=0.1, penalty=None, scaled=False)
+    @example(n_t=200, n_c=1, seed=1, width_sd=0.1, penalty=3.0, scaled=True)
+    @settings(max_examples=80, deadline=None)
+    def test_blockwise_penalty_is_bit_identical_and_leaves_inputs(self, n_t, n_c, seed, width_sd, penalty, scaled):
+        rng = np.random.default_rng(seed)
+        d = rng.random((n_t, n_c)) * 10.0
+        s_t, s_c = rng.uniform(0.01, 0.99, size=n_t), rng.uniform(0.01, 0.99, size=n_c)
+        scale = rng.uniform(0.01, 0.99, size=7) if scaled else None
+        before = [a.copy() for a in (d, s_t, s_c)]
+        out = apply_caliper(d, s_t, s_c, width_sd=width_sd, penalty=penalty, scale_scores=scale)
+
+        lt, lc = logit(s_t), logit(s_c)
+        pool = logit(scale) if scaled else np.concatenate([lt, lc])
+        width = width_sd * float(np.std(pool, ddof=1))
+        pen = 1000.0 * float(d.mean()) if penalty is None else penalty
+        want = d + pen * np.maximum(np.abs(lt[:, None] - lc[None, :]) - width, 0)
+        assert out.dtype == want.dtype
+        np.testing.assert_array_equal(out, want)
+        for a, b in zip((d, s_t, s_c), before):
+            np.testing.assert_array_equal(a, b)
+
+
 class TestTrimCommonSupport:
     def test_low_treated_dropped(self):
         drop = trim_common_support(np.array([0.5, 0.05, 0.1, 0.4]), np.array([1, 1, 0, 0]))
@@ -248,6 +284,32 @@ class TestMatchBucket:
         matched_controls = sorted(c for _, cs in sets for c in cs)
         assert matched_controls == ["c1", "c2", "c3"]
         assert all(1 <= len(cs) <= 2 for _, cs in sets)
+
+    def test_inputs_left_unchanged(self):
+        # The oracles solve one distance matrix twice; the build must copy.
+        rng = np.random.default_rng(17)
+        for n_t, n_c, k in ((3, 2, 1), (2, 5, 4), (2, 9, 3), (30, 20, 1), (6, 40, 2)):
+            d = rng.random((n_t, n_c))
+            t_ids = tuple(f"t{i}" for i in range(n_t))
+            c_ids = tuple(f"c{j}" for j in range(n_c))
+            before = d.copy()
+            first = match_bucket(d, t_ids, c_ids, k)
+            np.testing.assert_array_equal(d, before)
+            assert match_bucket(d, t_ids, c_ids, k) == first
+
+    def test_scarce_cell_keeps_the_solvers_pairs(self):
+        # A cell with more treated subjects than controls reaches the solver
+        # as its transpose; the solver transposes a tall matrix itself, so
+        # the pairs are those it picks for the untransposed costs.
+        rng = np.random.default_rng(18)
+        d = rng.random((40, 25))
+        t_ids = tuple(f"t{i:02d}" for i in range(40))
+        c_ids = tuple(f"c{j:02d}" for j in range(25))
+        assert_not_folded(d, t_ids, c_ids, k=1)
+        rows, cols = linear_sum_assignment(np.round(d * matching._COST_SCALE))
+        sets, dropped = match_bucket(d, t_ids, c_ids, k=1)
+        assert sets == [(t_ids[r], (c_ids[c],)) for r, c in zip(rows, cols)]
+        assert len(dropped) == 15
 
     def test_empty_side_returns_everything_unmatched(self):
         sets, dropped = match_bucket(np.zeros((0, 2)), (), ("c1", "c2"), k=1)
@@ -423,6 +485,82 @@ class TestBuildMatch:
         ]
         sets = [MatchedSet(treated_id=ids[2], control_ids=(ids[6],), stratum="a", interval=1)]
         assert match_counts(table, sets, dropped) == MatchCounts(1, 2, 1, 0, 1, 1)
+
+    def test_worker_count_does_not_change_the_result(self, monkeypatch):
+        # Cells: (a,1) scarce, (a,3) intermediate and (b,2) surplus, all small
+        # enough for the tie-rule fold; (c,1) scarce, (d,1) and (d,2) surplus
+        # and (d,4) intermediate with dummy columns, all unfolded; (e,1) and
+        # (e,3) each lack an arm.
+        rng = np.random.default_rng(19)
+        bands = {1: (0.34, 0.89), 2: (0.26, 0.33), 3: (0.21, 0.249), 4: (0.171, 0.199)}
+        layout = {  # (stratum, interval): (treated, controls)
+            ("a", 1): (5, 3),
+            ("a", 3): (2, 4),
+            ("b", 2): (2, 6),
+            ("c", 1): (40, 25),
+            ("d", 1): (25, 40),
+            ("d", 2): (5, 30),
+            ("d", 4): (10, 25),
+            ("e", 1): (0, 3),
+            ("e", 3): (2, 0),
+        }
+        z, stratum, scores = [], [], []
+        for (name, k), (n_t, n_c) in layout.items():
+            z += [1] * n_t + [0] * n_c
+            stratum += [name] * (n_t + n_c)
+            scores += list(rng.uniform(*bands[k], size=n_t + n_c))
+            if (name, k) == ("d", 4):
+                scores[-1] = 0.17  # the lowest control score: the trim keeps every treated subject
+        z, scores = np.array(z), np.array(scores)
+        scores[0] = 0.9  # the highest treated score: the trim keeps every control
+        order = rng.permutation(z.size)
+        table = make_table(z[order], rng.normal(size=(z.size, 3)), stratum=np.array(stratum)[order])
+        fit, config = score_fit(scores[order]), MatchConfig(comparison="c")
+
+        pools = []
+
+        class SpyPool(matching.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(matching, "ThreadPoolExecutor", SpyPool)
+        results = []
+        switch = sys.getswitchinterval()
+        for cores in (1, 3):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cores: set(range(n)), raising=False)
+            sys.setswitchinterval(1e-6)
+            try:
+                results.append(build_match(table, fit, config))
+            finally:
+                sys.setswitchinterval(switch)
+        assert pools == [1, 3]
+        serial, pooled = results
+        assert pooled.sets == serial.sets
+        assert pooled.dropped == serial.dropped
+        assert pooled.counts == serial.counts
+        assert not any(reason == REASON_COMMON_SUPPORT for _, reason in serial.dropped)
+        assert {(s.stratum, s.interval) for s in serial.sets} == {key for key in layout if key[0] != "e"}
+
+        # One match_bucket call per cell, in cell order.
+        sets, dropped = [], []
+        cells = sorted({(table.stratum[i], int(propensity_interval(fit.scores[i]))) for i in range(table.n)})
+        for name, k in cells:
+            rows = [i for i in range(table.n) if (table.stratum[i], propensity_interval(fit.scores[i])) == (name, k)]
+            t_rows = sorted((i for i in rows if table.z[i] == 1), key=lambda i: table.ids[i])
+            c_rows = sorted((i for i in rows if table.z[i] == 0), key=lambda i: table.ids[i])
+            t_ids = tuple(table.ids[i] for i in t_rows)
+            c_ids = tuple(table.ids[i] for i in c_rows)
+            if not t_rows or not c_rows:
+                dropped += [(s, REASON_UNMATCHED) for s in t_ids + c_ids]
+                continue
+            d = rank_mahalanobis(table.covariates[t_rows], table.covariates[c_rows])
+            d = apply_caliper(d, fit.scores[t_rows], fit.scores[c_rows], scale_scores=fit.scores)
+            cell_sets, cell_dropped = match_bucket(d, t_ids, c_ids, k)
+            sets += [MatchedSet(t, cs, name, k) for t, cs in cell_sets]
+            dropped += cell_dropped
+        assert serial.sets == tuple(sorted(sets, key=lambda s: (s.stratum, s.interval, s.treated_id)))
+        assert serial.dropped == tuple(dropped)
 
     def test_sets_never_cross_strata(self):
         rng = np.random.default_rng(10)

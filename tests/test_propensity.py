@@ -229,23 +229,25 @@ class TestFitL1:
         assert finish(twin, np.array([0.0, 2.0, 2.0]), np.array([0.0, 0.1, 0.1]), 1.0, both) is None
 
     def test_duplicated_column_gives_finite_kkt_solutions(self):
-        # once both copies are active the active Gram matrix is singular, so
-        # the exact finish must stand aside and the sweeps finish the job
+        # Both copies active would make the active Gram matrix singular and
+        # rule out the exact finish; the copy and a column copying the
+        # intercept are left out of the solve and read 0.
         x, z = logistic_data(seed=23, n=200, coefs=[0.8, -0.5, 0.3])
-        dup = np.column_stack([x, x[:, 0]])
+        dup = np.column_stack([x, x[:, 0], np.ones(len(z))])
         fit = fit_l1(dup, z, seed=1)
         assert fit.converged
         assert np.isfinite(fit.scores).all()
-        assert_l1_kkt(dup, z, fit.beta, fit.diagnostics["penalty"])
+        assert l1_kkt_violation(dup, z, fit.beta, fit.diagnostics["penalty"]) < 1e-9
+        np.testing.assert_array_equal(fit.beta[-2:], 0.0)
         grid = l1_lambda_grid(dup, z)
         for lam, (beta, converged) in zip(grid, propensity._l1_path(dup, z.astype(float), grid)):
             assert converged
-            assert np.isfinite(beta).all()
-            assert_l1_kkt(dup, z, beta, lam)
+            assert l1_kkt_violation(dup, z, beta, lam) < 1e-9
+            np.testing.assert_array_equal(beta[-2:], 0.0)
         # the lasso's fitted values are unique: a copied column changes none
         ref = fit_l1(x, z, seed=1)
         assert fit.diagnostics["penalty"] == pytest.approx(ref.diagnostics["penalty"], rel=1e-12)
-        np.testing.assert_allclose(fit.scores, ref.scores, atol=1e-6)
+        np.testing.assert_allclose(fit.scores, ref.scores, atol=1e-12)
 
     def test_iteration_cap_reported(self, monkeypatch):
         x, z = logistic_data(seed=7, n=250, coefs=[0.9, 0.0, 0.0, -0.6, 0.0])
