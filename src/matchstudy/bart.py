@@ -4,8 +4,12 @@ backfitting with Metropolis tree moves (grow / prune / change).
 Continuous responses are standardized to [-0.5, 0.5] internally and the leaf
 prior is N(0, (0.5/(k*sqrt(m)))^2); the residual variance gets a scaled
 inverse-chi-square prior calibrated so the q-quantile of the prior sd sits at
-the sample sd. Binary responses use the probit augmentation: latent normals
-with unit variance, truncated by the observed class.
+the sample sd. The chi-square quantile this needs is 2 * gammaincinv(nu/2,
+1 - q), the inverse regularized incomplete gamma function from
+``scipy.special``; that is the formula ``scipy.stats.chi2.ppf`` evaluates,
+so the prior is the same to the bit without loading ``scipy.stats``. Binary
+responses use the probit augmentation: latent normals with unit variance,
+truncated by the observed class.
 
 Split candidates are the observed unique values of each covariate (excluding
 each column's maximum, which cannot separate anything); proposals that would
@@ -19,8 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
-from scipy.stats import chi2
+from scipy.special import gammaincinv, ndtr, ndtri
 
 
 @dataclass(frozen=True)
@@ -425,7 +428,8 @@ def fit_bart_regression(
     sampler = _Sampler(x, params, leaf_sd, seed)
     sd_hat = float(np.std(y_std, ddof=1)) if n > 1 else 0.5
     nu = params.sigma_prior_df
-    lam = sd_hat * sd_hat * float(chi2.ppf(1.0 - params.sigma_prior_quantile, nu)) / nu
+    chi2_quantile = 2.0 * float(gammaincinv(nu / 2.0, 1.0 - params.sigma_prior_quantile))
+    lam = sd_hat * sd_hat * chi2_quantile / nu
     sigma2 = sd_hat * sd_hat
 
     sigma_draws = np.empty(params.draws)

@@ -243,55 +243,71 @@ def load_subjects(path: str, schema: CovariateSchema, options: LoadOptions) -> S
             raise SchemaError(f"{path}: missing required column {name!r}")
 
     n = len(rows)
-    ids = []
-    z = np.zeros(n, dtype=np.int64)
-    stratum = []
-    p = len(schema.names)
-    q = len(options.outcome_columns)
-    covs = np.full((n, p), np.nan)
-    cov_miss = np.zeros((n, p), dtype=bool)
-    outs = np.full((n, q), np.nan)
-    out_miss = np.zeros((n, q), dtype=bool)
+    n_fields = len(header)
+    id_at, z_at, stratum_at = col[options.id_column], col[options.treatment_column], col[options.stratum_column]
+    value_names = schema.names + tuple(options.outcome_columns)
+    value_at = [col[name] for name in value_names]
+    width = len(value_names)
+    missing = options.missing_token
     aux: dict[str, list[str]] = {name: [] for name in options.aux_columns}
+    aux_columns = [(col[name], aux[name]) for name in options.aux_columns]
+    ids: list[str] = []
+    z: list[int] = []
+    stratum: list[str] = []
+    cells: list[str] = []  # covariate then outcome cells, row after row
 
-    def parse(cell: str, row_i: int, name: str) -> tuple[float, bool]:
-        if cell == options.missing_token:
-            return math.nan, True
+    def parse_cells() -> list[float]:
+        """The cells collected so far as floats, NaN where missing; raises at
+        the first unparseable one."""
         try:
-            return float(cell), False
+            return [math.nan if cell == missing else float(cell) for cell in cells]
         except ValueError:
-            raise ValidationError(f"{path}: row {row_i}: unparseable value {cell!r} in column {name!r}") from None
+            for k, cell in enumerate(cells):
+                if cell != missing:
+                    try:
+                        float(cell)
+                    except ValueError:
+                        name = value_names[k % width]
+                        raise ValidationError(
+                            f"{path}: row {k // width}: unparseable value {cell!r} in column {name!r}"
+                        ) from None
+            raise
 
+    # Value cells are parsed after the row loop, in one pass. A row that fails
+    # its own checks first parses the rows before it, so the error reported is
+    # still the first one in row order.
     for i, row in enumerate(rows):
-        if len(row) != len(header):
-            raise ValidationError(f"{path}: row {i}: expected {len(header)} fields, got {len(row)}")
-        ids.append(row[col[options.id_column]])
-        z_cell = row[col[options.treatment_column]]
+        if len(row) != n_fields:
+            parse_cells()
+            raise ValidationError(f"{path}: row {i}: expected {n_fields} fields, got {len(row)}")
+        z_cell = row[z_at]
         try:
             z_val = float(z_cell)
         except ValueError:
             z_val = -1.0
         if z_val not in (0.0, 1.0):
+            parse_cells()
             raise ValidationError(f"{path}: row {i}: non-binary treatment value {z_cell!r}")
-        z[i] = int(z_val)
-        stratum.append(row[col[options.stratum_column]])
-        for j, name in enumerate(schema.names):
-            covs[i, j], cov_miss[i, j] = parse(row[col[name]], i, name)
-        for j, name in enumerate(options.outcome_columns):
-            outs[i, j], out_miss[i, j] = parse(row[col[name]], i, name)
-        for name in options.aux_columns:
-            aux[name].append(row[col[name]])
+        ids.append(row[id_at])
+        z.append(int(z_val))
+        stratum.append(row[stratum_at])
+        cells.extend([row[j] for j in value_at])
+        for j, column in aux_columns:
+            column.append(row[j])
 
+    values = np.array(parse_cells(), dtype=float).reshape(n, width)
+    flags = np.array([cell == missing for cell in cells], dtype=bool).reshape(n, width)
+    p = len(schema.names)
     return SubjectTable(
         ids=tuple(ids),
-        z=z,
+        z=np.array(z, dtype=np.int64),
         stratum=tuple(stratum),
         covariate_names=schema.names,
-        covariates=covs,
-        covariate_missing=cov_miss,
+        covariates=values[:, :p].copy(),
+        covariate_missing=flags[:, :p].copy(),
         outcome_names=tuple(options.outcome_columns),
-        outcomes=outs,
-        outcome_missing=out_miss,
+        outcomes=values[:, p:].copy(),
+        outcome_missing=flags[:, p:].copy(),
         aux={k: tuple(v) for k, v in aux.items()},
     )
 
@@ -485,9 +501,9 @@ def attrition_check(table: SubjectTable, outcome: str) -> AttritionResult:
     se = math.sqrt(max(cov[-1, -1], 0.0))
     if se == 0.0:
         return AttritionResult(coef=coef, p=math.nan, separation=True)
-    from scipy.stats import norm
+    from scipy.special import ndtr
 
-    p = 2.0 * float(norm.sf(abs(coef) / se))
+    p = 2.0 * float(ndtr(-abs(coef) / se))
     return AttritionResult(coef=coef, p=min(p, 1.0), separation=False)
 
 

@@ -14,8 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln
-from scipy.stats import norm
+from scipy.special import gammaln, ndtr
 
 from .dataset import SubjectTable
 from .matching import MatchResult
@@ -225,8 +224,8 @@ def permutational_t_test(
             p_upper = p_lower = 1.0
         else:
             deviate = (t_obs - mean) / math.sqrt(var)
-            p_upper = float(norm.sf(deviate))
-            p_lower = float(norm.cdf(deviate))
+            p_upper = float(ndtr(-deviate))
+            p_lower = float(ndtr(deviate))
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
@@ -365,7 +364,7 @@ def conditional_logistic(y: np.ndarray, z: np.ndarray, sets: tuple[np.ndarray, .
     u = float(np.sum(t - mean0))
     v = float(np.sum(mean0 * (1.0 - mean0)))
     statistic = u / math.sqrt(v)
-    p = 2.0 * float(norm.sf(abs(statistic)))
+    p = 2.0 * float(ndtr(-abs(statistic)))
 
     # Newton on the conditional log-likelihood; log C(n-1, d-1) - log C(n-1, d)
     # gives each set's baseline log-odds shift.
@@ -425,8 +424,8 @@ def event_tail_probabilities(probs: np.ndarray, t_obs: int, mode: str) -> tuple[
         if var <= 0.0:
             return 1.0, 1.0
         sd = math.sqrt(var)
-        upper = float(norm.sf((t_obs - 0.5 - mean) / sd))
-        lower = float(norm.cdf((t_obs + 0.5 - mean) / sd))
+        upper = float(ndtr(-((t_obs - 0.5 - mean) / sd)))
+        lower = float(ndtr((t_obs + 0.5 - mean) / sd))
         return upper, lower
     raise ValueError(f"unknown mode {mode!r}")
 

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.special import logit
-from scipy.stats import rankdata
 
 from .dataset import SubjectTable, drop_missingness_determined
 from .propensity import PropensityFit
@@ -136,7 +135,9 @@ def rank_mahalanobis(x_treated: np.ndarray, x_control: np.ndarray) -> np.ndarray
     Columns are converted to average ranks over the pooled sample; the rank
     covariance (ddof=1) is regularized by adding 1e-8 * trace/p to the
     diagonal. Covariates that are constant in the pooled sample carry no rank
-    information and are dropped with a warning.
+    information and are dropped with a warning. A NaN or infinite value
+    raises ``ValueError`` naming its column: it has no rank, and missing
+    values are imputed before matching.
 
     The ranks are centred on their pooled mean and whitened with the
     eigendecomposition of the regularized covariance, so each distance is the
@@ -151,7 +152,10 @@ def rank_mahalanobis(x_treated: np.ndarray, x_control: np.ndarray) -> np.ndarray
     x_control = np.atleast_2d(np.asarray(x_control, dtype=float))
     n_t, n_c = x_treated.shape[0], x_control.shape[0]
     pooled = np.vstack([x_treated, x_control])
-    ranks = rankdata(pooled, axis=0, method="average")
+    finite = np.isfinite(pooled).all(axis=0)
+    if not finite.all():
+        raise ValueError(f"non-finite value in distance covariate column {int(np.argmin(finite))}")
+    ranks = _average_ranks(pooled)
     spread = ranks.max(axis=0) - ranks.min(axis=0)
     keep = spread > 0
     if not keep.all():
@@ -171,6 +175,29 @@ def rank_mahalanobis(x_treated: np.ndarray, x_control: np.ndarray) -> np.ndarray
     dist += np.einsum("ij,ij->i", wt, wt)[:, None]
     dist += np.einsum("ij,ij->i", wc, wc)[None, :]
     return np.maximum(dist, 0.0, out=dist)
+
+
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks down each column of ``x``; tied values share the mean
+    of their positions.
+
+    Each tie group starting at sorted position ``first`` with ``count``
+    members gets ``first + (count - 1) / 2 + 1``, an exact half-integer, so
+    the order of equal values inside the sort does not matter and the fast
+    unstable sort serves.
+    """
+    cols = x.T
+    order = np.argsort(cols, axis=1)
+    ordered = np.take_along_axis(cols, order, axis=1)
+    starts = np.empty(ordered.shape, dtype=bool)
+    starts[:, :1] = True
+    np.not_equal(ordered[:, 1:], ordered[:, :-1], out=starts[:, 1:])
+    first = np.flatnonzero(starts)
+    count = np.diff(first, append=ordered.size)
+    ranks = np.repeat(first % ordered.shape[1] + (count - 1) / 2.0 + 1.0, count).reshape(ordered.shape)
+    out = np.empty(ordered.shape)
+    np.put_along_axis(out, order, ranks, axis=1)
+    return out.T
 
 
 def apply_caliper(

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.special import expit
-from scipy.stats import norm
+from scipy.special import expit, ndtr
 
 from . import inference, matching, propensity, sensitivity
 
@@ -149,7 +148,7 @@ def sensitivity_grid_max_p(
     degenerate = nus <= 0.0
     p[degenerate] = (mus[degenerate] >= t_obs).astype(float)
     ok = ~degenerate
-    p[ok] = norm.sf((t_obs - mus[ok]) / np.sqrt(nus[ok]))
+    p[ok] = ndtr((mus[ok] - t_obs) / np.sqrt(nus[ok]))
     return float(p.max())
 
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .inference import MH_EXACT_LIMIT, _binary_set_margins, event_tail_probabilities, set_means, set_segments
 
@@ -99,7 +99,7 @@ def sensitivity_residual(
         deviate = 0.0
     else:
         deviate = (sign * t_obs - mu_total) / math.sqrt(nu_total)
-        p_one = float(norm.sf(deviate))
+        p_one = float(ndtr(-deviate))
     return SensitivityBound(
         gamma=gamma,
         p_one_sided=p_one,

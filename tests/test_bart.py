@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtr
+from scipy.special import gammaincinv, ndtr
 from scipy.stats import chi2
 
 from matchstudy import bart
@@ -61,6 +61,32 @@ class TestParams:
         # ZeroDivisionError, TypeError inside numpy) or run silently
         with pytest.raises(ValueError):
             BartParams(**kwargs)
+
+
+class TestSigmaPriorQuantile:
+    """The sigma prior takes its chi-square quantile as 2 * gammaincinv(nu/2, q)
+    from scipy.special; scipy.stats.chi2.ppf is only the oracle."""
+
+    @staticmethod
+    def bits(q, nu):
+        return (2.0 * gammaincinv(np.divide(nu, 2.0), q)).tobytes(), np.asarray(chi2.ppf(q, nu), dtype=float).tobytes()
+
+    def test_equals_chi2_ppf_at_the_defaults(self):
+        params = BartParams()
+        q, nu = 1.0 - params.sigma_prior_quantile, params.sigma_prior_df
+        ours, oracle = self.bits(q, nu)
+        assert ours == oracle
+
+    def test_equals_chi2_ppf_on_a_grid(self):
+        rng = np.random.default_rng(0)
+        qq, nn = np.meshgrid(
+            np.concatenate([np.linspace(0.001, 0.999, 97), [1e-12, 1e-6, 0.5, 1 - 1e-9]]),
+            np.concatenate([[0.05, 0.5, 1.0, 2.0, 3.0, 3.5, 5.0, 10.0, 30.0, 100.0, 1000.0], rng.uniform(0.01, 60.0, 20)]),
+        )
+        q = np.concatenate([qq.ravel(), rng.random(3000)])
+        nu = np.concatenate([nn.ravel(), rng.uniform(0.01, 50.0, 3000)])
+        ours, oracle = self.bits(q, nu)
+        assert ours == oracle
 
 
 class TestRegression:

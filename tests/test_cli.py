@@ -2,11 +2,14 @@ import copy
 import hashlib
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy
 
+import matchstudy
 from matchstudy import pipeline
 from matchstudy.cli import main
 from matchstudy.config import config_from_dict, default_config, default_config_dict, load_config
@@ -352,3 +355,36 @@ class TestOracle:
         out = capsys.readouterr().out
         assert out.count("PASS") >= 3
         assert "FAIL" not in out
+
+
+# Run in a fresh interpreter: this test process has loaded scipy.stats itself.
+_SCIPY_STATS_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import matchstudy, matchstudy.cli
+from matchstudy.config import config_from_dict
+from matchstudy.pipeline import run_pipeline
+
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy.stats" or m.startswith("scipy.stats."))
+
+after_import = loaded()
+run_pipeline(config_from_dict(json.loads(sys.argv[2])))
+print(json.dumps({"after_import": after_import, "after_run": loaded()}))
+"""
+
+
+class TestImports:
+    def test_runtime_never_loads_scipy_stats(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(matchstudy.__file__)))
+        out_dir = os.path.join(str(tmp_path), "out")
+        proc = subprocess.run(
+            [sys.executable, "-c", _SCIPY_STATS_PROBE, src, json.dumps(reduced_config_dict(out_dir))],
+            cwd=str(tmp_path),
+            capture_output=True,
+            text=True,
+            timeout=600,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == {"after_import": [], "after_run": []}
+        assert os.path.exists(os.path.join(out_dir, "manifest.txt"))

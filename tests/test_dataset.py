@@ -1,8 +1,10 @@
+import csv
 import dataclasses
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from matchstudy.dataset import (
@@ -34,6 +36,98 @@ OPTS = LoadOptions(treatment_column="treated", stratum_column="stratum")
 def write_csv(path, text):
     path.write_text(text)
     return str(path)
+
+
+def reference_load(path, schema, options):
+    """Row-by-row reading with a check per cell, in the order the loader
+    reports errors: field count, treatment, covariates, outcomes."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh, delimiter=options.delimiter)
+        header = next(reader)
+        rows = list(reader)
+    col = {name: i for i, name in enumerate(header)}
+    n, p, q = len(rows), len(schema.names), len(options.outcome_columns)
+    z = np.zeros(n, dtype=np.int64)
+    covs, cov_miss = np.full((n, p), np.nan), np.zeros((n, p), dtype=bool)
+    outs, out_miss = np.full((n, q), np.nan), np.zeros((n, q), dtype=bool)
+    ids, stratum, aux = [], [], {name: [] for name in options.aux_columns}
+
+    def parse(cell, i, name):
+        if cell == options.missing_token:
+            return math.nan, True
+        try:
+            return float(cell), False
+        except ValueError:
+            raise ValidationError(f"{path}: row {i}: unparseable value {cell!r} in column {name!r}") from None
+
+    for i, row in enumerate(rows):
+        if len(row) != len(header):
+            raise ValidationError(f"{path}: row {i}: expected {len(header)} fields, got {len(row)}")
+        ids.append(row[col[options.id_column]])
+        z_cell = row[col[options.treatment_column]]
+        try:
+            z_val = float(z_cell)
+        except ValueError:
+            z_val = -1.0
+        if z_val not in (0.0, 1.0):
+            raise ValidationError(f"{path}: row {i}: non-binary treatment value {z_cell!r}")
+        z[i] = int(z_val)
+        stratum.append(row[col[options.stratum_column]])
+        for j, name in enumerate(schema.names):
+            covs[i, j], cov_miss[i, j] = parse(row[col[name]], i, name)
+        for j, name in enumerate(options.outcome_columns):
+            outs[i, j], out_miss[i, j] = parse(row[col[name]], i, name)
+        for name in options.aux_columns:
+            aux[name].append(row[col[name]])
+    return SubjectTable(
+        ids=tuple(ids),
+        z=z,
+        stratum=tuple(stratum),
+        covariate_names=schema.names,
+        covariates=covs,
+        covariate_missing=cov_miss,
+        outcome_names=tuple(options.outcome_columns),
+        outcomes=outs,
+        outcome_missing=out_miss,
+        aux={k: tuple(v) for k, v in aux.items()},
+    )
+
+
+def table_bytes(table):
+    arrays = (table.z, table.covariates, table.covariate_missing, table.outcomes, table.outcome_missing)
+    return (
+        (table.ids, table.stratum, table.covariate_names, table.outcome_names, table.aux),
+        [(a.dtype.str, a.shape, a.strides, a.tobytes()) for a in arrays],
+    )
+
+
+def outcome_of(load, path, schema, options):
+    try:
+        return table_bytes(load(path, schema, options))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+#: Cells that parse, the missing token, text that float() reads as NaN or
+#: infinity, and text that does not parse.
+VALUE_CELLS = ("0.5", "-1e300", "2", " 3 ", "NA", "nan", "-inf", "x", "")
+TREATMENT_CELLS = ("0", "1", "1.0", "0", "1", "2", "yes", "nan")
+
+
+@st.composite
+def cohort_files(draw):
+    rows = []
+    for i in range(draw(st.integers(0, 6))):
+        row = [f"s{i}", draw(st.sampled_from(TREATMENT_CELLS)), draw(st.sampled_from(("a", "b")))]
+        row += draw(st.lists(st.sampled_from(VALUE_CELLS), min_size=4, max_size=4))
+        row.append(draw(st.sampled_from(("g", "h"))))
+        cut = draw(st.sampled_from((None,) * 8 + (-1, 1)))
+        if cut == -1:
+            row = row[:-1]
+        elif cut == 1:
+            row.append("extra")
+        rows.append(",".join(row))
+    return "\n".join(["id,treated,stratum,x1,x2,y,y2,group", *rows]) + "\n"
 
 
 class TestLoadSubjects:
@@ -89,6 +183,23 @@ class TestLoadSubjects:
         p2 = tmp_path / "b.csv"
         save_subjects(loaded, str(p2), opts)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+    @given(text=cohort_files())
+    @example(text="id,treated,stratum,x1,x2,y,y2,group\ns0,1,a,0.5,x,2,2,g\ns1,2,a,0.5,2,2,2,g\n")
+    @example(text="id,treated,stratum,x1,x2,y,y2,group\ns0,1,a,0.5,2,2,2,g\ns1,2,a,x,2,2,2,g\n")
+    @example(text="id,treated,stratum,x1,x2,y,y2,group\ns0,1,a,0.5,2,x,2,g\ns1,1,a,2,2,2\n")
+    @example(text="id,treated,stratum,x1,x2,y,y2,group\ns0,1,a,NA,nan,NA,-inf,g\ns1,0,b,2,NA,2,2,h\n")
+    @settings(max_examples=300, deadline=None)
+    def test_same_table_or_error_as_the_row_by_row_reference(self, tmp_path_factory, text):
+        path = write_csv(tmp_path_factory.getbasetemp() / "load_subjects_examples.csv", text)
+        opts = dataclasses.replace(OPTS, outcome_columns=("y", "y2"), aux_columns=("group",))
+        assert outcome_of(load_subjects, path, SCHEMA2, opts) == outcome_of(reference_load, path, SCHEMA2, opts)
+
+    def test_unparseable_cell_named_by_row_and_column(self, tmp_path):
+        path = write_csv(tmp_path / "t.csv", "id,treated,stratum,x1,x2\na,1,s1,0.5,1\nb,0,s1,0.5,?\nc,3,s1,0.5,1\n")
+        with pytest.raises(ValidationError, match=r"row 1: unparseable value '\?' in column 'x2'"):
+            load_subjects(path, SCHEMA2, OPTS)
 
 
 class TestScaleCovariates:

@@ -4,6 +4,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 from scipy.stats import binom, norm
 
 from matchstudy.inference import (
@@ -518,3 +519,30 @@ class TestEventTails:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
             event_tail_probabilities(np.array([0.5]), 0, "saddlepoint")
+
+
+class TestNormalTails:
+    """Normal tails come from scipy.special.ndtr in inference, sensitivity,
+    the oracles and the attrition check: sf(x) as ndtr(-x), cdf(x) as ndtr(x).
+    scipy.stats.norm is only the oracle."""
+
+    SPECIAL = [0.0, -0.0, np.inf, -np.inf, 40.0, -40.0, 38.5, -38.5, 8.3, -8.3, 1e300, -1e300, 5e-324, -5e-324, np.nan]
+
+    def grid(self):
+        rng = np.random.default_rng(0)
+        return np.concatenate(
+            [rng.normal(size=200_000), rng.normal(scale=15.0, size=20_000), np.linspace(-45.0, 45.0, 9001), self.SPECIAL]
+        )
+
+    def test_sf_is_ndtr_of_the_negation(self):
+        x = self.grid()
+        assert ndtr(-x).tobytes() == norm.sf(x).tobytes()
+
+    def test_cdf_is_ndtr(self):
+        x = self.grid()
+        assert ndtr(x).tobytes() == norm.cdf(x).tobytes()
+
+    def test_python_float_arguments(self):
+        for v in self.SPECIAL:
+            assert np.float64(ndtr(-v)).tobytes() == np.float64(norm.sf(v)).tobytes(), v
+            assert np.float64(ndtr(v)).tobytes() == np.float64(norm.cdf(v)).tobytes(), v

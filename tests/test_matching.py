@@ -1,7 +1,9 @@
 import itertools
 import os
 import sys
+import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -112,6 +114,61 @@ class TestRankMahalanobis:
             d = rank_mahalanobis(xt, xc)
         assert d.shape == (2, 1)
         assert np.isfinite(d).all()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_names_its_column(self, bad):
+        rng = np.random.default_rng(3)
+        xt, xc = rng.normal(size=(4, 3)), rng.normal(size=(5, 3))
+        xt[2, 1] = bad
+        with pytest.raises(ValueError, match="column 1"):
+            rank_mahalanobis(xt, xc)
+
+    def test_row_of_nans_is_an_error(self):
+        rng = np.random.default_rng(4)
+        xt, xc = rng.normal(size=(4, 3)), rng.normal(size=(5, 3))
+        xc[2, :] = np.nan
+        with pytest.raises(ValueError, match="column 0"):
+            rank_mahalanobis(xt, xc)
+
+
+#: Few distinct values, so columns are heavily tied; signed zeros tie too.
+TIED_VALUES = (-1e300, -2.5, -0.0, 0.0, 1.0, 1.0 + 2.0**-52, 3.0, 1e300)
+
+
+@st.composite
+def tied_matrices(draw):
+    n, p = draw(st.integers(1, 30)), draw(st.integers(1, 5))
+    levels = draw(st.lists(st.sampled_from(TIED_VALUES), min_size=1, max_size=4, unique=True))
+    cells = draw(st.lists(st.sampled_from(levels), min_size=n * p, max_size=n * p))
+    return np.array(cells, dtype=float).reshape(n, p)
+
+
+class TestAverageRanks:
+    def rankdata_ranks(self, x):
+        return rankdata(x, axis=0, method="average")
+
+    @given(x=tied_matrices())
+    @example(x=np.array([[2.0]]))
+    @example(x=np.array([[1.0, 0.0, -0.0]]))
+    @example(x=np.array([[1.0], [0.0], [1.0], [1.0]]))
+    @example(x=np.full((6, 2), 7.0))
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_rankdata(self, x):
+        ours, want = matching._average_ranks(x), self.rankdata_ranks(x)
+        assert ours.dtype == want.dtype and ours.shape == want.shape and ours.strides == want.strides
+        assert ours.tobytes() == want.tobytes()
+
+    @given(xt=tied_matrices(), xc=tied_matrices())
+    @settings(max_examples=100, deadline=None)
+    def test_distances_unchanged_from_rankdata_ranks(self, xt, xc):
+        p = min(xt.shape[1], xc.shape[1])
+        xt, xc = xt[:, :p], xc[:, :p]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ours = rank_mahalanobis(xt, xc)
+            with mock.patch.object(matching, "_average_ranks", self.rankdata_ranks):
+                want = rank_mahalanobis(xt, xc)
+        assert ours.tobytes() == want.tobytes()
 
 
 class TestApplyCaliper:
