@@ -378,9 +378,35 @@ def fit_l1(
 #: Prior sd for the intercept; covariate coefficients get a standard normal.
 _INTERCEPT_PRIOR_SD = 10.0
 
+#: Posterior draws scored at a time by ``_posterior_mean_scores``; the work
+#: array is this many rows long whatever the draw count.
+_SCORE_BLOCK = 256
+
 
 def _log_posterior(design: np.ndarray, z: np.ndarray, beta: np.ndarray, prior_prec: np.ndarray) -> float:
     return _loglik(design, z, beta) - 0.5 * float(beta @ (prior_prec * beta))
+
+
+def _posterior_mean_scores(beta_draws: np.ndarray, design: np.ndarray) -> np.ndarray:
+    """Mean of expit(design @ beta) over the rows beta of ``beta_draws``.
+
+    Scores ``_SCORE_BLOCK`` draws at a time and adds their rows to one
+    length-n sum in draw order, so memory is O(block * n), not O(draws * n).
+    Given the same block products, the result is bitwise equal to
+    ``expit(beta_draws @ design.T).mean(axis=0)``: numpy adds the rows of an
+    axis-0 reduction in that order too.
+    """
+    if design.shape[0] == 1:
+        # numpy sums a single column pairwise, not row by row; one row's
+        # product is no larger than the chain, so reduce it whole.
+        return expit(beta_draws @ design.T).mean(axis=0)
+    total = np.zeros(design.shape[0])
+    for start in range(0, len(beta_draws), _SCORE_BLOCK):
+        probs = beta_draws[start : start + _SCORE_BLOCK] @ design.T
+        expit(probs, out=probs)
+        for row in probs:
+            total += row
+    return total / len(beta_draws)
 
 
 def fit_bayes(
@@ -396,8 +422,21 @@ def fit_bayes(
     Random-walk Metropolis preconditioned by the Laplace approximation at the
     posterior mode; the step scale adapts toward the target acceptance rate
     during burn-in only, so the retained chain is a valid fixed kernel.
-    Fitted scores are posterior means of expit(x'beta) over retained draws.
+    Fitted scores are posterior means of expit(x'beta) over retained draws,
+    computed ``_SCORE_BLOCK`` (256) draws at a time and summed in draw
+    order: beyond the (draws, p + 1) chain, scoring takes O(block * n)
+    memory, not O(draws * n).
+
+    Raises ``ValueError`` unless ``draws`` is an integer >= 1, ``burn_in``
+    an integer >= 0 and ``0 < target_acceptance < 1``.
     """
+    counts = (draws, burn_in)
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool) for v in counts):
+        raise ValueError("draws and burn_in must be integers")
+    if draws < 1 or burn_in < 0:
+        raise ValueError("draws >= 1 and burn_in >= 0 required")
+    if not 0.0 < target_acceptance < 1.0:
+        raise ValueError("target_acceptance must lie in (0, 1)")
     x, z = _check_inputs(x, z)
     n, p = x.shape
     design = np.column_stack([np.ones(n), x])
@@ -445,7 +484,7 @@ def fit_bayes(
     acceptance = accepts_total / draws
     if not 0.05 <= acceptance <= 0.95:
         warnings.warn(f"Metropolis acceptance rate {acceptance:.3f} outside [0.05, 0.95]", stacklevel=2)
-    scores = _clip_scores(expit(kept @ design.T).mean(axis=0))
+    scores = _clip_scores(_posterior_mean_scores(kept, design))
     return PropensityFit(
         method=BAYES,
         scores=scores,
@@ -469,8 +508,10 @@ def predict(fit: PropensityFit, x: np.ndarray) -> np.ndarray:
     """Score new subjects with a fitted model (method-consistent).
 
     For point-estimate methods this is expit(x'beta); for bayes the mean of
-    expit over retained draws. A bart fit keeps only its in-sample scores, not
-    its trees, so it cannot score new rows: ``ValueError``.
+    expit over retained draws, computed as ``fit_bayes`` computes its scores,
+    so the training rows give ``fit.scores`` bitwise. A bart fit keeps only
+    its in-sample scores, not its trees, so it cannot score new rows:
+    ``ValueError``.
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
@@ -479,8 +520,7 @@ def predict(fit: PropensityFit, x: np.ndarray) -> np.ndarray:
     if fit.method in (MLE, L1):
         scores = expit(fit.beta[0] + x @ fit.beta[1:])
     elif fit.method == BAYES:
-        eta = fit.beta_draws[:, 0][:, None] + fit.beta_draws[:, 1:] @ x.T
-        scores = expit(eta).mean(axis=0)
+        scores = _posterior_mean_scores(fit.beta_draws, np.column_stack([np.ones(len(x)), x]))
     else:
         raise ValueError(f"predict scores mle, l1 and bayes fits, not {fit.method!r}")
     scores = _clip_scores(scores)

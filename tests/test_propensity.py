@@ -1,7 +1,10 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from matchstudy import pipeline, propensity
@@ -302,6 +305,73 @@ class TestFitBayes:
 
         assert abs(fit.beta[1] - mean1) < 3 * sd1
 
+    @pytest.mark.parametrize("draws", [0, -1, 2.0, True])
+    def test_bad_draws_rejected(self, draws):
+        x, z = logistic_data(seed=19, n=40, coefs=[0.5])
+        with pytest.raises(ValueError, match="draws"):
+            fit_bayes(x, z, draws=draws, burn_in=10)
+
+    @pytest.mark.parametrize("burn_in", [-5, 1.5])
+    def test_bad_burn_in_rejected(self, burn_in):
+        x, z = logistic_data(seed=19, n=40, coefs=[0.5])
+        with pytest.raises(ValueError, match="burn_in"):
+            fit_bayes(x, z, draws=20, burn_in=burn_in)
+
+    @pytest.mark.parametrize("target", [0.0, 1.0, -0.2, 1.5, float("nan")])
+    def test_bad_target_acceptance_rejected(self, target):
+        x, z = logistic_data(seed=19, n=40, coefs=[0.5])
+        with pytest.raises(ValueError, match="target_acceptance"):
+            fit_bayes(x, z, draws=20, burn_in=10, target_acceptance=target)
+
+    def test_scoring_memory_is_bounded_by_the_block(self):
+        # two 4000 x 4000 float64 arrays would take 256 MB; one 256-draw
+        # block takes 8 MB
+        x, z = logistic_data(seed=20, n=4000, coefs=[0.5, -0.3, 0.2, 0.1, 0.0, 0.4, -0.1, 0.3])
+        tracemalloc.start()
+        try:
+            fit_bayes(x, z, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+
+
+BLOCK = propensity._SCORE_BLOCK
+
+
+def _scoring_case(seed, draws, n, p):
+    rng = np.random.default_rng(seed)
+    beta_draws = rng.normal(scale=0.7, size=(draws, p))
+    design = rng.normal(size=(n, p))
+    return beta_draws, design
+
+
+class TestPosteriorMeanScores:
+    sizes = dict(
+        seed=st.integers(0, 2**32 - 1),
+        draws=st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 4000]),
+        n=st.sampled_from([1, 2, 257]),
+        p=st.integers(1, 13),
+    )
+
+    @given(**sizes)
+    @settings(max_examples=60, deadline=None)
+    def test_streamed_sum_is_numpys_axis0_mean(self, seed, draws, n, p):
+        beta_draws, design = _scoring_case(seed, draws, n, p)
+        # the same products the helper forms: one per block, or one whole
+        # product for a single row
+        blocks = [beta_draws] if n == 1 else [beta_draws[s : s + BLOCK] for s in range(0, draws, BLOCK)]
+        products = np.vstack([b @ design.T for b in blocks])
+        expected = expit(products).mean(axis=0)
+        np.testing.assert_array_equal(propensity._posterior_mean_scores(beta_draws, design), expected)
+
+    @given(**sizes)
+    @settings(max_examples=60, deadline=None)
+    def test_within_four_ulp_of_the_whole_product(self, seed, draws, n, p):
+        beta_draws, design = _scoring_case(seed, draws, n, p)
+        expected = expit(beta_draws @ design.T).mean(axis=0)
+        np.testing.assert_allclose(propensity._posterior_mean_scores(beta_draws, design), expected, rtol=1e-15, atol=0)
+
 
 class TestFitBartPropensity:
     def test_pure_noise_scores_near_base_rate(self):
@@ -357,14 +427,17 @@ class TestPredict:
 
     def test_training_rows_reproduce_fitted_scores(self):
         x, z = logistic_data(seed=17, n=90, coefs=[0.8, -0.4])
-        for fit in (fit_mle(x, z), fit_l1(x, z, seed=0), fit_bayes(x, z, draws=400, burn_in=150, seed=0)):
+        for fit in (fit_mle(x, z), fit_l1(x, z, seed=0)):
             np.testing.assert_allclose(predict(fit, x), fit.scores, atol=1e-9)
+        # bayes scores and predict share one computation
+        fit = fit_bayes(x, z, draws=400, burn_in=150, seed=0)
+        np.testing.assert_array_equal(predict(fit, x), fit.scores)
 
     def test_dimension_mismatch_rejected(self):
         x, z = logistic_data(seed=18, n=30, coefs=[0.5])
-        fit = fit_mle(x, z)
-        with pytest.raises(ValueError):
-            predict(fit, np.ones((4, 3)))
+        for fit in (fit_mle(x, z), fit_bayes(x, z, draws=50, burn_in=20, seed=0)):
+            with pytest.raises(ValueError):
+                predict(fit, np.ones((4, 3)))
 
     def test_bart_fit_is_rejected(self):
         # a bart fit keeps its in-sample scores only, not its trees
