@@ -63,7 +63,6 @@ from .matching import (
     trim_common_support,
 )
 from .multiplicity import (
-    ComparisonPlan,
     EquivalenceResult,
     ProtocolError,
     benjamini_hochberg,
@@ -79,7 +78,7 @@ from .pipeline import (
     format_match_row,
     run_pipeline,
 )
-from .propensity import PropensityFit, fit_bart_propensity, fit_bayes, fit_l1, fit_mle, predict
+from .propensity import PropensityFit, fit_bart_propensity, fit_bayes, fit_l1, fit_mle
 from .sensitivity import GammaCurve, SensitivityBound, gamma_threshold, sensitivity_mh, sensitivity_residual
 
 __version__ = "0.1.0"

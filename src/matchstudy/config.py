@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -52,6 +53,13 @@ class ComparisonSpec:
     control_groups: tuple[str, ...] | None = None
 
 
+def _finite_number(value) -> bool:
+    """A finite int or float; bools and strings are not numbers here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        return False
+    return math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class MatchingParams:
     max_controls: int = MAX_CONTROLS
@@ -61,8 +69,11 @@ class MatchingParams:
     def __post_init__(self):
         if not 1 <= self.max_controls <= MAX_CONTROLS:
             raise ValidationError(f"max_controls must be in 1..{MAX_CONTROLS}")
-        if self.caliper_width_sd <= 0:
-            raise ValidationError("caliper_width_sd must be positive")
+        if not (_finite_number(self.caliper_width_sd) and self.caliper_width_sd > 0):
+            raise ValidationError("caliper_width_sd must be positive and finite")
+        penalty = self.caliper_penalty
+        if penalty is not None and not (_finite_number(penalty) and penalty >= 0):
+            raise ValidationError("caliper_penalty must be null or finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -80,6 +91,8 @@ class InferenceParams:
             raise ValidationError(f"unknown adjustment {self.adjustment!r}")
         if self.mode not in ("auto", "exact", "monte-carlo", "normal-approx"):
             raise ValidationError(f"unknown inference mode {self.mode!r}")
+        if isinstance(self.n_draws, bool) or not isinstance(self.n_draws, (int, np.integer)) or self.n_draws < 1:
+            raise ValidationError("n_draws must be an integer >= 1")
 
 
 @dataclass(frozen=True)
@@ -294,7 +307,7 @@ def config_from_dict(obj: dict) -> StudyConfig:
 
 
 def _inference_params(n_draws, grid, **rest):
-    return InferenceParams(n_draws=int(n_draws), grid=None if grid is None else tuple(float(g) for g in grid), **rest)
+    return InferenceParams(n_draws=n_draws, grid=None if grid is None else tuple(float(g) for g in grid), **rest)
 
 
 def load_config(path: str) -> StudyConfig:

@@ -128,7 +128,6 @@ def covariance_adjust(
     aligned_x: np.ndarray | None,
     method: str = ADJUST_NONE,
     seed: int = 0,
-    bart_params=None,
 ) -> tuple[np.ndarray, dict]:
     """Residualize aligned responses on aligned covariates.
 
@@ -147,7 +146,7 @@ def covariance_adjust(
     if method == ADJUST_BART:
         from . import bart
 
-        fit = bart.fit_bart_regression(aligned_x, aligned_r, params=bart_params, seed=seed)
+        fit = bart.fit_bart_regression(aligned_x, aligned_r, seed=seed)
         return aligned_r - fit.in_sample.mean(axis=0), {"method": method, "seed": seed}
     raise ValueError(f"unknown adjustment {method!r}")
 
@@ -162,8 +161,6 @@ class TestResult:
     p_lower: float
     method: str
     n_sets: int
-    tau0: float = math.nan
-    adjustment: str = ADJUST_NONE
     detail: dict = field(default_factory=dict)
 
 
@@ -185,7 +182,8 @@ def permutational_t_test(
     sizes at most 1e6); ``monte-carlo`` samples assignments with an add-one
     estimate; ``normal-approx`` uses the exact null mean and variance.
     ``auto`` picks exact when feasible, otherwise Monte Carlo. Two-sided p is
-    twice the smaller tail, capped at 1.
+    twice the smaller tail, capped at 1. Monte Carlo raises ``ValueError``
+    unless ``n_draws`` is an integer >= 1.
     """
     rows, starts, sizes = set_segments(sets, z)
     resid = np.asarray(resid, dtype=float)
@@ -207,6 +205,8 @@ def permutational_t_test(
         p_lower = float(np.count_nonzero(sums <= t_obs + tol)) / sums.size
         detail["n_assignments"] = sums.size
     elif mode == "monte-carlo":
+        if isinstance(n_draws, bool) or not isinstance(n_draws, (int, np.integer)) or n_draws < 1:
+            raise ValueError("n_draws must be an integer >= 1")
         rng = np.random.default_rng(seed)
         acc = np.zeros(n_draws)
         for s in sets:
@@ -253,13 +253,6 @@ class ConfidenceRegion:
     non_monotone: bool
     excluded_sets: tuple[str, ...] = ()
 
-    @property
-    def point_estimate(self) -> float | None:
-        # Grid value with the largest p: the center of the inverted test.
-        if self.p_values.size == 0:
-            return None
-        return float(self.grid[int(np.argmax(self.p_values))])
-
 
 def cohen_grid(outcome_sd: float, n_fill: int = 50) -> np.ndarray:
     """Default shift grid: conventional small/medium/large multiples of the
@@ -279,7 +272,6 @@ def invert_tests(
     mode: str = "auto",
     seed: int = 0,
     n_draws: int = 100_000,
-    bart_params=None,
 ) -> ConfidenceRegion:
     """Confidence region for an additive effect by inverting the test.
 
@@ -294,7 +286,7 @@ def invert_tests(
     p_values = np.empty(grid.size)
     for i, tau0 in enumerate(grid):
         aligned_r, aligned_x = align_responses(data.r, data.z, data.sets, tau0, data.x)
-        resid, _ = covariance_adjust(aligned_r, aligned_x, adjustment, seed=seed, bart_params=bart_params)
+        resid, _ = covariance_adjust(aligned_r, aligned_x, adjustment, seed=seed)
         test = permutational_t_test(resid, data.z, data.sets, mode=mode, n_draws=n_draws, seed=seed)
         p_values[i] = test.p_two_sided
     accepted = p_values > alpha

@@ -117,7 +117,6 @@ class MatchConfig:
     max_controls: int = MAX_CONTROLS
     caliper_width_sd: float = 0.2
     caliper_penalty: float | None = None
-    distance_covariates: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         if not 1 <= self.max_controls <= MAX_CONTROLS:
@@ -476,12 +475,6 @@ def build_match(table: SubjectTable, fit: PropensityFit, config: MatchConfig | N
     work = kept_table.subset(keep_mask)
     scores = scores[keep_mask]
 
-    if config.distance_covariates is None:
-        dist_cols = np.arange(len(work.covariate_names))
-    else:
-        dist_cols = np.array([work.covariate_index(c) for c in config.distance_covariates], dtype=int)
-    x_dist = work.covariates[:, dist_cols]
-
     intervals = propensity_interval(scores)
     intervals = np.minimum(intervals, config.max_controls)
     cells: dict[tuple[str, int], list[int]] = {}
@@ -511,7 +504,7 @@ def build_match(table: SubjectTable, fit: PropensityFit, config: MatchConfig | N
                 _, running = wait(running, return_when=FIRST_COMPLETED)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # constant-column drops are routine in small cells
-                dist = rank_mahalanobis(x_dist[t_rows], x_dist[c_rows])
+                dist = rank_mahalanobis(work.covariates[t_rows], work.covariates[c_rows])
             dist = apply_caliper(
                 dist,
                 scores[t_rows],

@@ -28,20 +28,6 @@ class ProtocolError(ValueError):
 
 
 @dataclass(frozen=True)
-class ComparisonPlan:
-    """The fixed comparison order and test level."""
-
-    alpha: float = 0.05
-    labels: tuple[str, str, str, str] = COMPARISON_LABELS
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must be in (0, 1)")
-        if len(self.labels) != 4:
-            raise ValueError("the plan has exactly four comparisons")
-
-
-@dataclass(frozen=True)
 class EquivalenceResult:
     """Outcome of the confidence-interval-inclusion equivalence test."""
 

@@ -36,7 +36,6 @@ class PropensityFit:
         beta: Coefficients (intercept first) for the point-estimate methods;
             posterior mean for ``bayes``; None for ``bart``.
         converged: False under detected separation / non-convergence.
-        beta_draws: Retained posterior draws (bayes only), intercept first.
         diagnostics: Method-specific extras (penalty chosen, acceptance
             rate, CV table, ...).
     """
@@ -45,7 +44,6 @@ class PropensityFit:
     scores: np.ndarray
     beta: np.ndarray | None = None
     converged: bool = True
-    beta_draws: np.ndarray | None = None
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -378,8 +376,8 @@ def fit_l1(
 #: Prior sd for the intercept; covariate coefficients get a standard normal.
 _INTERCEPT_PRIOR_SD = 10.0
 
-#: Posterior draws scored at a time by ``_posterior_mean_scores``; the work
-#: array is this many rows long whatever the draw count.
+#: Posterior draws scored at a time by ``_posterior_mean_scores``; its two
+#: work arrays are this many rows long whatever the draw count.
 _SCORE_BLOCK = 256
 
 
@@ -387,26 +385,31 @@ def _log_posterior(design: np.ndarray, z: np.ndarray, beta: np.ndarray, prior_pr
     return _loglik(design, z, beta) - 0.5 * float(beta @ (prior_prec * beta))
 
 
-def _posterior_mean_scores(beta_draws: np.ndarray, design: np.ndarray) -> np.ndarray:
-    """Mean of expit(design @ beta) over the rows beta of ``beta_draws``.
+def _posterior_mean_scores(chain: np.ndarray, design: np.ndarray) -> np.ndarray:
+    """Mean of expit(design @ beta) over the rows beta of ``chain``.
 
-    Scores ``_SCORE_BLOCK`` draws at a time and adds their rows to one
-    length-n sum in draw order, so memory is O(block * n), not O(draws * n).
-    Given the same block products, the result is bitwise equal to
-    ``expit(beta_draws @ design.T).mean(axis=0)``: numpy adds the rows of an
-    axis-0 reduction in that order too.
+    Scores ``_SCORE_BLOCK`` draws at a time. A block's linear predictors are
+    summed over the design columns in column order, b0*x0 + b1*x1 + ...,
+    with elementwise numpy into two preallocated (block, n) buffers. No
+    matrix product is formed, so the bytes do not depend on the BLAS build
+    or its thread count. The block's rows are then added to one length-n
+    sum in draw order. Memory is O(block * n), not O(draws * n).
     """
-    if design.shape[0] == 1:
-        # numpy sums a single column pairwise, not row by row; one row's
-        # product is no larger than the chain, so reduce it whole.
-        return expit(beta_draws @ design.T).mean(axis=0)
+    columns = np.ascontiguousarray(design.T)
+    eta = np.empty((min(_SCORE_BLOCK, len(chain)), design.shape[0]))
+    term = np.empty_like(eta)
     total = np.zeros(design.shape[0])
-    for start in range(0, len(beta_draws), _SCORE_BLOCK):
-        probs = beta_draws[start : start + _SCORE_BLOCK] @ design.T
+    for start in range(0, len(chain), _SCORE_BLOCK):
+        block = chain[start : start + _SCORE_BLOCK]
+        probs, part = eta[: len(block)], term[: len(block)]
+        np.multiply(block[:, :1], columns[0], out=probs)
+        for j in range(1, len(columns)):
+            np.multiply(block[:, j : j + 1], columns[j], out=part)
+            probs += part
         expit(probs, out=probs)
         for row in probs:
             total += row
-    return total / len(beta_draws)
+    return total / len(chain)
 
 
 def fit_bayes(
@@ -423,9 +426,10 @@ def fit_bayes(
     posterior mode; the step scale adapts toward the target acceptance rate
     during burn-in only, so the retained chain is a valid fixed kernel.
     Fitted scores are posterior means of expit(x'beta) over retained draws,
-    computed ``_SCORE_BLOCK`` (256) draws at a time and summed in draw
-    order: beyond the (draws, p + 1) chain, scoring takes O(block * n)
-    memory, not O(draws * n).
+    computed ``_SCORE_BLOCK`` (256) draws at a time, each linear predictor
+    as a fixed-order sum over the design columns, and summed in draw order:
+    the scores do not depend on the BLAS thread count, and beyond the
+    (draws, p + 1) chain scoring takes O(block * n) memory.
 
     Raises ``ValueError`` unless ``draws`` is an integer >= 1, ``burn_in``
     an integer >= 0 and ``0 < target_acceptance < 1``.
@@ -489,7 +493,6 @@ def fit_bayes(
         method=BAYES,
         scores=scores,
         beta=kept.mean(axis=0),
-        beta_draws=kept,
         diagnostics={"acceptance": acceptance, "draws": draws, "burn_in": burn_in, "seed": seed},
     )
 
@@ -502,26 +505,3 @@ def fit_bart_propensity(x: np.ndarray, z: np.ndarray, params=None, seed: int = 0
     fit = bart.fit_bart_binary(x, z.astype(int), params=params, seed=seed)
     scores = _clip_scores(fit.in_sample_probs.mean(axis=0))
     return PropensityFit(method=BART, scores=scores, diagnostics={"seed": seed})
-
-
-def predict(fit: PropensityFit, x: np.ndarray) -> np.ndarray:
-    """Score new subjects with a fitted model (method-consistent).
-
-    For point-estimate methods this is expit(x'beta); for bayes the mean of
-    expit over retained draws, computed as ``fit_bayes`` computes its scores,
-    so the training rows give ``fit.scores`` bitwise. A bart fit keeps only
-    its in-sample scores, not its trees, so it cannot score new rows:
-    ``ValueError``.
-    """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if fit.method in (MLE, L1):
-        scores = expit(fit.beta[0] + x @ fit.beta[1:])
-    elif fit.method == BAYES:
-        scores = _posterior_mean_scores(fit.beta_draws, np.column_stack([np.ones(len(x)), x]))
-    else:
-        raise ValueError(f"predict scores mle, l1 and bayes fits, not {fit.method!r}")
-    scores = _clip_scores(scores)
-    return scores[0] if single else scores

@@ -151,6 +151,36 @@ class TestValidation:
         assert "n_drawz" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("n_draws", [0, -5, 2.7, True, "100"])
+    def test_bad_draw_count_rejected(self, n_draws):
+        with pytest.raises(ValidationError, match="n_draws"):
+            config_from_dict({"inference": {"n_draws": n_draws}})
+
+    @pytest.mark.parametrize("penalty", [-1.0, float("inf"), float("nan"), "1"])
+    def test_bad_caliper_penalty_rejected(self, penalty):
+        with pytest.raises(ValidationError, match="caliper_penalty"):
+            config_from_dict({"matching": {"caliper_penalty": penalty}})
+
+    @pytest.mark.parametrize("width", [0.0, -0.2, float("inf"), float("nan"), True])
+    def test_bad_caliper_width_rejected(self, width):
+        with pytest.raises(ValidationError, match="caliper_width_sd"):
+            config_from_dict({"matching": {"caliper_width_sd": width}})
+
+    def test_valid_matching_and_draw_values_accepted(self):
+        cfg = config_from_dict({"matching": {"caliper_penalty": 0}, "inference": {"n_draws": 1}})
+        assert (cfg.matching.caliper_penalty, cfg.inference.n_draws) == (0, 1)
+        assert config_from_dict({"matching": {"caliper_penalty": 2.5}}).matching.caliper_penalty == 2.5
+
+    @pytest.mark.parametrize("section", [{"matching": {"caliper_penalty": -1.0}}, {"inference": {"n_draws": 0}}])
+    def test_bad_value_is_a_configuration_error_before_any_stage(self, tmp_path, capsys, section):
+        out_dir = os.path.join(str(tmp_path), "out")
+        obj = reduced_config_dict(out_dir)
+        obj.update(section)
+        cfg_path = write_config(tmp_path, obj)
+        assert main(["run", "--config", cfg_path]) == 1
+        assert capsys.readouterr().err.startswith("error: invalid configuration: ")
+        assert not os.path.exists(out_dir)
+
     def test_bad_json_rejected(self, tmp_path, capsys):
         path = os.path.join(str(tmp_path), "broken.json")
         with open(path, "w", encoding="utf-8") as fh:
@@ -388,3 +418,34 @@ class TestImports:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == {"after_import": [], "after_run": []}
         assert os.path.exists(os.path.join(out_dir, "manifest.txt"))
+
+
+# Each run gets a fresh interpreter: OpenBLAS reads its thread count from the
+# environment when it loads.
+_SIMULATE_AND_SCORE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from matchstudy.cli import main
+sys.exit(main(["simulate", "--config", sys.argv[2]]) or main(["propensity", "--config", sys.argv[2]]))
+"""
+
+
+class TestBlasThreads:
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_bayes_scores_do_not_depend_on_blas_threads(self, tmp_path, seed):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(matchstudy.__file__)))
+        digests = []
+        for threads in ("1", "2"):
+            obj = default_config_dict()
+            obj.update(output_dir=os.path.join(str(tmp_path), threads), seed=seed, propensity_methods=["bayes"])
+            proc = subprocess.run(
+                [sys.executable, "-c", _SIMULATE_AND_SCORE, src, write_config(tmp_path, obj, f"{threads}.json")],
+                env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+                capture_output=True,
+                text=True,
+                timeout=600,
+            )
+            assert proc.returncode == 0, proc.stderr
+            digests.append({k: v for k, v in dir_digest(obj["output_dir"]).items() if k.endswith("_bayes.json")})
+        assert len(digests[0]) == 4
+        assert digests[0] == digests[1]

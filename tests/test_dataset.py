@@ -24,10 +24,9 @@ from matchstudy.dataset import (
     load_subjects,
     save_subjects,
     scale_covariates,
-    tables_equal,
 )
 from matchstudy.propensity import fit_mle
-from util import make_table
+from util import make_table, tables_equal
 
 SCHEMA2 = CovariateSchema((Covariate("x1", CONTINUOUS), Covariate("x2", BINARY)))
 OPTS = LoadOptions(treatment_column="treated", stratum_column="stratum")

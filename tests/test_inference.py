@@ -189,6 +189,13 @@ class TestPermutationalTTest:
         b = permutational_t_test(resid, z, sets, mode="monte-carlo", n_draws=2000, seed=5)
         assert a.p_upper == b.p_upper and a.p_lower == b.p_lower
 
+    @pytest.mark.parametrize("n_draws", [0, -5, 2.7, True])
+    def test_monte_carlo_rejects_bad_draw_counts(self, n_draws):
+        rng = np.random.default_rng(9)
+        resid, z, sets = random_matched_instance(rng, 4)
+        with pytest.raises(ValueError, match="n_draws"):
+            permutational_t_test(resid, z, sets, mode="monte-carlo", n_draws=n_draws)
+
     def test_normal_approx_closed_form(self):
         resid = np.array([1.0, -1.0, 1.0, -1.0])
         z = np.array([1, 0, 1, 0])
@@ -314,7 +321,7 @@ class TestInvertTests:
         at = {float(g): p for g, p in zip(region.grid, region.p_values)}
         assert at[1.5] == 1.0
         assert region.accepted[list(region.grid).index(1.5)]
-        assert region.point_estimate == 1.5
+        assert region.grid[np.argmax(region.p_values)] == 1.5
         assert region.hull[0] <= 1.5 <= region.hull[1]
 
     def test_hull_bounds_accepted_set(self):

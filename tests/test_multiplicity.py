@@ -3,7 +3,6 @@ import pytest
 
 from matchstudy.inference import ConfidenceRegion
 from matchstudy.multiplicity import (
-    ComparisonPlan,
     EquivalenceResult,
     ProtocolError,
     benjamini_hochberg,
@@ -113,14 +112,6 @@ class TestOrderedProcedure:
             false_hits += bool(out.rejections)
         sd = np.sqrt(0.05 * 0.95 / reps)
         assert false_hits / reps <= 0.05 + 3 * sd
-
-    def test_plan_validation(self):
-        with pytest.raises(ValueError, match="alpha"):
-            ComparisonPlan(alpha=0.0)
-        with pytest.raises(ValueError, match="alpha"):
-            ComparisonPlan(alpha=1.0)
-        with pytest.raises(ValueError, match="four"):
-            ComparisonPlan(labels=("a", "b"))
 
 
 def bh_reference(p):

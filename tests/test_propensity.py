@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from matchstudy import pipeline, propensity
-from matchstudy.bart import BartParams
 from matchstudy.config import config_from_dict, default_config_dict
 from matchstudy.dataset import generate_synthetic
 from matchstudy.oracles import l1_kkt_violation
@@ -18,7 +17,6 @@ from matchstudy.propensity import (
     fit_l1,
     fit_mle,
     l1_lambda_grid,
-    predict,
 )
 
 
@@ -102,9 +100,24 @@ class TestFitMle:
         x, z = logistic_data(seed=3, n=120, coefs=[0.7])
         fit = fit_mle(x, z)
         fit_flip = fit_mle(x, 1 - z)
-        probe = np.random.default_rng(4).normal(size=(20, 1))
-        total = predict(fit, probe) + predict(fit_flip, probe)
-        np.testing.assert_allclose(total, 1.0, atol=1e-8)
+        np.testing.assert_allclose(fit.scores + fit_flip.scores, 1.0, atol=1e-8)
+
+    def test_zero_slope_gives_half_on_training_rows(self):
+        # every level of x holds one treated and one control subject
+        x = np.array([[-2.0], [-2.0], [0.0], [0.0], [3.0], [3.0]])
+        z = np.array([0, 1, 0, 1, 1, 0])
+        for fit in (fit_mle(x, z), fit_l1(x, z, seed=0)):
+            np.testing.assert_allclose(fit.beta, [0.0, 0.0], atol=1e-10)
+            np.testing.assert_allclose(fit.scores, 0.5, atol=1e-10)
+
+    def test_log_three_odds_give_three_quarters(self):
+        # treated rate 1/2 at x = 0 and 3/4 at x = 1: the saturated fit has
+        # intercept 0 and slope log 3
+        x = np.array([[0.0], [0.0], [1.0], [1.0], [1.0], [1.0]])
+        z = np.array([0, 1, 0, 1, 1, 1])
+        fit = fit_mle(x, z)
+        np.testing.assert_allclose(fit.beta, [0.0, np.log(3.0)], atol=1e-8)
+        np.testing.assert_allclose(fit.scores, [0.5, 0.5, 0.75, 0.75, 0.75, 0.75], atol=1e-10)
 
     def test_large_sample_recovers_truth_within_three_se(self):
         true = np.array([0.4, 0.8, -0.5, 0.3])
@@ -283,7 +296,7 @@ class TestFitBayes:
         a = fit_bayes(x, z, draws=300, burn_in=100, seed=5)
         b = fit_bayes(x, z, draws=300, burn_in=100, seed=5)
         np.testing.assert_array_equal(a.scores, b.scores)
-        np.testing.assert_array_equal(a.beta_draws, b.beta_draws)
+        np.testing.assert_array_equal(a.beta, b.beta)
 
     def test_posterior_mean_matches_quadrature(self):
         x, z = logistic_data(seed=11, n=500, coefs=[1.5], intercept=0.2)
@@ -324,8 +337,8 @@ class TestFitBayes:
             fit_bayes(x, z, draws=20, burn_in=10, target_acceptance=target)
 
     def test_scoring_memory_is_bounded_by_the_block(self):
-        # two 4000 x 4000 float64 arrays would take 256 MB; one 256-draw
-        # block takes 8 MB
+        # two 4000 x 4000 float64 arrays would take 256 MB; the two
+        # 256-draw work arrays take 16 MB
         x, z = logistic_data(seed=20, n=4000, coefs=[0.5, -0.3, 0.2, 0.1, 0.0, 0.4, -0.1, 0.3])
         tracemalloc.start()
         try:
@@ -358,14 +371,31 @@ class TestPosteriorMeanScores:
     @settings(max_examples=60, deadline=None)
     def test_streamed_sum_is_numpys_axis0_mean(self, seed, draws, n, p):
         beta_draws, design = _scoring_case(seed, draws, n, p)
-        # the same products the helper forms: one per block, or one whole
-        # product for a single row
-        blocks = [beta_draws] if n == 1 else [beta_draws[s : s + BLOCK] for s in range(0, draws, BLOCK)]
-        products = np.vstack([b @ design.T for b in blocks])
-        expected = expit(products).mean(axis=0)
-        np.testing.assert_array_equal(propensity._posterior_mean_scores(beta_draws, design), expected)
+        # the products the helper forms: b0*x0 + b1*x1 + ... in column order
+        products = beta_draws[:, :1] * design[:, 0]
+        for j in range(1, p):
+            products = products + beta_draws[:, j : j + 1] * design[:, j]
+        probs = expit(products)
+        scores = propensity._posterior_mean_scores(beta_draws, design)
+        # rows added to the running sum one at a time, in draw order
+        np.testing.assert_array_equal(scores, np.add.accumulate(probs, axis=0)[-1] / draws)
+        if n > 1:
+            # numpy's axis-0 mean adds rows in that order too; a single
+            # column it sums pairwise
+            np.testing.assert_array_equal(scores, probs.mean(axis=0))
 
-    @given(**sizes)
+    # End to end against the BLAS product, over what fit_bayes scores: both
+    # arms, so n >= 2, and chains of 255 draws or more (it keeps 4000 by
+    # default). A single draw is not averaged, so one rounding of the other
+    # product order can reach 2.1e-15; at n = 1 numpy's mean sums its one
+    # column pairwise, up to 2.9e-15 from the draw-order sum at 4000 draws.
+    fit_sizes = dict(
+        sizes,
+        draws=st.sampled_from([BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1, 4000]),
+        n=st.sampled_from([2, 257]),
+    )
+
+    @given(**fit_sizes)
     @settings(max_examples=60, deadline=None)
     def test_within_four_ulp_of_the_whole_product(self, seed, draws, n, p):
         beta_draws, design = _scoring_case(seed, draws, n, p)
@@ -410,40 +440,3 @@ class TestFitBartPropensity:
         z = (x[:, 0] > 1).astype(np.int64)  # rare treatment
         fit = fit_bart_propensity(x, z, seed=2)
         assert np.all(fit.scores > 0.0) and np.all(fit.scores < 1.0)
-
-
-class TestPredict:
-    def test_zero_beta_gives_half(self):
-        x, z = logistic_data(seed=16, n=40, coefs=[0.0])
-        fit = fit_mle(np.array([[-1.0], [-1.0], [1.0], [1.0]]), np.array([0, 1, 0, 1]))
-        probe = np.random.default_rng(0).normal(size=(10, 1))
-        np.testing.assert_allclose(predict(fit, probe), 0.5, atol=1e-10)
-
-    def test_log_three_maps_to_three_quarters(self):
-        from matchstudy.propensity import PropensityFit
-
-        fit = PropensityFit(method="mle", scores=np.array([0.75]), beta=np.array([0.0, np.log(3.0)]))
-        np.testing.assert_allclose(predict(fit, np.array([1.0])), [0.75], atol=1e-12)
-
-    def test_training_rows_reproduce_fitted_scores(self):
-        x, z = logistic_data(seed=17, n=90, coefs=[0.8, -0.4])
-        for fit in (fit_mle(x, z), fit_l1(x, z, seed=0)):
-            np.testing.assert_allclose(predict(fit, x), fit.scores, atol=1e-9)
-        # bayes scores and predict share one computation
-        fit = fit_bayes(x, z, draws=400, burn_in=150, seed=0)
-        np.testing.assert_array_equal(predict(fit, x), fit.scores)
-
-    def test_dimension_mismatch_rejected(self):
-        x, z = logistic_data(seed=18, n=30, coefs=[0.5])
-        for fit in (fit_mle(x, z), fit_bayes(x, z, draws=50, burn_in=20, seed=0)):
-            with pytest.raises(ValueError):
-                predict(fit, np.ones((4, 3)))
-
-    def test_bart_fit_is_rejected(self):
-        # a bart fit keeps its in-sample scores only, not its trees
-        rng = np.random.default_rng(22)
-        x = rng.normal(size=(30, 2))
-        z = (x[:, 0] > 0).astype(np.int64)
-        fit = fit_bart_propensity(x, z, params=BartParams(num_trees=3, burn_in=2, draws=4), seed=4)
-        with pytest.raises(ValueError, match="bart"):
-            predict(fit, x)

@@ -93,3 +93,25 @@ def shuffled_matched_instance(rng, n_sets, max_size=16):
     for s in sets:
         z[s[rng.integers(1, s.size)]] = 1
     return np.round(rng.normal(size=n), 1), z, sets
+
+
+def tables_equal(a: SubjectTable, b: SubjectTable) -> bool:
+    """Exact equality of two tables (NaN == NaN under matching masks)."""
+    if (a.ids, a.stratum, a.covariate_names, a.outcome_names) != (
+        b.ids,
+        b.stratum,
+        b.covariate_names,
+        b.outcome_names,
+    ):
+        return False
+    if not np.array_equal(a.z, b.z):
+        return False
+    if not np.array_equal(a.covariate_missing, b.covariate_missing):
+        return False
+    if not np.array_equal(a.covariates, b.covariates, equal_nan=True):
+        return False
+    if not np.array_equal(a.outcome_missing, b.outcome_missing):
+        return False
+    if not np.array_equal(a.outcomes, b.outcomes, equal_nan=True):
+        return False
+    return a.aux == b.aux
