@@ -50,7 +50,6 @@ from .inference import (
     permutational_t_test,
 )
 from .matching import (
-    MatchConfig,
     MatchedSet,
     MatchingError,
     MatchResult,

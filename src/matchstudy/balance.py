@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import BINARY, ORDINAL, CovariateSchema, SubjectTable
-from .matching import MatchResult
+from .matching import MatchResult, member_rows
 
 #: Absolute standardized difference above which a covariate is imbalanced.
 IMBALANCE_THRESHOLD = 0.2
@@ -33,16 +33,6 @@ class BalanceRow:
     sd_diff_post: float
     denom: float
     imbalanced: bool
-
-
-def matched_control_weights(result: MatchResult) -> dict[str, float]:
-    """Control weights 1/(n_i - 1) per matched set; treated weights are 1."""
-    weights: dict[str, float] = {}
-    for s in result.sets:
-        w = 1.0 / len(s.control_ids)
-        for c in s.control_ids:
-            weights[c] = w
-    return weights
 
 
 def standardized_difference(
@@ -93,11 +83,10 @@ def balance_table(
     if covariates is None:
         covariates = table.covariate_names
     treated_pre = table.z == 1
-    weights_by_id = matched_control_weights(result)
-    t_rows = np.array([table.row_of(s.treated_id) for s in result.sets], dtype=int)
-    c_ids = [c for s in result.sets for c in s.control_ids]
-    c_rows = np.array([table.row_of(c) for c in c_ids], dtype=int)
-    c_weights = np.array([weights_by_id[c] for c in c_ids])
+    members, sizes = member_rows(table, result)
+    starts = np.cumsum(sizes) - sizes
+    t_rows, c_rows = members[starts], np.delete(members, starts)
+    c_weights = np.repeat(1.0 / (sizes - 1), sizes - 1)
 
     rows: list[BalanceRow] = []
 

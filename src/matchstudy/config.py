@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,8 +23,10 @@ from .dataset import (
     LoadOptions,
     OutcomeModel,
     ValidationError,
+    finite_number,
+    whole_number,
 )
-from .matching import MAX_CONTROLS
+from .matching import MatchingParams
 from .propensity import METHOD_ORDER
 
 
@@ -53,29 +54,6 @@ class ComparisonSpec:
     control_groups: tuple[str, ...] | None = None
 
 
-def _finite_number(value) -> bool:
-    """A finite int or float; bools and strings are not numbers here."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
-        return False
-    return math.isfinite(value)
-
-
-@dataclass(frozen=True)
-class MatchingParams:
-    max_controls: int = MAX_CONTROLS
-    caliper_width_sd: float = 0.2
-    caliper_penalty: float | None = None
-
-    def __post_init__(self):
-        if not 1 <= self.max_controls <= MAX_CONTROLS:
-            raise ValidationError(f"max_controls must be in 1..{MAX_CONTROLS}")
-        if not (_finite_number(self.caliper_width_sd) and self.caliper_width_sd > 0):
-            raise ValidationError("caliper_width_sd must be positive and finite")
-        penalty = self.caliper_penalty
-        if penalty is not None and not (_finite_number(penalty) and penalty >= 0):
-            raise ValidationError("caliper_penalty must be null or finite and >= 0")
-
-
 @dataclass(frozen=True)
 class InferenceParams:
     alpha: float = 0.05
@@ -85,13 +63,13 @@ class InferenceParams:
     grid: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 1.0:
-            raise ValidationError("alpha must be in (0, 1)")
+        if not (finite_number(self.alpha) and 0.0 < self.alpha < 1.0):
+            raise ValidationError("alpha must be a number in (0, 1)")
         if self.adjustment not in ("none", "ols", "bart"):
             raise ValidationError(f"unknown adjustment {self.adjustment!r}")
         if self.mode not in ("auto", "exact", "monte-carlo", "normal-approx"):
             raise ValidationError(f"unknown inference mode {self.mode!r}")
-        if isinstance(self.n_draws, bool) or not isinstance(self.n_draws, (int, np.integer)) or self.n_draws < 1:
+        if not (whole_number(self.n_draws) and self.n_draws >= 1):
             raise ValidationError("n_draws must be an integer >= 1")
 
 
@@ -102,6 +80,8 @@ class SensitivityParams:
     step: float = 0.05
 
     def __post_init__(self):
+        if not all(finite_number(v) for v in (self.start, self.stop, self.step)):
+            raise ValidationError("sensitivity start, stop and step must be finite numbers")
         if self.start != 1.0 or self.stop <= self.start or self.step <= 0:
             raise ValidationError("sensitivity grid must start at 1 and increase")
 
@@ -144,8 +124,8 @@ class StudyConfig:
                 raise ValidationError(f"unknown propensity method {m!r}")
         if not self.propensity_methods:
             raise ValidationError("config lists no propensity methods")
-        if self.equivalence_margin_sd < 0:
-            raise ValidationError("equivalence_margin_sd must be nonnegative")
+        if not (finite_number(self.equivalence_margin_sd) and self.equivalence_margin_sd >= 0):
+            raise ValidationError("equivalence_margin_sd must be finite and nonnegative")
         dup = {o.name for o in self.secondary_outcomes} & {self.primary_outcome.name}
         if dup:
             raise ValidationError(f"outcome listed as both primary and secondary: {sorted(dup)}")
@@ -284,6 +264,7 @@ def config_from_dict(obj: dict) -> StudyConfig:
     secondary = obj.get("secondary_outcomes", base["secondary_outcomes"])
     comparisons = obj.get("comparisons", base["comparisons"])
     simulate = obj.get("simulate", base["simulate"])
+    margin = obj.get("equivalence_margin_sd", base["equivalence_margin_sd"])
     return StudyConfig(
         data=obj.get("data", base["data"]),
         output_dir=obj.get("output_dir", base["output_dir"]),
@@ -301,7 +282,7 @@ def config_from_dict(obj: dict) -> StudyConfig:
         matching=matching,
         inference=inference,
         sensitivity=sensitivity,
-        equivalence_margin_sd=float(obj.get("equivalence_margin_sd", base["equivalence_margin_sd"])),
+        equivalence_margin_sd=float(margin) if finite_number(margin) else margin,
         simulate=None if simulate is None else _parse_simulate(simulate),
     )
 

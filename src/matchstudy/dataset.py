@@ -33,6 +33,18 @@ class ValidationError(ValueError):
     """A data value violates the declared schema."""
 
 
+def finite_number(value) -> bool:
+    """A finite int or float; bools and strings are not numbers here."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        return False
+    return math.isfinite(value)
+
+
+def whole_number(value) -> bool:
+    """An int, numpy's included; bools and integral floats are not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Covariate:
     """Declared covariate column.

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import gammaln, ndtr
 
 from .dataset import SubjectTable
-from .matching import MatchResult
+from .matching import MatchResult, member_rows
 
 #: Largest number of equiprobable assignments enumerated exactly.
 EXACT_LIMIT = 10**6
@@ -50,26 +50,19 @@ def matched_arrays(table: SubjectTable, result: MatchResult, outcome: str) -> In
     logged. Raises if nothing remains.
     """
     j = table.outcome_index(outcome)
-    rows: list[int] = []
-    sets: list[np.ndarray] = []
-    excluded: list[str] = []
-    for s in result.sets:
-        members = [table.row_of(s.treated_id)] + [table.row_of(c) for c in s.control_ids]
-        if any(table.outcome_missing[m, j] for m in members):
-            excluded.append(s.treated_id)
-            continue
-        start = len(rows)
-        rows.extend(members)
-        sets.append(np.arange(start, start + len(members)))
-    if not sets:
+    rows, sizes = member_rows(table, result)
+    starts = np.cumsum(sizes) - sizes
+    missing = np.logical_or.reduceat(table.outcome_missing[rows, j], starts)
+    if missing.all():
         raise ValueError(f"no matched sets with observed outcome {outcome!r}")
-    idx = np.array(rows, dtype=int)
+    keep = ~missing
+    idx = rows[np.repeat(keep, sizes)]
     return InferenceData(
-        r=table.outcomes[idx, j].copy(),
-        z=table.z[idx].copy(),
-        x=table.covariates[idx].copy(),
-        sets=tuple(sets),
-        excluded_sets=tuple(excluded),
+        r=table.outcomes[idx, j],
+        z=table.z[idx],
+        x=table.covariates[idx],
+        sets=tuple(np.split(np.arange(idx.size), np.cumsum(sizes[keep])[:-1])),
+        excluded_sets=tuple(table.ids[t] for t in rows[starts[missing]].tolist()),
     )
 
 

@@ -31,8 +31,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.special import logit
 
-from .dataset import SubjectTable, drop_missingness_determined
-from .propensity import PropensityFit
+from .dataset import SubjectTable, ValidationError, drop_missingness_determined, finite_number, whole_number
 
 #: Largest number of controls a single treated subject can receive.
 MAX_CONTROLS = 15
@@ -61,8 +60,6 @@ class MatchedSet:
 
     treated_id: str
     control_ids: tuple[str, ...]
-    stratum: str
-    interval: int
 
     @property
     def size(self) -> int:
@@ -97,8 +94,6 @@ class MatchCounts:
 class MatchResult:
     """Complete output of one comparison x method matching run."""
 
-    comparison: str
-    method: str
     sets: tuple[MatchedSet, ...]
     dropped: tuple[tuple[str, str], ...]  # (subject id, reason)
     counts: MatchCounts
@@ -109,18 +104,36 @@ class MatchResult:
 
 
 @dataclass(frozen=True)
-class MatchConfig:
-    """Knobs for build_match."""
+class MatchingParams:
+    """The matcher's knobs, as the config's ``matching`` section gives them."""
 
-    comparison: str = "comparison"
-    method: str = ""
     max_controls: int = MAX_CONTROLS
     caliper_width_sd: float = 0.2
     caliper_penalty: float | None = None
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.max_controls <= MAX_CONTROLS:
-            raise ValueError(f"max_controls must be in [1, {MAX_CONTROLS}]")
+    def __post_init__(self):
+        if not (whole_number(self.max_controls) and 1 <= self.max_controls <= MAX_CONTROLS):
+            raise ValidationError(f"max_controls must be an integer in 1..{MAX_CONTROLS}")
+        if not (finite_number(self.caliper_width_sd) and self.caliper_width_sd > 0):
+            raise ValidationError("caliper_width_sd must be positive and finite")
+        penalty = self.caliper_penalty
+        if penalty is not None and not (finite_number(penalty) and penalty >= 0):
+            raise ValidationError("caliper_penalty must be null or finite and >= 0")
+
+
+def member_rows(table: SubjectTable, result: MatchResult) -> tuple[np.ndarray, np.ndarray]:
+    """The table rows of a match's members, set after set, and each set's size.
+
+    Each set lists its treated row, then its controls in the order the set
+    holds them, so set i occupies ``rows[starts[i] : starts[i] + sizes[i]]``
+    with ``starts = np.cumsum(sizes) - sizes``.
+    """
+    ids: list[str] = []
+    for s in result.sets:
+        ids.append(s.treated_id)
+        ids.extend(s.control_ids)
+    sizes = np.fromiter((len(s.control_ids) for s in result.sets), dtype=np.intp, count=len(result.sets)) + 1
+    return np.fromiter(map(table.row_of, ids), dtype=np.intp, count=len(ids)), sizes
 
 
 # ---------------------------------------------------------------------------
@@ -447,17 +460,18 @@ def _fold_tie_rule(
 # ---------------------------------------------------------------------------
 
 
-def build_match(table: SubjectTable, fit: PropensityFit, config: MatchConfig | None = None) -> MatchResult:
+def build_match(table: SubjectTable, scores, params: MatchingParams = MatchingParams()) -> MatchResult:
     """Run the matching pipeline: missingness-determined drop, common-support
     trim, stratum x interval cells, per-cell optimal assignment.
 
-    ``fit.scores`` must align with ``table`` rows. Every input subject lands
-    either in a matched set or in the dropped ledger with a reason.
+    ``scores`` are the propensity scores of the ``table`` rows. Every input
+    subject lands either in a matched set or in the dropped ledger with a
+    reason. The sets come in cell order (stratum, then interval), each cell's
+    by treated id.
     """
-    config = config or MatchConfig()
-    scores = np.asarray(fit.scores, dtype=float)
+    scores = np.asarray(scores, dtype=float)
     if scores.shape != (table.n,):
-        raise ValueError("fit.scores must align with the table rows")
+        raise ValueError("scores must align with the table rows")
 
     kept_table, miss_ledger = drop_missingness_determined(table)
     # A subject can trip several indicators; drop it once.
@@ -465,18 +479,14 @@ def build_match(table: SubjectTable, fit: PropensityFit, config: MatchConfig | N
     kept_rows = np.array([table.row_of(s) for s in kept_table.ids], dtype=int)
     scores = scores[kept_rows]
 
-    try:
-        trim = trim_common_support(scores, kept_table.z)
-    except MatchingError as err:
-        raise MatchingError(f"{config.comparison}: {err}") from None
+    trim = trim_common_support(scores, kept_table.z)
     dropped += [(kept_table.ids[i], REASON_COMMON_SUPPORT) for i in trim]
     keep_mask = np.ones(kept_table.n, dtype=bool)
     keep_mask[trim] = False
     work = kept_table.subset(keep_mask)
     scores = scores[keep_mask]
 
-    intervals = propensity_interval(scores)
-    intervals = np.minimum(intervals, config.max_controls)
+    intervals = np.minimum(propensity_interval(scores), params.max_controls)
     cells: dict[tuple[str, int], list[int]] = {}
     for i in range(work.n):
         cells.setdefault((work.stratum[i], int(intervals[i])), []).append(i)
@@ -509,8 +519,8 @@ def build_match(table: SubjectTable, fit: PropensityFit, config: MatchConfig | N
                 dist,
                 scores[t_rows],
                 scores[c_rows],
-                width_sd=config.caliper_width_sd,
-                penalty=config.caliper_penalty,
+                width_sd=params.caliper_width_sd,
+                penalty=params.caliper_penalty,
                 scale_scores=scores,
             )
             # The worker holds the only reference to the built matrix.
@@ -521,26 +531,18 @@ def build_match(table: SubjectTable, fit: PropensityFit, config: MatchConfig | N
             running.add(solves[key])
 
     all_sets: list[MatchedSet] = []
-    for stratum, k in sorted(members):
-        if (stratum, k) not in solves:
-            dropped += [(s, REASON_UNMATCHED) for part in members[(stratum, k)] for s in _ids(work, part)]
+    for key in sorted(members):
+        if key not in solves:
+            dropped += [(s, REASON_UNMATCHED) for part in members[key] for s in _ids(work, part)]
             continue
-        cell_sets, cell_dropped = solves[(stratum, k)].result()
+        cell_sets, cell_dropped = solves[key].result()
         dropped.extend(cell_dropped)
-        for treated_id, control_ids in cell_sets:
-            all_sets.append(MatchedSet(treated_id=treated_id, control_ids=control_ids, stratum=stratum, interval=k))
+        all_sets += sorted((MatchedSet(t, cs) for t, cs in cell_sets), key=lambda s: s.treated_id)
 
-    all_sets.sort(key=lambda s: (s.stratum, s.interval, s.treated_id))
     counts = match_counts(table, all_sets, dropped)
     if counts.n_matched + len(dropped) != table.n:
         raise AssertionError("subject accounting failed: sets + dropped != input")
-    return MatchResult(
-        comparison=config.comparison,
-        method=config.method or fit.method,
-        sets=tuple(all_sets),
-        dropped=tuple(dropped),
-        counts=counts,
-    )
+    return MatchResult(sets=tuple(all_sets), dropped=tuple(dropped), counts=counts)
 
 
 def match_counts(

@@ -247,8 +247,10 @@ def stage_match(cfg: StudyConfig) -> None:
         ct = tables[comp.name]
         for method in cfg.propensity_methods:
             scores, _ = _load_scores(cfg, comp.name, method, ct)
-            fit = propensity_mod.PropensityFit(method=method, scores=scores)
-            result = matching_mod.build_match(ct, fit, _match_config(cfg, comp.name, method))
+            try:
+                result = matching_mod.build_match(ct, scores, cfg.matching)
+            except matching_mod.MatchingError as err:
+                raise matching_mod.MatchingError(f"{comp.name}: {err}") from None
             base = f"match_{comp.name}_{method}"
             _write_text(
                 _path(cfg, base + ".sets.txt"),
@@ -260,22 +262,10 @@ def stage_match(cfg: StudyConfig) -> None:
             )
 
 
-def _match_config(cfg: StudyConfig, name: str, method: str) -> matching_mod.MatchConfig:
-    return matching_mod.MatchConfig(
-        comparison=name,
-        method=method,
-        max_controls=cfg.matching.max_controls,
-        caliper_width_sd=cfg.matching.caliper_width_sd,
-        caliper_penalty=cfg.matching.caliper_penalty,
-    )
-
-
 def load_match(cfg: StudyConfig, name: str, method: str, ct: SubjectTable) -> matching_mod.MatchResult:
-    """Rebuild a MatchResult from the two match files.
-
-    The set line format carries only ids; stratum comes from the table and
-    the interval is re-derived from the stored propensity scores, which is
-    exactly how the matcher assigned it.
+    """Rebuild a MatchResult from the two match files, ``.sets.txt`` and
+    ``.ledger.csv``, alone. ``ct`` is the comparison table the match was
+    built from; the subject accounting is recounted on it.
     """
     base = f"match_{name}_{method}"
     sets_path = _path(cfg, base + ".sets.txt")
@@ -283,24 +273,13 @@ def load_match(cfg: StudyConfig, name: str, method: str, ct: SubjectTable) -> ma
     for p in (sets_path, ledger_path):
         if not os.path.exists(p):
             raise MissingIntermediateError(p, "match")
-    scores, _ = _load_scores(cfg, name, method, ct)
-    intervals = np.minimum(matching_mod.propensity_interval(scores), cfg.matching.max_controls)
     sets = []
     with open(sets_path, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
-            if not line:
-                continue
-            treated_id, _, rest = line.partition(": ")
-            row = ct.row_of(treated_id)
-            sets.append(
-                matching_mod.MatchedSet(
-                    treated_id=treated_id,
-                    control_ids=tuple(rest.split(",")),
-                    stratum=ct.stratum[row],
-                    interval=int(intervals[row]),
-                )
-            )
+            if line:
+                treated_id, _, rest = line.partition(": ")
+                sets.append(matching_mod.MatchedSet(treated_id, tuple(rest.split(","))))
     dropped = []
     with open(ledger_path, encoding="utf-8") as fh:
         next(fh)
@@ -310,8 +289,6 @@ def load_match(cfg: StudyConfig, name: str, method: str, ct: SubjectTable) -> ma
                 sid, _, reason = line.partition(",")
                 dropped.append((sid, reason))
     return matching_mod.MatchResult(
-        comparison=name,
-        method=method,
         sets=tuple(sets),
         dropped=tuple(dropped),
         counts=matching_mod.match_counts(ct, sets, dropped),

@@ -27,7 +27,6 @@ from matchstudy.inference import (
     permutational_t_test,
 )
 from matchstudy.matching import (
-    MatchConfig,
     MatchCounts,
     MatchResult,
     MatchedSet,
@@ -197,8 +196,8 @@ def _paired_cohort_region(seed, adjustment):
     y = x @ beta + 0.5 * z + rng.normal(size=2 * n_pairs)
     table = make_table(z, x, outcomes=y, outcome_names=("y",))
     ids = table.ids
-    sets = tuple(MatchedSet(ids[2 * i], (ids[2 * i + 1],), "a", 1) for i in range(n_pairs))
-    result = MatchResult("c", "mle", sets, (), MatchCounts(0, 0, 0, 0, n_pairs, n_pairs))
+    sets = tuple(MatchedSet(ids[2 * i], (ids[2 * i + 1],)) for i in range(n_pairs))
+    result = MatchResult(sets, (), MatchCounts(0, 0, 0, 0, n_pairs, n_pairs))
     return invert_tests(
         table,
         result,
@@ -239,8 +238,8 @@ def _confounded_balance(seed):
     table = make_table(z, x)
     candidates = []
     tables = []
-    for name, fit in (("mle", fit_mle(x, z)), ("l1", fit_l1(x, z, seed=seed))):
-        res = build_match(table, fit, MatchConfig(method=name))
+    for fit in (fit_mle(x, z), fit_l1(x, z, seed=seed)):
+        res = build_match(table, fit.scores)
         rows = balance_table(table, res)
         candidates.append((count_imbalanced(rows), res.n_dropped))
         tables.append(rows)

@@ -7,24 +7,20 @@ from matchstudy.balance import (
     BalanceRow,
     balance_table,
     count_imbalanced,
-    matched_control_weights,
     pooled_sd,
     select_match,
     standardized_difference,
 )
 from matchstudy.dataset import Covariate, CovariateSchema, CONTINUOUS, ORDINAL
-from matchstudy.matching import MatchConfig, MatchCounts, MatchResult, MatchedSet, build_match
-from matchstudy.propensity import PropensityFit
+from matchstudy.matching import MatchCounts, MatchResult, MatchedSet, build_match
 
-from util import make_table
+from util import make_table, random_match, reference_weighted_rows
 
 
 def manual_result(sets, n_dropped=0):
     matched_t = len(sets)
     matched_c = sum(len(s.control_ids) for s in sets)
     return MatchResult(
-        comparison="c",
-        method="mle",
         sets=tuple(sets),
         dropped=(),
         counts=MatchCounts(0, 0, 0, 0, matched_t, matched_c),
@@ -32,7 +28,7 @@ def manual_result(sets, n_dropped=0):
 
 
 def pair(treated_id, *control_ids):
-    return MatchedSet(treated_id=treated_id, control_ids=tuple(control_ids), stratum="a", interval=1)
+    return MatchedSet(treated_id=treated_id, control_ids=tuple(control_ids))
 
 
 def fake_row(post_diff):
@@ -49,35 +45,55 @@ def fake_row(post_diff):
     )
 
 
+def post_control_means(values, sets):
+    """``balance_table``'s post-match control mean of each column of
+    ``values``, keyed by subject id, on the given sets."""
+    ids = sorted(values)
+    table = make_table(
+        [1 if i.startswith("t") else 0 for i in ids], [values[i] for i in ids], ids=ids
+    )
+    return [row.control_mean_post for row in balance_table(table, manual_result(sets))]
+
+
 class TestWeights:
     def test_pair_sets_get_unit_weights(self):
-        result = manual_result([pair("t1", "c1"), pair("t2", "c2")])
-        assert matched_control_weights(result) == {"c1": 1.0, "c2": 1.0}
+        values = {"t1": [0.0], "t2": [0.0], "c1": [3.0], "c2": [8.0]}
+        assert post_control_means(values, [pair("t1", "c1"), pair("t2", "c2")]) == [5.5]
 
     def test_one_to_four_set(self):
-        result = manual_result([pair("t1", "c1", "c2", "c3", "c4")])
-        weights = matched_control_weights(result)
-        assert all(w == 0.25 for w in weights.values())
-        assert len(weights) == 4
+        # One column per control, 1 on that control: each mean is its weight.
+        controls = ("c1", "c2", "c3", "c4")
+        values = {"t1": [0.0] * 4, **{c: [float(c == d) for d in controls] for c in controls}}
+        assert post_control_means(values, [pair("t1", *controls)]) == [0.25] * 4
 
     def test_mixed_sets_weighted_mean(self):
-        result = manual_result([pair("t1", "c1"), pair("t2", "c2", "c3", "c4")])
-        weights = matched_control_weights(result)
-        values = {"c1": 10.0, "c2": 3.0, "c3": 6.0, "c4": 9.0}
-        ids = sorted(values)
-        weighted = np.average([values[i] for i in ids], weights=[weights[i] for i in ids])
-        assert weighted == pytest.approx((10.0 + (3.0 + 6.0 + 9.0) / 3.0) / 2.0)
+        values = {"t1": [0.0], "t2": [0.0], "c1": [10.0], "c2": [3.0], "c3": [6.0], "c4": [9.0]}
+        mean = post_control_means(values, [pair("t1", "c1"), pair("t2", "c2", "c3", "c4")])
+        assert mean == [pytest.approx((10.0 + (3.0 + 6.0 + 9.0) / 3.0) / 2.0)]
 
     def test_weights_sum_to_one_per_set_and_sets_total(self):
+        # Column i is 1 on the controls of set i: with weights summing to one
+        # in every set, each column's weighted control mean is 1 / n_sets.
         rng = np.random.default_rng(0)
-        sets = [
-            pair(f"t{i}", *(f"c{i}_{j}" for j in range(int(rng.integers(1, 6)))))
-            for i in range(12)
-        ]
-        weights = matched_control_weights(manual_result(sets))
-        for s in sets:
-            assert sum(weights[c] for c in s.control_ids) == pytest.approx(1.0)
-        assert sum(weights.values()) == pytest.approx(len(sets))
+        sizes = rng.integers(1, 6, size=12)
+        sets = [pair(f"t{i:02d}", *(f"c{i:02d}_{j}" for j in range(size))) for i, size in enumerate(sizes)]
+        values = {s.treated_id: [0.0] * len(sets) for s in sets}
+        for i, s in enumerate(sets):
+            values.update({c: [float(i == j) for j in range(len(sets))] for c in s.control_ids})
+        assert post_control_means(values, sets) == pytest.approx([1.0 / len(sets)] * len(sets))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_post_match_columns_equal_a_per_set_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        table, result = random_match(rng, n_sets=int(rng.integers(1, 40)))
+        t_rows, c_rows, c_weights = reference_weighted_rows(table, result)
+        for j, row in enumerate(balance_table(table, result)):
+            values = table.covariates[:, j]
+            denom = pooled_sd(values[table.z == 1], values[table.z == 0])
+            post = standardized_difference(values[t_rows], values[c_rows], denom, c_weights)
+            assert row.treated_mean_post == float(np.mean(values[t_rows]))
+            assert row.control_mean_post == float(np.average(values[c_rows], weights=c_weights))
+            assert row.sd_diff_post == post
 
 
 class TestStandardizedDifference:
@@ -188,8 +204,7 @@ class TestBalanceTable:
     def test_counts_monotone_in_threshold(self):
         rng = np.random.default_rng(6)
         table = make_table(np.array([1] * 5 + [0] * 7), rng.normal(size=(12, 4)))
-        fit = PropensityFit(method="mle", scores=rng.uniform(0.35, 0.65, 12))
-        result = build_match(table, fit, MatchConfig(comparison="c"))
+        result = build_match(table, rng.uniform(0.35, 0.65, 12))
         last = math.inf
         for threshold in (0.05, 0.1, 0.2, 0.5, 1.0):
             rows = balance_table(table, result, threshold=threshold)

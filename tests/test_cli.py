@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -14,7 +15,6 @@ from matchstudy import pipeline
 from matchstudy.cli import main
 from matchstudy.config import config_from_dict, default_config, default_config_dict, load_config
 from matchstudy.matching import build_match
-from matchstudy.propensity import PropensityFit
 from matchstudy.dataset import ValidationError
 
 
@@ -171,14 +171,62 @@ class TestValidation:
         assert (cfg.matching.caliper_penalty, cfg.inference.n_draws) == (0, 1)
         assert config_from_dict({"matching": {"caliper_penalty": 2.5}}).matching.caliper_penalty == 2.5
 
-    @pytest.mark.parametrize("section", [{"matching": {"caliper_penalty": -1.0}}, {"inference": {"n_draws": 0}}])
+    @pytest.mark.parametrize("max_controls", [0, 16, 2.5, True, "3"])
+    def test_bad_max_controls_rejected(self, max_controls):
+        with pytest.raises(ValidationError, match="max_controls"):
+            config_from_dict({"matching": {"max_controls": max_controls}})
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0, float("nan"), "x", True, None])
+    def test_bad_alpha_rejected(self, alpha):
+        with pytest.raises(ValidationError, match="alpha"):
+            config_from_dict({"inference": {"alpha": alpha}})
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            {"step": "0.1"},
+            {"step": float("nan")},
+            {"stop": float("nan")},
+            {"stop": float("inf")},
+            {"start": "1"},
+            {"start": True},
+            {"step": 0.0},
+            {"stop": 1.0},
+        ],
+    )
+    def test_bad_sensitivity_grid_rejected(self, grid):
+        with pytest.raises(ValidationError, match="sensitivity"):
+            config_from_dict({"sensitivity": grid})
+
+    @pytest.mark.parametrize("margin", [-0.1, float("nan"), float("inf"), "0.2", True])
+    def test_bad_equivalence_margin_rejected(self, margin):
+        with pytest.raises(ValidationError, match="equivalence_margin_sd"):
+            config_from_dict({"equivalence_margin_sd": margin})
+
+    def test_integer_margin_is_read_as_a_float(self):
+        assert repr(config_from_dict({"equivalence_margin_sd": 1}).equivalence_margin_sd) == "1.0"
+
+    @pytest.mark.parametrize(
+        "section",
+        [
+            {"matching": {"caliper_penalty": -1.0}},
+            {"inference": {"n_draws": 0}},
+            {"inference": {"alpha": "x"}},
+            {"sensitivity": {"step": "0.1"}},
+            {"sensitivity": {"stop": float("nan")}},
+            {"matching": {"max_controls": 2.5}},
+            {"equivalence_margin_sd": "0.2"},
+        ],
+    )
     def test_bad_value_is_a_configuration_error_before_any_stage(self, tmp_path, capsys, section):
         out_dir = os.path.join(str(tmp_path), "out")
         obj = reduced_config_dict(out_dir)
         obj.update(section)
         cfg_path = write_config(tmp_path, obj)
         assert main(["run", "--config", cfg_path]) == 1
-        assert capsys.readouterr().err.startswith("error: invalid configuration: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid configuration: ")
+        assert "Traceback" not in err
         assert not os.path.exists(out_dir)
 
     def test_bad_json_rejected(self, tmp_path, capsys):
@@ -305,22 +353,48 @@ class TestFullRun:
         assert fresh["cohort.csv"] != digests["cohort.csv"]
         assert fresh["manifest.txt"] != digests["manifest.txt"]
 
-    def test_load_match_round_trips_build_match(self, completed_run):
-        cfg_path, _, _ = completed_run
-        cfg = load_config(cfg_path)
+    def test_load_match_round_trips_build_match(self, completed_run, tmp_path):
+        # load_match reads the two match files alone: the score files are
+        # moved away before it runs.
+        _, out_dir, _ = completed_run
+        out_copy = os.path.join(str(tmp_path), "out")
+        shutil.copytree(out_dir, out_copy)
+        cfg = load_config(write_config(tmp_path, reduced_config_dict(out_copy)))
         pipeline.stage_match(cfg)
         tables = pipeline._comparison_tables(cfg)
+        built = {}
         for comp in cfg.comparisons:
-            ct = tables[comp.name]
             for method in cfg.propensity_methods:
-                scores, _ = pipeline._load_scores(cfg, comp.name, method, ct)
-                fit = PropensityFit(method=method, scores=scores)
-                built = build_match(ct, fit, pipeline._match_config(cfg, comp.name, method))
-                loaded = pipeline.load_match(cfg, comp.name, method, ct)
-                assert loaded.sets == built.sets, (comp.name, method)
-                assert loaded.dropped == built.dropped, (comp.name, method)
-                assert loaded.counts == built.counts, (comp.name, method)
-                assert loaded == built
+                scores, _ = pipeline._load_scores(cfg, comp.name, method, tables[comp.name])
+                built[comp.name, method] = build_match(tables[comp.name], scores, cfg.matching)
+        for name in os.listdir(out_copy):
+            if name.startswith("propensity_"):
+                os.replace(os.path.join(out_copy, name), os.path.join(str(tmp_path), name))
+        for (comp_name, method), result in built.items():
+            loaded = pipeline.load_match(cfg, comp_name, method, tables[comp_name])
+            assert loaded.sets == result.sets, (comp_name, method)
+            assert loaded.dropped == result.dropped, (comp_name, method)
+            assert loaded.counts == result.counts, (comp_name, method)
+            assert loaded == result
+
+    def test_match_error_names_the_comparison(self, completed_run, tmp_path, capsys):
+        # Every treated score below every control score: the trim empties the
+        # treated arm, and the error says in which comparison.
+        _, out_dir, _ = completed_run
+        out_copy = os.path.join(str(tmp_path), "out")
+        shutil.copytree(out_dir, out_copy)
+        cfg_path = write_config(tmp_path, reduced_config_dict(out_copy))
+        ct = pipeline._comparison_tables(load_config(cfg_path))["comparison-3"]
+        path = os.path.join(out_copy, "propensity_comparison-3_l1.json")
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+        obj["scores"] = [0.1 if z == 1 else 0.9 for z in ct.z.tolist()]
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+        assert main(["match", "--config", cfg_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: comparison-3: common-support trim emptied an arm")
+        assert "Traceback" not in err
 
     def test_match_stage_rerun_reproduces_run_output(self, completed_run):
         cfg_path, out_dir, digests = completed_run

@@ -24,17 +24,21 @@ from matchstudy.inference import (
 from matchstudy.matching import MatchCounts, MatchResult, MatchedSet
 from matchstudy.oracles import brute_force_tail_probabilities
 
-from util import make_table, random_matched_instance, shuffled_matched_instance
+from util import (
+    make_table,
+    random_match,
+    random_matched_instance,
+    reference_matched_arrays,
+    shuffled_matched_instance,
+)
 
 
 def pair_result(n_pairs, ids):
     sets = tuple(
-        MatchedSet(treated_id=ids[2 * i], control_ids=(ids[2 * i + 1],), stratum="a", interval=1)
+        MatchedSet(treated_id=ids[2 * i], control_ids=(ids[2 * i + 1],))
         for i in range(n_pairs)
     )
     return MatchResult(
-        comparison="c",
-        method="mle",
         sets=sets,
         dropped=(),
         counts=MatchCounts(0, 0, 0, 0, n_pairs, n_pairs),
@@ -304,6 +308,22 @@ class TestMatchedArrays:
         result = pair_result(2, table.ids)
         with pytest.raises(ValueError, match="dep"):
             matched_arrays(table, result, "dep")
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_a_per_set_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        table, result = random_match(rng, n_sets=int(rng.integers(1, 40)), missing_rate=0.05)
+        rows, sets, excluded = reference_matched_arrays(table, result, "y")
+        if not sets:
+            with pytest.raises(ValueError, match="y"):
+                matched_arrays(table, result, "y")
+            return
+        data = matched_arrays(table, result, "y")
+        assert data.excluded_sets == excluded
+        assert len(data.sets) == len(sets)
+        assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(data.sets, sets))
+        for got, want in ((data.r, table.outcomes[rows, 0]), (data.z, table.z[rows]), (data.x, table.covariates[rows])):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 class TestInvertTests:

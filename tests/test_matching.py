@@ -15,10 +15,10 @@ from scipy.stats import rankdata
 
 from matchstudy import matching
 from matchstudy.matching import (
-    MatchConfig,
     MatchCounts,
     MatchedSet,
     MatchingError,
+    MatchingParams,
     REASON_COMMON_SUPPORT,
     REASON_MISSINGNESS,
     REASON_OPTIMAL_DISCARD,
@@ -34,13 +34,8 @@ from matchstudy.matching import (
 )
 from matchstudy.oracles import brute_force_bucket_cost, brute_force_canonical_match, match_total_cost
 from matchstudy.pipeline import format_match_row
-from matchstudy.propensity import PropensityFit
 
 from util import make_table
-
-
-def score_fit(scores):
-    return PropensityFit(method="mle", scores=np.asarray(scores, dtype=float))
 
 
 def exact_rank_mahalanobis(x_treated, x_control):
@@ -482,18 +477,18 @@ def simple_instance(rng, n_treated, n_control, strata=("a",), score_range=(0.35,
     covs = rng.normal(size=(n, 3))
     stratum = rng.choice(strata, size=n)
     table = make_table(z, covs, stratum=stratum)
-    scores = rng.uniform(*score_range, size=n)
-    return table, score_fit(scores)
+    return table, rng.uniform(*score_range, size=n)
 
 
 class TestBuildMatch:
     def test_balanced_single_bucket_is_pure_pairing(self):
         rng = np.random.default_rng(7)
         table = make_table(np.array([1, 1, 1, 1, 0, 0, 0, 0]), rng.normal(size=(8, 3)))
-        fit = score_fit([0.50, 0.55, 0.60, 0.65, 0.45, 0.52, 0.58, 0.63])
-        result = build_match(table, fit, MatchConfig(comparison="c", method="mle"))
+        scores = np.array([0.50, 0.55, 0.60, 0.65, 0.45, 0.52, 0.58, 0.63])
+        assert (propensity_interval(scores) == 1).all()
+        result = build_match(table, scores)
         assert len(result.sets) == 4
-        assert all(len(s.control_ids) == 1 and s.interval == 1 for s in result.sets)
+        assert all(len(s.control_ids) == 1 for s in result.sets)
         assert composition(result) == {1: 4, **{k: 0 for k in range(2, 16)}}
         assert result.counts.n_matched == 8
 
@@ -503,15 +498,15 @@ class TestBuildMatch:
         scores = np.array([0.50, 0.60, 0.45, 0.55, 0.30, 0.32, 0.28, 0.31])
         rng = np.random.default_rng(8)
         covs = rng.normal(size=(8, 2))
-        config = MatchConfig(comparison="c", method="mle", caliper_penalty=0.0)
+        params = MatchingParams(caliper_penalty=0.0)
 
         table = make_table(z, covs)
-        full = build_match(table, score_fit(scores), config)
+        full = build_match(table, scores, params)
 
         pieces = []
         for cell in (slice(0, 4), slice(4, 8)):
             sub = make_table(z[cell], covs[cell], ids=table.ids[cell])
-            pieces.extend(build_match(sub, score_fit(scores[cell]), config).sets)
+            pieces.extend(build_match(sub, scores[cell], params).sets)
         key = lambda s: s.treated_id
         assert sorted(full.sets, key=key) == sorted(pieces, key=key)
 
@@ -520,7 +515,7 @@ class TestBuildMatch:
         scores = np.array([0.50, 0.44, 0.05, 0.45, 0.42, 0.90])
         rng = np.random.default_rng(9)
         table = make_table(z, rng.normal(size=(6, 2)))
-        result = build_match(table, score_fit(scores), MatchConfig(comparison="c"))
+        result = build_match(table, scores)
         reasons = dict(result.dropped)
         assert reasons[table.ids[2]] == REASON_COMMON_SUPPORT  # below every control
         assert reasons[table.ids[5]] == REASON_COMMON_SUPPORT  # above every treated
@@ -540,7 +535,7 @@ class TestBuildMatch:
             (ids[1], REASON_COMMON_SUPPORT),
             (ids[5], REASON_OPTIMAL_DISCARD),
         ]
-        sets = [MatchedSet(treated_id=ids[2], control_ids=(ids[6],), stratum="a", interval=1)]
+        sets = [MatchedSet(treated_id=ids[2], control_ids=(ids[6],))]
         assert match_counts(table, sets, dropped) == MatchCounts(1, 2, 1, 0, 1, 1)
 
     def test_worker_count_does_not_change_the_result(self, monkeypatch):
@@ -572,7 +567,7 @@ class TestBuildMatch:
         scores[0] = 0.9  # the highest treated score: the trim keeps every control
         order = rng.permutation(z.size)
         table = make_table(z[order], rng.normal(size=(z.size, 3)), stratum=np.array(stratum)[order])
-        fit, config = score_fit(scores[order]), MatchConfig(comparison="c")
+        scores = scores[order]
 
         pools = []
 
@@ -588,7 +583,7 @@ class TestBuildMatch:
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cores: set(range(n)), raising=False)
             sys.setswitchinterval(1e-6)
             try:
-                results.append(build_match(table, fit, config))
+                results.append(build_match(table, scores))
             finally:
                 sys.setswitchinterval(switch)
         assert pools == [1, 3]
@@ -597,13 +592,13 @@ class TestBuildMatch:
         assert pooled.dropped == serial.dropped
         assert pooled.counts == serial.counts
         assert not any(reason == REASON_COMMON_SUPPORT for _, reason in serial.dropped)
-        assert {(s.stratum, s.interval) for s in serial.sets} == {key for key in layout if key[0] != "e"}
+        cell_of = {table.ids[i]: (table.stratum[i], int(propensity_interval(scores[i]))) for i in range(table.n)}
+        assert {cell_of[s.treated_id] for s in serial.sets} == {key for key in layout if key[0] != "e"}
 
         # One match_bucket call per cell, in cell order.
-        sets, dropped = [], []
-        cells = sorted({(table.stratum[i], int(propensity_interval(fit.scores[i]))) for i in range(table.n)})
-        for name, k in cells:
-            rows = [i for i in range(table.n) if (table.stratum[i], propensity_interval(fit.scores[i])) == (name, k)]
+        keyed, dropped = [], []
+        for name, k in sorted(set(cell_of.values())):
+            rows = [i for i in range(table.n) if cell_of[table.ids[i]] == (name, k)]
             t_rows = sorted((i for i in rows if table.z[i] == 1), key=lambda i: table.ids[i])
             c_rows = sorted((i for i in rows if table.z[i] == 0), key=lambda i: table.ids[i])
             t_ids = tuple(table.ids[i] for i in t_rows)
@@ -612,30 +607,29 @@ class TestBuildMatch:
                 dropped += [(s, REASON_UNMATCHED) for s in t_ids + c_ids]
                 continue
             d = rank_mahalanobis(table.covariates[t_rows], table.covariates[c_rows])
-            d = apply_caliper(d, fit.scores[t_rows], fit.scores[c_rows], scale_scores=fit.scores)
+            d = apply_caliper(d, scores[t_rows], scores[c_rows], scale_scores=scores)
             cell_sets, cell_dropped = match_bucket(d, t_ids, c_ids, k)
-            sets += [MatchedSet(t, cs, name, k) for t, cs in cell_sets]
+            keyed += [((name, k, t), MatchedSet(t, cs)) for t, cs in cell_sets]
             dropped += cell_dropped
-        assert serial.sets == tuple(sorted(sets, key=lambda s: (s.stratum, s.interval, s.treated_id)))
+        assert serial.sets == tuple(s for _, s in sorted(keyed, key=lambda item: item[0]))
         assert serial.dropped == tuple(dropped)
 
     def test_sets_never_cross_strata(self):
         rng = np.random.default_rng(10)
         for _ in range(10):
-            table, fit = simple_instance(rng, 6, 10, strata=("7-8", "9-10", "11-12"))
-            result = build_match(table, fit, MatchConfig(comparison="c"))
+            table, scores = simple_instance(rng, 6, 10, strata=("7-8", "9-10", "11-12"))
+            result = build_match(table, scores)
             stratum_of = {s: table.stratum[i] for i, s in enumerate(table.ids)}
             for matched_set in result.sets:
-                assert stratum_of[matched_set.treated_id] == matched_set.stratum
                 for c in matched_set.control_ids:
-                    assert stratum_of[c] == matched_set.stratum
+                    assert stratum_of[c] == stratum_of[matched_set.treated_id]
                 assert 1 <= len(matched_set.control_ids) <= 15
 
     def test_partition_property(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
-            table, fit = simple_instance(rng, 5, 12, strata=("a", "b"), score_range=(0.05, 0.95))
-            result = build_match(table, fit, MatchConfig(comparison="c"))
+            table, scores = simple_instance(rng, 5, 12, strata=("a", "b"), score_range=(0.05, 0.95))
+            result = build_match(table, scores)
             in_sets = [s.treated_id for s in result.sets]
             in_sets += [c for s in result.sets for c in s.control_ids]
             everyone = in_sets + [s for s, _ in result.dropped]
@@ -671,21 +665,20 @@ class TestBuildMatch:
         rng = np.random.default_rng(13)
         table, _ = simple_instance(rng, 2, 2)
         with pytest.raises(ValueError, match="align"):
-            build_match(table, score_fit([0.5, 0.5]), MatchConfig())
+            build_match(table, [0.5, 0.5])
 
     def test_config_bounds(self):
         with pytest.raises(ValueError):
-            MatchConfig(max_controls=16)
+            MatchingParams(max_controls=16)
         with pytest.raises(ValueError):
-            MatchConfig(max_controls=0)
+            MatchingParams(max_controls=0)
 
 
 class TestComposition:
     def test_all_pairs(self):
         rng = np.random.default_rng(14)
         table = make_table(np.array([1, 1, 1, 0, 0, 0]), rng.normal(size=(6, 3)))
-        fit = score_fit([0.50, 0.55, 0.60, 0.48, 0.52, 0.58])
-        result = build_match(table, fit, MatchConfig(comparison="c"))
+        result = build_match(table, [0.50, 0.55, 0.60, 0.48, 0.52, 0.58])
         counts = composition(result)
         assert counts[1] == 3
         assert sum(counts.values()) == len(result.sets)
@@ -693,8 +686,8 @@ class TestComposition:
     def test_mixed_sizes_counted(self):
         rng = np.random.default_rng(15)
         # scores spread over buckets so set sizes vary
-        table, fit = simple_instance(rng, 4, 20, score_range=(0.1, 0.9))
-        result = build_match(table, fit, MatchConfig(comparison="c"))
+        table, scores = simple_instance(rng, 4, 20, score_range=(0.1, 0.9))
+        result = build_match(table, scores)
         counts = composition(result)
         sizes = [len(s.control_ids) for s in result.sets]
         for j in range(1, 16):

@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from matchstudy.dataset import SubjectTable
+from matchstudy.matching import MatchCounts, MatchedSet, MatchResult
 
 
 def make_table(
@@ -115,3 +116,59 @@ def tables_equal(a: SubjectTable, b: SubjectTable) -> bool:
     if not np.array_equal(a.outcomes, b.outcomes, equal_nan=True):
         return False
     return a.aux == b.aux
+
+
+def random_match(rng, n_sets, max_controls=15, missing_rate=0.1):
+    """A table and a hand-made match of ``n_sets`` sets with 1..max_controls
+    controls each, plus unmatched subjects.
+
+    Members are drawn from a random permutation of the rows, and each set
+    lists its controls in random order. The one outcome ``y`` is missing at
+    ``missing_rate`` of the rows, so some sets have a member without it.
+    """
+    sizes = rng.integers(1, max_controls + 1, size=n_sets)
+    n = int(sizes.sum()) + n_sets + 5
+    order = rng.permutation(n)
+    z = np.zeros(n, dtype=np.int64)
+    z[order[:n_sets]] = 1
+    controls = np.split(order[n_sets : n_sets + int(sizes.sum())], np.cumsum(sizes)[:-1])
+    outcomes = rng.normal(size=n)
+    outcomes[rng.random(n) < missing_rate] = np.nan
+    table = make_table(z, rng.normal(size=(n, 3)), outcomes=outcomes, outcome_names=("y",))
+    sets = tuple(
+        MatchedSet(table.ids[t], tuple(table.ids[c] for c in cs)) for t, cs in zip(order[:n_sets].tolist(), controls)
+    )
+    counts = MatchCounts(0, 0, 0, 0, n_sets, int(sizes.sum()))
+    return table, MatchResult(sets=sets, dropped=(), counts=counts)
+
+
+def reference_weighted_rows(table, result):
+    """Treated rows, control rows and control weights 1/(set size - 1) of a
+    match, built set by set in Python, as an independent reference for the
+    balance module's row layout."""
+    weights = {}
+    for s in result.sets:
+        w = 1.0 / len(s.control_ids)
+        for c in s.control_ids:
+            weights[c] = w
+    t_rows = np.array([table.row_of(s.treated_id) for s in result.sets], dtype=int)
+    c_ids = [c for s in result.sets for c in s.control_ids]
+    c_rows = np.array([table.row_of(c) for c in c_ids], dtype=int)
+    return t_rows, c_rows, np.array([weights[c] for c in c_ids])
+
+
+def reference_matched_arrays(table, result, outcome):
+    """``inference.matched_arrays`` built set by set in Python: the compact
+    rows, the per-set index arrays and the treated ids of the sets dropped
+    for a missing outcome, in set order."""
+    j = table.outcome_index(outcome)
+    rows, sets, excluded = [], [], []
+    for s in result.sets:
+        members = [table.row_of(s.treated_id)] + [table.row_of(c) for c in s.control_ids]
+        if any(table.outcome_missing[m, j] for m in members):
+            excluded.append(s.treated_id)
+            continue
+        start = len(rows)
+        rows.extend(members)
+        sets.append(np.arange(start, start + len(members)))
+    return np.array(rows, dtype=int), tuple(sets), tuple(excluded)
