@@ -39,6 +39,7 @@ from .dataset import (
 )
 from .inference import (
     ConfidenceRegion,
+    SetLayout,
     TestResult,
     align_responses,
     cohen_grid,

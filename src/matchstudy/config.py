@@ -112,6 +112,8 @@ class StudyConfig:
     simulate: GeneratorConfig | None = None
 
     def __post_init__(self):
+        if not (whole_number(self.seed) and self.seed >= 0):
+            raise ValidationError("seed must be an integer >= 0")
         if not self.covariates:
             raise ValidationError("config lists no covariates")
         if not self.comparisons:
@@ -268,7 +270,7 @@ def config_from_dict(obj: dict) -> StudyConfig:
     return StudyConfig(
         data=obj.get("data", base["data"]),
         output_dir=obj.get("output_dir", base["output_dir"]),
-        seed=int(obj.get("seed", base["seed"])),
+        seed=obj.get("seed", base["seed"]),
         id_column=columns["id"],
         treatment_column=columns["treatment"],
         stratum_column=columns["stratum"],

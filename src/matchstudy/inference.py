@@ -27,19 +27,55 @@ ADJUST_OLS = "ols"
 ADJUST_BART = "bart"
 
 
+class SetLayout:
+    """Matched sets laid end to end, each with its treated member first.
+
+    An array laid out with it holds set i at ``[starts[i], starts[i] + sizes[i])``
+    along its first axis, the treated member at ``starts[i]``. So the layout
+    is its own treatment indicator: ``z`` is 1 at the starts and 0 elsewhere.
+    """
+
+    def __init__(self, sizes) -> None:
+        sizes = np.asarray(sizes)
+        if sizes.ndim != 1 or sizes.size == 0 or sizes.dtype.kind not in "iu" or sizes.min() < 1:
+            raise ValueError("set sizes must be a non-empty 1-d integer array of values >= 1")
+        self.sizes = sizes.astype(np.intp)
+        self.starts = np.cumsum(self.sizes) - self.sizes
+        self.z = np.zeros(int(self.sizes.sum()), dtype=np.int64)
+        self.z[self.starts] = 1
+        for a in (self.sizes, self.starts, self.z):
+            a.flags.writeable = False
+
+    def __len__(self) -> int:
+        return self.sizes.size
+
+    def check(self, values, dtype=None) -> np.ndarray:
+        """``values`` as an array (of ``dtype``, if given), after checking
+        that it has one entry (or row) per member."""
+        values = np.asarray(values, dtype=dtype)
+        if values.shape[:1] != self.z.shape:
+            raise ValueError(f"expected {self.z.size} values laid out by set, got shape {values.shape}")
+        return values
+
+    def split(self, values: np.ndarray) -> list[np.ndarray]:
+        """Per-set views of laid-out values, in set order."""
+        return np.split(values, self.starts[1:])
+
+    def means(self, laid: np.ndarray) -> np.ndarray:
+        """Per-set means of laid-out values (along axis 0)."""
+        return np.add.reduceat(laid, self.starts, axis=0) / self.sizes.reshape((-1,) + (1,) * (laid.ndim - 1))
+
+
 @dataclass(frozen=True)
 class InferenceData:
-    """Matched outcomes in compact arrays.
+    """Matched outcomes and covariates laid out by ``sets``.
 
-    ``sets`` holds row-index arrays into the compact vectors; each set lists
-    its treated row first. ``excluded_sets`` names treated ids of sets dropped
-    for missing outcomes.
+    ``excluded_sets`` names treated ids of sets dropped for missing outcomes.
     """
 
     r: np.ndarray
-    z: np.ndarray
     x: np.ndarray
-    sets: tuple[np.ndarray, ...]
+    sets: SetLayout
     excluded_sets: tuple[str, ...]
 
 
@@ -47,7 +83,8 @@ def matched_arrays(table: SubjectTable, result: MatchResult, outcome: str) -> In
     """Extract outcome/covariate arrays for the matched sets.
 
     Sets containing any member with a missing outcome are excluded and
-    logged. Raises if nothing remains.
+    logged. Raises if nothing remains, or unless each set's first member
+    (its treated id) is its one treated subject.
     """
     j = table.outcome_index(outcome)
     rows, sizes = member_rows(table, result)
@@ -57,63 +94,37 @@ def matched_arrays(table: SubjectTable, result: MatchResult, outcome: str) -> In
         raise ValueError(f"no matched sets with observed outcome {outcome!r}")
     keep = ~missing
     idx = rows[np.repeat(keep, sizes)]
+    sets = SetLayout(sizes[keep])
+    wrong = np.logical_or.reduceat(table.z[idx] != sets.z, sets.starts)
+    if wrong.any():
+        treated_id = table.ids[idx[sets.starts[wrong.argmax()]]]
+        raise ValueError(f"matched set {treated_id!r} must list exactly one treated subject, first")
     return InferenceData(
         r=table.outcomes[idx, j],
-        z=table.z[idx],
         x=table.covariates[idx],
-        sets=tuple(np.split(np.arange(idx.size), np.cumsum(sizes[keep])[:-1])),
+        sets=sets,
         excluded_sets=tuple(table.ids[t] for t in rows[starts[missing]].tolist()),
     )
 
 
-def set_segments(sets: tuple[np.ndarray, ...], z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lay the members of every matched set end to end, treated member first.
-
-    Set i occupies ``rows[starts[i] : starts[i] + sizes[i]]``, so
-    ``values[rows][starts]`` are the treated values and
-    ``np.add.reduceat(values[rows], starts)`` the set sums. Raises unless
-    every set holds exactly one treated subject (``z == 1``).
-    """
-    if not sets:
-        raise ValueError("need at least one matched set")
-    sizes = np.fromiter(map(len, sets), dtype=np.intp, count=len(sets))
-    rows = np.concatenate(sets).astype(np.intp, copy=False)
-    starts = np.cumsum(sizes) - sizes
-    treated = np.asarray(z)[rows] == 1
-    if sizes.min() == 0 or np.any(np.add.reduceat(treated, starts) != 1):
-        raise ValueError("each matched set must contain exactly one treated subject")
-    at = np.flatnonzero(treated)
-    rows[starts], rows[at] = rows[at], rows[starts]
-    return rows, starts, sizes
-
-
-def set_means(laid: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Per-set means of values laid out by ``set_segments`` (along axis 0)."""
-    return np.add.reduceat(laid, starts, axis=0) / sizes.reshape((-1,) + (1,) * (laid.ndim - 1))
-
-
 def align_responses(
     r: np.ndarray,
-    z: np.ndarray,
-    sets: tuple[np.ndarray, ...],
+    sets: SetLayout,
     tau0: float,
     x: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Remove the hypothesized effect and the set means.
 
-    Responses become (r - tau0*z) minus the set mean of that quantity;
-    covariate columns are centered the same way. Both come back with set
-    means that are exactly zero up to rounding.
+    ``r`` and ``x`` are laid out by ``sets``. Responses become
+    (r - tau0*z) minus the set mean of that quantity; covariate columns are
+    centered the same way. Both come back with set means that are exactly
+    zero up to rounding.
     """
-    rows, starts, sizes = set_segments(sets, z)
 
-    def centre(values: np.ndarray) -> np.ndarray:
-        laid = values[rows]
-        out = np.empty_like(values)
-        out[rows] = laid - np.repeat(set_means(laid, starts, sizes), sizes, axis=0)
-        return out
+    def centre(laid: np.ndarray) -> np.ndarray:
+        return laid - np.repeat(sets.means(laid), sets.sizes, axis=0)
 
-    return centre(r - tau0 * z), (centre(x) if x is not None else None)
+    return centre(sets.check(r) - tau0 * sets.z), (centre(sets.check(x)) if x is not None else None)
 
 
 def covariance_adjust(
@@ -163,13 +174,13 @@ def _comparison_tolerance(values: np.ndarray) -> float:
 
 def permutational_t_test(
     resid: np.ndarray,
-    z: np.ndarray,
-    sets: tuple[np.ndarray, ...],
+    sets: SetLayout,
     mode: str = "auto",
     n_draws: int = 100_000,
     seed: int = 0,
 ) -> TestResult:
-    """Test the sharp null via the treated-sum statistic.
+    """Test the sharp null via the treated-sum statistic of residuals laid
+    out by ``sets``.
 
     Modes: ``exact`` enumerates every equiprobable assignment (product of set
     sizes at most 1e6); ``monte-carlo`` samples assignments with an add-one
@@ -178,11 +189,9 @@ def permutational_t_test(
     twice the smaller tail, capped at 1. Monte Carlo raises ``ValueError``
     unless ``n_draws`` is an integer >= 1.
     """
-    rows, starts, sizes = set_segments(sets, z)
-    resid = np.asarray(resid, dtype=float)
-    laid = resid[rows]
-    t_obs = float(laid[starts].sum())
-    n_assign = math.prod(sizes.tolist())
+    laid = sets.check(resid, float)
+    t_obs = float(laid[sets.starts].sum())
+    n_assign = math.prod(sets.sizes.tolist())
     if mode == "auto":
         mode = "exact" if n_assign <= EXACT_LIMIT else "monte-carlo"
     detail: dict = {}
@@ -191,8 +200,8 @@ def permutational_t_test(
         if n_assign > EXACT_LIMIT:
             raise ValueError(f"exact enumeration needs at most {EXACT_LIMIT} assignments, have > {EXACT_LIMIT}")
         sums = np.zeros(1)
-        for s in sets:
-            sums = (sums[:, None] + resid[s][None, :]).ravel()
+        for values in sets.split(laid):
+            sums = (sums[:, None] + values[None, :]).ravel()
         tol = _comparison_tolerance(sums)
         p_upper = float(np.count_nonzero(sums >= t_obs - tol)) / sums.size
         p_lower = float(np.count_nonzero(sums <= t_obs + tol)) / sums.size
@@ -202,16 +211,16 @@ def permutational_t_test(
             raise ValueError("n_draws must be an integer >= 1")
         rng = np.random.default_rng(seed)
         acc = np.zeros(n_draws)
-        for s in sets:
-            acc += resid[s][rng.integers(0, len(s), n_draws)]
+        for values in sets.split(laid):
+            acc += values[rng.integers(0, values.size, n_draws)]
         tol = _comparison_tolerance(acc)
         p_upper = (1.0 + np.count_nonzero(acc >= t_obs - tol)) / (n_draws + 1.0)
         p_lower = (1.0 + np.count_nonzero(acc <= t_obs + tol)) / (n_draws + 1.0)
         detail.update(n_draws=n_draws, seed=seed)
     elif mode == "normal-approx":
-        means = set_means(laid, starts, sizes)
+        means = sets.means(laid)
         mean = float(means.sum())
-        var = float(set_means((laid - np.repeat(means, sizes)) ** 2, starts, sizes).sum())  # population variances
+        var = float(sets.means((laid - np.repeat(means, sets.sizes)) ** 2).sum())  # population variances
         detail.update(null_mean=mean, null_var=var)
         if var <= 0.0:
             p_upper = p_lower = 1.0
@@ -240,11 +249,8 @@ class ConfidenceRegion:
     grid: np.ndarray
     p_values: np.ndarray
     accepted: np.ndarray
-    alpha: float
-    adjustment: str
     hull: tuple[float, float] | None
     non_monotone: bool
-    excluded_sets: tuple[str, ...] = ()
 
 
 def cohen_grid(outcome_sd: float, n_fill: int = 50) -> np.ndarray:
@@ -256,9 +262,7 @@ def cohen_grid(outcome_sd: float, n_fill: int = 50) -> np.ndarray:
 
 
 def invert_tests(
-    table: SubjectTable,
-    result: MatchResult,
-    outcome: str,
+    data: InferenceData,
     grid: np.ndarray | None = None,
     alpha: float = 0.05,
     adjustment: str = ADJUST_NONE,
@@ -266,21 +270,22 @@ def invert_tests(
     seed: int = 0,
     n_draws: int = 100_000,
 ) -> ConfidenceRegion:
-    """Confidence region for an additive effect by inverting the test.
+    """Confidence region for an additive effect on ``data``'s outcome by
+    inverting the test.
 
     Each grid value is retested from scratch (alignment and covariance
-    adjustment depend on tau0). The accepted hull is [min, max] of accepted
-    grid values; a non-contiguous accepted set raises the non-monotone flag.
+    adjustment depend on tau0). The default grid is ``cohen_grid`` of the
+    outcome's sd. The accepted hull is [min, max] of accepted grid values; a
+    non-contiguous accepted set raises the non-monotone flag.
     """
-    data = matched_arrays(table, result, outcome)
     if grid is None:
         grid = cohen_grid(float(np.std(data.r, ddof=1)))
     grid = np.sort(np.asarray(grid, dtype=float))
     p_values = np.empty(grid.size)
     for i, tau0 in enumerate(grid):
-        aligned_r, aligned_x = align_responses(data.r, data.z, data.sets, tau0, data.x)
+        aligned_r, aligned_x = align_responses(data.r, data.sets, tau0, data.x)
         resid, _ = covariance_adjust(aligned_r, aligned_x, adjustment, seed=seed)
-        test = permutational_t_test(resid, data.z, data.sets, mode=mode, n_draws=n_draws, seed=seed)
+        test = permutational_t_test(resid, data.sets, mode=mode, n_draws=n_draws, seed=seed)
         p_values[i] = test.p_two_sided
     accepted = p_values > alpha
     hull = None
@@ -293,11 +298,8 @@ def invert_tests(
         grid=grid,
         p_values=p_values,
         accepted=accepted,
-        alpha=alpha,
-        adjustment=adjustment,
         hull=hull,
         non_monotone=non_monotone,
-        excluded_sets=data.excluded_sets,
     )
 
 
@@ -306,16 +308,14 @@ def invert_tests(
 # ---------------------------------------------------------------------------
 
 
-def _binary_set_margins(
-    y: np.ndarray, z: np.ndarray, sets: tuple[np.ndarray, ...]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(treated event, events d_i, size n_i) per set; validates one treated."""
-    y = np.asarray(y)
+def _binary_set_margins(y: np.ndarray, sets: SetLayout) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(treated event, events d_i, size n_i) per set of 0/1 outcomes laid out
+    by ``sets``."""
+    y = sets.check(y)
     if not np.isin(y, (0, 1)).all():
         raise ValueError("binary outcome must be 0/1")
-    rows, starts, sizes = set_segments(sets, z)
-    laid = y[rows].astype(float)
-    return laid[starts], np.add.reduceat(laid, starts), sizes.astype(float)
+    laid = y.astype(float)
+    return laid[sets.starts], np.add.reduceat(laid, sets.starts), sets.sizes.astype(float)
 
 
 @dataclass(frozen=True)
@@ -328,8 +328,9 @@ class ConditionalLogitResult:
     n_informative: int
 
 
-def conditional_logistic(y: np.ndarray, z: np.ndarray, sets: tuple[np.ndarray, ...]) -> ConditionalLogitResult:
-    """Conditional logistic regression of a binary outcome on treatment.
+def conditional_logistic(y: np.ndarray, sets: SetLayout) -> ConditionalLogitResult:
+    """Conditional logistic regression of a binary outcome, laid out by
+    ``sets``, on treatment.
 
     Conditioning on each set's event count leaves a one-parameter likelihood;
     with one treated per set the set contribution is Bernoulli with odds
@@ -338,7 +339,7 @@ def conditional_logistic(y: np.ndarray, z: np.ndarray, sets: tuple[np.ndarray, .
     pairs). Sets with no event-count information (d = 0 or d = n) drop out;
     with none left theta is unidentified.
     """
-    t, d, n = _binary_set_margins(y, z, sets)
+    t, d, n = _binary_set_margins(y, sets)
     informative = (d > 0) & (d < n)
     t, d, n = t[informative], d[informative], n[informative]
     if t.size == 0:
@@ -419,17 +420,16 @@ def event_tail_probabilities(probs: np.ndarray, t_obs: int, mode: str) -> tuple[
 MH_EXACT_LIMIT = 200
 
 
-def mantel_haenszel(
-    y: np.ndarray, z: np.ndarray, sets: tuple[np.ndarray, ...], mode: str = "auto"
-) -> TestResult:
-    """Mantel-Haenszel test of treated event counts across matched sets.
+def mantel_haenszel(y: np.ndarray, sets: SetLayout, mode: str = "auto") -> TestResult:
+    """Mantel-Haenszel test of treated event counts across matched sets, for
+    a 0/1 outcome laid out by ``sets``.
 
     Conditioning on each set's margins makes the treated-event indicator
     hypergeometric: Bernoulli(d_i/n_i) with one treated draw. ``exact``
     convolves the set contributions; ``normal`` uses the continuity-corrected
     deviate. ``auto`` is exact up to 200 sets.
     """
-    t, d, n = _binary_set_margins(y, z, sets)
+    t, d, n = _binary_set_margins(y, sets)
     t_obs = int(round(float(t.sum())))
     probs = d / n
     if mode == "auto":

@@ -467,7 +467,7 @@ def build_match(table: SubjectTable, scores, params: MatchingParams = MatchingPa
     ``scores`` are the propensity scores of the ``table`` rows. Every input
     subject lands either in a matched set or in the dropped ledger with a
     reason. The sets come in cell order (stratum, then interval), each cell's
-    by treated id.
+    by treated id. Raises ``MatchingError`` when no cell holds both arms.
     """
     scores = np.asarray(scores, dtype=float)
     if scores.shape != (table.n,):
@@ -503,6 +503,8 @@ def build_match(table: SubjectTable, scores, params: MatchingParams = MatchingPa
     # Largest cells first, so the longest solves start early. A matrix is
     # built only when a worker is free, so at most workers + 1 cells hold one.
     solvable = [key for key in sorted(members) if all(len(part) for part in members[key])]
+    if not solvable:
+        raise MatchingError("no stratum x interval cell holds both arms")
     solvable.sort(key=lambda key: len(members[key][0]) * len(members[key][1]) * key[1], reverse=True)
     solves = {}
     workers = _worker_count()

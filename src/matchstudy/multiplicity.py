@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inference import ConfidenceRegion
-
 COMPARISON_LABELS = (
     "treated vs all controls",
     "treated vs sport controls",
@@ -38,19 +36,20 @@ class EquivalenceResult:
     empty_region: bool
 
 
-def equivalence_test(region: ConfidenceRegion, margin: float) -> EquivalenceResult:
-    """Equivalent iff the accepted hull sits inside the open (-margin, margin).
+def equivalence_test(hull: tuple[float, float] | None, margin: float) -> EquivalenceResult:
+    """Equivalent iff the accepted hull of a confidence region sits inside the
+    open (-margin, margin).
 
-    An empty accepted region cannot show equivalence and is flagged rather
-    than treated as evidence either way.
+    An empty accepted region (``hull`` None) cannot show equivalence and is
+    flagged rather than treated as evidence either way.
     """
     if margin < 0.0:
         raise ValueError("margin must be nonnegative")
-    if region.hull is None:
+    if hull is None:
         return EquivalenceResult(False, False, None, margin, True)
-    lo, hi = region.hull
+    lo, hi = hull
     equivalent = -margin < lo and hi < margin
-    return EquivalenceResult(equivalent, equivalent, region.hull, margin, False)
+    return EquivalenceResult(equivalent, equivalent, hull, margin, False)
 
 
 @dataclass(frozen=True)

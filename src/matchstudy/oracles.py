@@ -220,11 +220,18 @@ def _random_sets(
     return resid, z, sets
 
 
+def _laid_out(resid: np.ndarray, z: np.ndarray, sets: tuple[np.ndarray, ...]) -> tuple[np.ndarray, inference.SetLayout]:
+    """The residuals laid out set after set, each set's treated member first
+    and its other members in their listed order."""
+    rows = np.concatenate([np.concatenate([s[z[s] == 1], s[z[s] != 1]]) for s in sets])
+    return resid[rows], inference.SetLayout([s.size for s in sets])
+
+
 def _check_permutation(rng: np.random.Generator) -> OracleCheck:
     for trial in range(20):
         sizes = rng.integers(2, 5, size=int(rng.integers(2, 6)))
         resid, z, sets = _random_sets(rng, sizes, rng.integers(-5, 6, size=sizes.sum()).astype(float))
-        got = inference.permutational_t_test(resid, z, sets, mode="exact")
+        got = inference.permutational_t_test(*_laid_out(resid, z, sets), mode="exact")
         up, lo, n_assign = brute_force_tail_probabilities(resid, z, sets)
         if not (got.p_upper == up and got.p_lower == lo):
             return OracleCheck(
@@ -251,17 +258,15 @@ def sensitivity_instance() -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ..
         np.array([1.0, -0.5, -0.5]),
         np.array([1.2, -0.6, -0.6]),
     ]
-    resid = np.concatenate(parts)
-    starts = np.cumsum([0] + [part.size for part in parts[:-1]])
-    z = np.zeros(resid.size, dtype=int)
-    z[starts] = 1
-    return resid, z, tuple(np.split(np.arange(resid.size), starts[1:]))
+    layout = inference.SetLayout([part.size for part in parts])
+    return np.concatenate(parts), layout.z, tuple(layout.split(np.arange(layout.z.size)))
 
 
 def _check_sensitivity(rng: np.random.Generator) -> OracleCheck:
     resid, z, sets = sensitivity_instance()
+    laid, layout = _laid_out(resid, z, sets)
     for gamma in (1.0, 1.3, 1.8, 2.2):
-        sep = sensitivity.sensitivity_residual(resid, z, sets, gamma, direction="greater").p_one_sided
+        sep = sensitivity.sensitivity_residual(laid, layout, gamma, direction="greater").p_one_sided
         orc = sensitivity_grid_max_p(resid, z, sets, gamma)
         if sep < orc - 1e-9:
             return OracleCheck("sensitivity-grid", False, f"gamma {gamma}: bound {sep} below oracle {orc}")
@@ -276,8 +281,9 @@ def _check_moments(rng: np.random.Generator) -> OracleCheck:
         # Three values per instance: equal values are common, exact ties
         # between different cuts of a set are not.
         resid, z, sets = _random_sets(rng, sizes, rng.normal(size=3)[rng.integers(0, 3, size=sizes.sum())])
+        laid, layout = _laid_out(resid, z, sets)
         for gamma in (1.5, 2.0, 3.0):
-            got = sensitivity.sensitivity_residual(resid, z, sets, gamma, direction="greater").detail
+            got = sensitivity.sensitivity_residual(laid, layout, gamma, direction="greater").detail
             want = np.sum([brute_force_worst_moments(resid[s], gamma) for s in sets], axis=0)
             dev = np.abs(np.array([got["worst_mean"], got["worst_var"]]) - want)
             if np.any(dev > 1e-9 * np.maximum(1.0, np.abs(want))):

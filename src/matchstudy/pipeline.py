@@ -350,10 +350,9 @@ def _outcomes_for(cfg: StudyConfig, comp_index: int):
 def _test_suite(cfg: StudyConfig, ct: SubjectTable, result, outcome, seed: int) -> dict:
     """All inference artifacts for one comparison x outcome."""
     adjustment = cfg.inference.adjustment if outcome.kind != BINARY else "none"
+    data = inference_mod.matched_arrays(ct, result, outcome.name)
     region = inference_mod.invert_tests(
-        ct,
-        result,
-        outcome.name,
+        data,
         grid=None if cfg.inference.grid is None else np.asarray(cfg.inference.grid),
         alpha=cfg.inference.alpha,
         adjustment=adjustment,
@@ -361,11 +360,10 @@ def _test_suite(cfg: StudyConfig, ct: SubjectTable, result, outcome, seed: int) 
         seed=seed,
         n_draws=cfg.inference.n_draws,
     )
-    data = inference_mod.matched_arrays(ct, result, outcome.name)
-    aligned_r, aligned_x = inference_mod.align_responses(data.r, data.z, data.sets, 0.0, data.x)
+    aligned_r, aligned_x = inference_mod.align_responses(data.r, data.sets, 0.0, data.x)
     resid, _ = inference_mod.covariance_adjust(aligned_r, aligned_x, adjustment, seed=seed)
     point = inference_mod.permutational_t_test(
-        resid, data.z, data.sets, mode=cfg.inference.mode, n_draws=cfg.inference.n_draws, seed=seed
+        resid, data.sets, mode=cfg.inference.mode, n_draws=cfg.inference.n_draws, seed=seed
     )
     out = {
         "kind": outcome.kind,
@@ -388,8 +386,8 @@ def _test_suite(cfg: StudyConfig, ct: SubjectTable, result, outcome, seed: int) 
         },
     }
     if outcome.kind == BINARY:
-        mh = inference_mod.mantel_haenszel(data.r, data.z, data.sets)
-        clog = inference_mod.conditional_logistic(data.r, data.z, data.sets)
+        mh = inference_mod.mantel_haenszel(data.r, data.sets)
+        clog = inference_mod.conditional_logistic(data.r, data.sets)
         out["mantel_haenszel"] = {
             "statistic": mh.statistic,
             "p_two_sided": mh.p_two_sided,
@@ -459,18 +457,18 @@ def stage_sensitivity(cfg: StudyConfig) -> None:
                 test = "mantel-haenszel"
 
                 def p_of(g, _d=data):
-                    return sensitivity_mod.sensitivity_mh(_d.r, _d.z, _d.sets, g).p_one_sided
+                    return sensitivity_mod.sensitivity_mh(_d.r, _d.sets, g).p_one_sided
 
             else:
                 test = "residual"
                 seed = derive_seed(cfg.seed, comp.name, "sensitivity", outcome.name)
-                aligned_r, aligned_x = inference_mod.align_responses(data.r, data.z, data.sets, 0.0, data.x)
+                aligned_r, aligned_x = inference_mod.align_responses(data.r, data.sets, 0.0, data.x)
                 resid, _ = inference_mod.covariance_adjust(
                     aligned_r, aligned_x, cfg.inference.adjustment, seed=seed
                 )
 
                 def p_of(g, _r=resid, _d=data):
-                    return sensitivity_mod.sensitivity_residual(_r, _d.z, _d.sets, g).p_one_sided
+                    return sensitivity_mod.sensitivity_residual(_r, _d.sets, g).p_one_sided
 
             curve = sensitivity_mod.gamma_threshold(p_of, alpha=cfg.inference.alpha, gammas=grid)
             outcomes[outcome.name] = {
@@ -682,17 +680,7 @@ def _run_procedure(cfg: StudyConfig, inferences: dict):
     if p[0] <= alpha and p[1] <= alpha and p[2] <= alpha:
         o4 = inferences[names[3]]["outcomes"][primary]
         margin = cfg.equivalence_margin_sd * o4["outcome_sd"]
-        hull = o4["hull"]
-        region = inference_mod.ConfidenceRegion(
-            grid=np.asarray(o4["grid"]),
-            p_values=np.asarray(o4["grid_p"]),
-            accepted=np.asarray(o4["accepted"], dtype=bool),
-            alpha=alpha,
-            adjustment=o4["adjustment"],
-            hull=None if hull is None else (hull[0], hull[1]),
-            non_monotone=o4["non_monotone"],
-        )
-        eq = multiplicity_mod.equivalence_test(region, margin)
+        eq = multiplicity_mod.equivalence_test(None if o4["hull"] is None else tuple(o4["hull"]), margin)
         proc = multiplicity_mod.ordered_procedure(p[0], p[1], p[2], eq, alpha=alpha, labels=labels)
     elif p[0] <= alpha:
         proc = multiplicity_mod.ordered_procedure(p[0], p[1], p[2], alpha=alpha, labels=labels)

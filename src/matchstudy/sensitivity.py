@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
-from .inference import MH_EXACT_LIMIT, _binary_set_margins, event_tail_probabilities, set_means, set_segments
+from .inference import MH_EXACT_LIMIT, SetLayout, _binary_set_margins, event_tail_probabilities
 
 #: Default Gamma grid: 1.0 through 3.0 in steps of 0.05.
 DEFAULT_GAMMA_GRID = np.linspace(1.0, 3.0, 41)
@@ -34,19 +34,19 @@ class SensitivityBound:
     detail: dict = field(default_factory=dict)
 
 
-def _worst_case_moments(laid: np.ndarray, starts: np.ndarray, sizes: np.ndarray, gamma: float):
-    """Worst-case (mean, variance) of each set's treated draw, for sets laid
-    end to end by ``set_segments``; the sets of each size n form one block.
+def _worst_case_moments(laid: np.ndarray, sets: SetLayout, gamma: float):
+    """Worst-case (mean, variance) of each set's treated draw, for values
+    laid out by ``sets``; the sets of each size n form one block.
 
     The bias-maximizing assignment puts probability gamma/(gamma*a + n - a)
     on each of the a largest values and 1/(gamma*a + n - a) on the rest, for
     some cut a. The cut maximizing the mean is chosen, breaking exact ties
     toward the larger variance.
     """
-    mu, nu = np.zeros(sizes.size), np.zeros(sizes.size)
-    for n in np.unique(sizes):
-        which = np.flatnonzero(sizes == n)
-        v = np.sort(laid[starts[which, None] + np.arange(n)], axis=1)[:, ::-1]
+    mu, nu = np.zeros(len(sets)), np.zeros(len(sets))
+    for n in np.unique(sets.sizes):
+        which = np.flatnonzero(sets.sizes == n)
+        v = np.sort(laid[sets.starts[which, None] + np.arange(n)], axis=1)[:, ::-1]
         if n == 1:
             mu[which] = v[:, 0]
             continue
@@ -71,12 +71,12 @@ def _resolve_direction(direction: str, t_obs: float, center: float) -> str:
 
 def sensitivity_residual(
     resid: np.ndarray,
-    z: np.ndarray,
-    sets: tuple[np.ndarray, ...],
+    sets: SetLayout,
     gamma: float,
     direction: str = "auto",
 ) -> SensitivityBound:
-    """Separable worst-case bound for the treated-residual-sum test.
+    """Separable worst-case bound for the treated-residual-sum test on
+    residuals laid out by ``sets``.
 
     The one-sided bound targets the observed direction (``auto``): the
     biased assignment inflates the null mean toward the statistic and the
@@ -85,14 +85,13 @@ def sensitivity_residual(
     """
     if gamma < 1.0:
         raise ValueError("gamma must be at least 1")
-    rows, starts, sizes = set_segments(sets, z)
-    laid = np.asarray(resid, dtype=float)[rows]
-    t_obs = float(laid[starts].sum())
-    center = float(set_means(laid, starts, sizes).sum())
+    laid = sets.check(resid, float)
+    t_obs = float(laid[sets.starts].sum())
+    center = float(sets.means(laid).sum())
     side = _resolve_direction(direction, t_obs, center)
     sign = 1.0 if side == "greater" else -1.0
 
-    mu, nu = _worst_case_moments(sign * laid, starts, sizes, gamma)
+    mu, nu = _worst_case_moments(sign * laid, sets, gamma)
     mu_total, nu_total = float(mu.sum()), float(nu.sum())
     if nu_total <= 0.0:
         p_one = 1.0
@@ -113,13 +112,12 @@ def sensitivity_residual(
 
 def sensitivity_mh(
     y: np.ndarray,
-    z: np.ndarray,
-    sets: tuple[np.ndarray, ...],
+    sets: SetLayout,
     gamma: float,
     direction: str = "auto",
     mode: str = "auto",
 ) -> SensitivityBound:
-    """Worst-case Mantel-Haenszel bound.
+    """Worst-case Mantel-Haenszel bound for a 0/1 outcome laid out by ``sets``.
 
     With one treated draw per set, the treated-event indicator under the
     most biased admissible assignment is Bernoulli with probability
@@ -129,7 +127,7 @@ def sensitivity_mh(
     """
     if gamma < 1.0:
         raise ValueError("gamma must be at least 1")
-    t, d, n = _binary_set_margins(y, z, sets)
+    t, d, n = _binary_set_margins(y, sets)
     t_obs = int(round(float(t.sum())))
     side = _resolve_direction(direction, float(t_obs), float(np.sum(d / n)))
     if mode == "auto":

@@ -21,9 +21,11 @@ from matchstudy.balance import balance_table, count_imbalanced, select_match
 from matchstudy.bart import fit_bart_regression
 from matchstudy.cli import main
 from matchstudy.inference import (
+    SetLayout,
     conditional_logistic,
     invert_tests,
     mantel_haenszel,
+    matched_arrays,
     permutational_t_test,
 )
 from matchstudy.matching import (
@@ -55,7 +57,7 @@ from matchstudy.sensitivity import (
 
 from test_cli import reduced_config_dict
 from test_propensity import irls_reference, logistic_data
-from util import make_table, random_matched_instance
+from util import index_sets, lay_out, make_table, random_matched_instance
 
 
 # ---------------------------------------------------------------------------
@@ -132,11 +134,11 @@ def test_exact_permutation_matches_enumeration():
     # 8 sets of size 2-3 keeps the assignment count under 3^8 = 6561
     rng = np.random.default_rng(11)
     for _ in range(30):
-        resid, z, sets = random_matched_instance(rng, 8, max_controls=2)
-        n_assign = math.prod(len(s) for s in sets)
+        resid, sets = random_matched_instance(rng, 8, max_controls=2)
+        n_assign = math.prod(sets.sizes.tolist())
         assert n_assign <= 10_000
-        t = permutational_t_test(resid, z, sets, mode="exact")
-        up, lo, n = brute_force_tail_probabilities(resid, z, sets)
+        t = permutational_t_test(resid, sets, mode="exact")
+        up, lo, n = brute_force_tail_probabilities(resid, sets.z, index_sets(sets))
         assert n == n_assign
         assert t.p_upper == pytest.approx(up, abs=1e-12)
         assert t.p_lower == pytest.approx(lo, abs=1e-12)
@@ -147,9 +149,9 @@ def test_monte_carlo_within_three_sds_of_exact():
     rng = np.random.default_rng(12)
     n_draws = 100_000
     for i in range(50):
-        resid, z, sets = random_matched_instance(rng, 8, max_controls=2)
-        exact = permutational_t_test(resid, z, sets, mode="exact")
-        mc = permutational_t_test(resid, z, sets, mode="monte-carlo", n_draws=n_draws, seed=i)
+        resid, sets = random_matched_instance(rng, 8, max_controls=2)
+        exact = permutational_t_test(resid, sets, mode="exact")
+        mc = permutational_t_test(resid, sets, mode="monte-carlo", n_draws=n_draws, seed=i)
         for p_mc, p_ex in ((mc.p_upper, exact.p_upper), (mc.p_lower, exact.p_lower)):
             sd = math.sqrt(p_ex * (1.0 - p_ex) / n_draws)
             # 2e-5 absorbs the add-one shift of the unbiased estimator
@@ -162,22 +164,12 @@ def test_monte_carlo_within_three_sds_of_exact():
 
 
 def test_sharp_null_rejection_rate():
-    sizes = [2] * 20 + [3] * 15 + [4] * 15
-    sets = []
-    z = []
-    idx = 0
-    for size in sizes:
-        sets.append(np.arange(idx, idx + size))
-        zz = [0] * size
-        zz[0] = 1
-        z.extend(zz)
-        idx += size
-    z = np.array(z)
+    sets = SetLayout(np.array([2] * 20 + [3] * 15 + [4] * 15))
     rng = np.random.default_rng(1)
     hits = 0
     for _ in range(10_000):
-        resid = rng.normal(size=idx)
-        t = permutational_t_test(resid, z, sets, mode="normal-approx")
+        resid = rng.normal(size=sets.z.size)
+        t = permutational_t_test(resid, sets, mode="normal-approx")
         hits += t.p_two_sided <= 0.05
     assert 0.04 <= hits / 10_000 <= 0.06
 
@@ -199,9 +191,7 @@ def _paired_cohort_region(seed, adjustment):
     sets = tuple(MatchedSet(ids[2 * i], (ids[2 * i + 1],)) for i in range(n_pairs))
     result = MatchResult(sets, (), MatchCounts(0, 0, 0, 0, n_pairs, n_pairs))
     return invert_tests(
-        table,
-        result,
-        "y",
+        matched_arrays(table, result, "y"),
         grid=np.linspace(0.3, 0.7, 11),
         alpha=0.05,
         adjustment=adjustment,
@@ -266,31 +256,32 @@ def test_selected_match_repairs_confounding():
 def test_sensitivity_residual_reduces_to_test_at_gamma_one():
     rng = np.random.default_rng(21)
     for _ in range(5):
-        resid, z, sets = random_matched_instance(rng, 40)
-        bound = sensitivity_residual(resid, z, sets, gamma=1.0, direction="greater")
-        t = permutational_t_test(resid, z, sets, mode="normal-approx")
+        resid, sets = random_matched_instance(rng, 40)
+        bound = sensitivity_residual(resid, sets, gamma=1.0, direction="greater")
+        t = permutational_t_test(resid, sets, mode="normal-approx")
         assert bound.p_one_sided == pytest.approx(t.p_upper, abs=1e-6)
 
 
 def test_sensitivity_mh_reduces_to_test_at_gamma_one():
     rng = np.random.default_rng(22)
     for _ in range(5):
-        _, z, sets = random_matched_instance(rng, 12, max_controls=2)
-        y = (rng.random(z.size) < 0.4).astype(float)
-        exact = mantel_haenszel(y, z, sets, mode="exact")
-        b_up = sensitivity_mh(y, z, sets, gamma=1.0, direction="greater", mode="exact")
-        b_lo = sensitivity_mh(y, z, sets, gamma=1.0, direction="less", mode="exact")
+        _, sets = random_matched_instance(rng, 12, max_controls=2)
+        y = (rng.random(sets.z.size) < 0.4).astype(float)
+        exact = mantel_haenszel(y, sets, mode="exact")
+        b_up = sensitivity_mh(y, sets, gamma=1.0, direction="greater", mode="exact")
+        b_lo = sensitivity_mh(y, sets, gamma=1.0, direction="less", mode="exact")
         assert b_up.p_one_sided == pytest.approx(exact.p_upper, abs=1e-10)
         assert b_lo.p_one_sided == pytest.approx(exact.p_lower, abs=1e-10)
-        normal = mantel_haenszel(y, z, sets, mode="normal")
-        n_up = sensitivity_mh(y, z, sets, gamma=1.0, direction="greater", mode="normal")
+        normal = mantel_haenszel(y, sets, mode="normal")
+        n_up = sensitivity_mh(y, sets, gamma=1.0, direction="greater", mode="normal")
         assert n_up.p_one_sided == pytest.approx(normal.p_upper, abs=1e-6)
 
 
 def test_separable_bound_dominates_enumeration():
     resid, z, sets = sensitivity_instance()
+    laid, layout = lay_out(resid, z, sets)
     for gamma in (1.0, 1.2, 1.5, 2.0, 2.5):
-        bound = sensitivity_residual(resid, z, sets, gamma, direction="greater")
+        bound = sensitivity_residual(laid, layout, gamma, direction="greater")
         oracle = sensitivity_grid_max_p(resid, z, sets, gamma)
         assert bound.p_one_sided >= oracle - 1e-9
         assert bound.p_one_sided <= oracle + 0.01
@@ -298,16 +289,17 @@ def test_separable_bound_dominates_enumeration():
 
 def test_bound_curves_are_nondecreasing():
     rng = np.random.default_rng(23)
-    resid, z, sets = random_matched_instance(rng, 30)
+    resid, sets = random_matched_instance(rng, 30)
+    z = sets.z
     resid = resid + z * 0.8  # a real effect so the curve starts low
     p_res = [
-        sensitivity_residual(resid, z, sets, g, direction="greater").p_one_sided
+        sensitivity_residual(resid, sets, g, direction="greater").p_one_sided
         for g in DEFAULT_GAMMA_GRID
     ]
     assert np.all(np.diff(p_res) >= -1e-12)
     y = (rng.random(z.size) < np.where(z == 1, 0.6, 0.3)).astype(float)
     p_mh = [
-        sensitivity_mh(y, z, sets, g, direction="greater").p_one_sided
+        sensitivity_mh(y, sets, g, direction="greater").p_one_sided
         for g in DEFAULT_GAMMA_GRID
     ]
     assert np.all(np.diff(p_mh) >= -1e-12)
@@ -332,9 +324,7 @@ def test_paired_score_test_equals_mcnemar():
         y = np.empty(2 * n_pairs)
         y[0::2] = t
         y[1::2] = c
-        z = np.tile([1, 0], n_pairs)
-        sets = tuple(np.array([2 * i, 2 * i + 1]) for i in range(n_pairs))
-        out = conditional_logistic(y, z, sets)
+        out = conditional_logistic(y, SetLayout(np.full(n_pairs, 2)))
         stat = (b - d) / math.sqrt(b + d)
         assert out.statistic == pytest.approx(stat, abs=1e-10)
         assert out.p == pytest.approx(2.0 * float(norm.sf(abs(stat))), abs=1e-10)
@@ -347,8 +337,8 @@ def test_paired_score_test_equals_mcnemar():
 
 
 def _null_p(rng):
-    resid, z, sets = random_matched_instance(rng, 10, max_controls=2)
-    return permutational_t_test(resid, z, sets, mode="exact").p_two_sided
+    resid, sets = random_matched_instance(rng, 10, max_controls=2)
+    return permutational_t_test(resid, sets, mode="exact").p_two_sided
 
 
 def test_ordered_procedure_familywise_error():

@@ -203,6 +203,13 @@ class TestValidation:
         with pytest.raises(ValidationError, match="equivalence_margin_sd"):
             config_from_dict({"equivalence_margin_sd": margin})
 
+    def test_negative_seed_override_is_a_configuration_error(self, tmp_path, capsys):
+        out_dir = os.path.join(str(tmp_path), "out")
+        cfg_path = write_config(tmp_path, reduced_config_dict(out_dir))
+        assert main(["run", "--config", cfg_path, "--seed", "-3"]) == 1
+        assert capsys.readouterr().err.startswith("error: invalid configuration: seed must be an integer >= 0")
+        assert not os.path.exists(out_dir)
+
     def test_integer_margin_is_read_as_a_float(self):
         assert repr(config_from_dict({"equivalence_margin_sd": 1}).equivalence_margin_sd) == "1.0"
 
@@ -216,6 +223,10 @@ class TestValidation:
             {"sensitivity": {"stop": float("nan")}},
             {"matching": {"max_controls": 2.5}},
             {"equivalence_margin_sd": "0.2"},
+            {"seed": 2.5},
+            {"seed": "7"},
+            {"seed": True},
+            {"seed": -3},
         ],
     )
     def test_bad_value_is_a_configuration_error_before_any_stage(self, tmp_path, capsys, section):
@@ -395,6 +406,51 @@ class TestFullRun:
         err = capsys.readouterr().err
         assert err.startswith("error: comparison-3: common-support trim emptied an arm")
         assert "Traceback" not in err
+
+    def test_match_without_a_cell_holding_both_arms_names_the_comparison(self, completed_run, tmp_path, capsys):
+        # Treated scores in interval 1, control scores in a later one and
+        # below them, so the trim keeps everyone and no cell holds both arms.
+        _, out_dir, _ = completed_run
+        out_copy = os.path.join(str(tmp_path), "out")
+        shutil.copytree(out_dir, out_copy)
+        cfg_path = write_config(tmp_path, reduced_config_dict(out_copy))
+        ct = pipeline._comparison_tables(load_config(cfg_path))["comparison-2"]
+        path = os.path.join(out_copy, "propensity_comparison-2_mle.json")
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+        obj["scores"] = [0.6 if z == 1 else 0.2 for z in ct.z.tolist()]
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(obj, fh)
+        assert main(["match", "--config", cfg_path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: comparison-2: no stratum x interval cell holds both arms")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["infer", "sensitivity"])
+    def test_set_file_naming_a_control_as_treated_is_rejected(self, completed_run, tmp_path, capsys, command):
+        # The first id of a .sets.txt line is the set's treated subject;
+        # swap it with the first control of one set.
+        _, out_dir, _ = completed_run
+        out_copy = os.path.join(str(tmp_path), "out")
+        shutil.copytree(out_dir, out_copy)
+        cfg_path = write_config(tmp_path, reduced_config_dict(out_copy))
+        with open(os.path.join(out_copy, "balance_comparison-1.json"), encoding="utf-8") as fh:
+            selected = json.load(fh)["selected"]
+        path = os.path.join(out_copy, f"match_comparison-1_{selected}.sets.txt")
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines(keepends=True)
+        treated, controls = lines[0].rstrip("\n").split(": ")
+        controls = controls.split(",")
+        lines[0] = f"{controls[0]}: {','.join([treated] + controls[1:])}\n"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("".join(lines))
+        cfg = load_config(cfg_path)
+        ct = pipeline._comparison_tables(cfg)["comparison-1"]
+        result = pipeline.load_match(cfg, "comparison-1", selected, ct)
+        with pytest.raises(ValueError, match=f"{controls[0]!r} must list exactly one treated subject, first"):
+            matchstudy.matched_arrays(ct, result, cfg.primary_outcome.name)
+        assert main([command, "--config", cfg_path]) == 2
+        assert "must list exactly one treated subject" in capsys.readouterr().err
 
     def test_match_stage_rerun_reproduces_run_output(self, completed_run):
         cfg_path, out_dir, digests = completed_run

@@ -10,6 +10,7 @@ from scipy.stats import binom, norm
 from matchstudy.inference import (
     ADJUST_NONE,
     ADJUST_OLS,
+    SetLayout,
     align_responses,
     bernoulli_convolution,
     cohen_grid,
@@ -25,7 +26,10 @@ from matchstudy.matching import MatchCounts, MatchResult, MatchedSet
 from matchstudy.oracles import brute_force_tail_probabilities
 
 from util import (
+    index_sets,
+    lay_out,
     make_table,
+    match_of,
     random_match,
     random_matched_instance,
     reference_matched_arrays,
@@ -47,52 +51,56 @@ def pair_result(n_pairs, ids):
 
 class TestAlignResponses:
     def test_pair_centering(self):
-        aligned, _ = align_responses(
-            np.array([5.0, 3.0]), np.array([1, 0]), (np.array([0, 1]),), tau0=0.0
-        )
+        aligned, _ = align_responses(np.array([5.0, 3.0]), SetLayout([2]), tau0=0.0)
         assert aligned.tolist() == [1.0, -1.0]
 
     def test_shift_absorbs_pair_difference(self):
-        aligned, _ = align_responses(
-            np.array([5.0, 3.0]), np.array([1, 0]), (np.array([0, 1]),), tau0=2.0
-        )
+        aligned, _ = align_responses(np.array([5.0, 3.0]), SetLayout([2]), tau0=2.0)
         assert aligned.tolist() == [0.0, 0.0]
 
     def test_one_to_two_set(self):
-        aligned, _ = align_responses(
-            np.array([4.0, 1.0, 1.0]), np.array([1, 0, 0]), (np.array([0, 1, 2]),), tau0=3.0
-        )
+        aligned, _ = align_responses(np.array([4.0, 1.0, 1.0]), SetLayout([3]), tau0=3.0)
         assert aligned.tolist() == [0.0, 0.0, 0.0]
 
     def test_set_means_vanish(self):
         rng = np.random.default_rng(0)
-        r, z, sets = random_matched_instance(rng, 8)
+        r, sets = random_matched_instance(rng, 8)
         x = rng.normal(size=(r.size, 3))
-        aligned, aligned_x = align_responses(r, z, sets, tau0=0.7, x=x)
-        for s in sets:
-            assert abs(aligned[s].mean()) < 1e-10
-            assert np.all(np.abs(aligned_x[s].mean(axis=0)) < 1e-10)
+        aligned, aligned_x = align_responses(r, sets, tau0=0.7, x=x)
+        for a, ax in zip(sets.split(aligned), sets.split(aligned_x)):
+            assert abs(a.mean()) < 1e-10
+            assert np.all(np.abs(ax.mean(axis=0)) < 1e-10)
 
     def test_per_set_constant_is_removed(self):
         rng = np.random.default_rng(1)
-        r, z, sets = random_matched_instance(rng, 5)
+        r, sets = random_matched_instance(rng, 5)
         shifted = r.copy()
-        for offset, s in zip((3.0, -1.0, 10.0, 0.5, -2.5), sets):
-            shifted[s] += offset
-        a1, _ = align_responses(r, z, sets, tau0=0.0)
-        a2, _ = align_responses(shifted, z, sets, tau0=0.0)
+        for offset, members in zip((3.0, -1.0, 10.0, 0.5, -2.5), sets.split(shifted)):
+            members += offset
+        a1, _ = align_responses(r, sets, tau0=0.0)
+        a2, _ = align_responses(shifted, sets, tau0=0.0)
         np.testing.assert_allclose(a1, a2, atol=1e-12)
-        p1 = permutational_t_test(a1, z, sets, mode="exact").p_two_sided
-        p2 = permutational_t_test(a2, z, sets, mode="exact").p_two_sided
+        p1 = permutational_t_test(a1, sets, mode="exact").p_two_sided
+        p2 = permutational_t_test(a2, sets, mode="exact").p_two_sided
         assert p1 == p2
 
     def test_shift_identity(self):
         # testing tau0 on r must equal testing 0 on r - tau0*z, exactly
         rng = np.random.default_rng(2)
-        r, z, sets = random_matched_instance(rng, 6)
-        a1, _ = align_responses(r, z, sets, tau0=1.25)
-        a2, _ = align_responses(r - 1.25 * z, z, sets, tau0=0.0)
+        r, sets = random_matched_instance(rng, 6)
+        a1, _ = align_responses(r, sets, tau0=1.25)
+        a2, _ = align_responses(r - 1.25 * sets.z, sets, tau0=0.0)
         np.testing.assert_array_equal(a1, a2)
+
+    def test_signed_zeros_keep_their_bits(self):
+        # The shift is r - tau0*z with an integer z, so a control's -0.0
+        # becomes -0.0 - (-0.0 * 0) = 0.0; subtracting tau0 at the treated
+        # members alone would leave it -0.0.
+        r = np.array([-0.0, -0.0, 1.0, -0.0])
+        aligned, _ = align_responses(r, SetLayout([2, 2]), tau0=-0.0)
+        shifted = r - -0.0 * np.array([1, 0, 1, 0])
+        want = shifted - np.repeat([shifted[:2].mean(), shifted[2:].mean()], 2)
+        assert aligned.tobytes() == want.tobytes()
 
 
 class TestCovarianceAdjust:
@@ -104,9 +112,9 @@ class TestCovarianceAdjust:
 
     def test_exact_linear_response_zeroed(self):
         rng = np.random.default_rng(3)
-        r, z, sets = random_matched_instance(rng, 6)
+        r, sets = random_matched_instance(rng, 6)
         x = rng.normal(size=(r.size, 2))
-        _, aligned_x = align_responses(r, z, sets, 0.0, x)
+        _, aligned_x = align_responses(r, sets, 0.0, x)
         linear = aligned_x @ np.array([2.0, -0.5])
         resid, info = covariance_adjust(linear, aligned_x, ADJUST_OLS)
         assert np.all(np.abs(resid) < 1e-8)
@@ -114,19 +122,19 @@ class TestCovarianceAdjust:
 
     def test_residuals_orthogonal_to_columns(self):
         rng = np.random.default_rng(4)
-        r, z, sets = random_matched_instance(rng, 10)
+        r, sets = random_matched_instance(rng, 10)
         x = rng.normal(size=(r.size, 4))
-        aligned_r, aligned_x = align_responses(r, z, sets, 0.0, x)
+        aligned_r, aligned_x = align_responses(r, sets, 0.0, x)
         resid, _ = covariance_adjust(aligned_r, aligned_x, ADJUST_OLS)
         scale = max(1.0, float(np.abs(aligned_x).max()) * float(np.abs(resid).max()))
         assert np.all(np.abs(aligned_x.T @ resid) < 1e-6 * scale)
 
     def test_duplicate_column_flags_rank_deficiency(self):
         rng = np.random.default_rng(5)
-        r, z, sets = random_matched_instance(rng, 6)
+        r, sets = random_matched_instance(rng, 6)
         col = rng.normal(size=r.size)
         x = np.column_stack([col, col])
-        aligned_r, aligned_x = align_responses(r, z, sets, 0.0, x)
+        aligned_r, aligned_x = align_responses(r, sets, 0.0, x)
         resid, info = covariance_adjust(aligned_r, aligned_x, ADJUST_OLS)
         assert info["rank_deficient"]
         assert np.all(np.isfinite(resid))
@@ -143,35 +151,30 @@ class TestCovarianceAdjust:
 class TestPermutationalTTest:
     def test_two_pairs_exact_half(self):
         resid = np.array([1.0, -1.0, 1.0, -1.0])
-        z = np.array([1, 0, 1, 0])
-        sets = (np.array([0, 1]), np.array([2, 3]))
-        out = permutational_t_test(resid, z, sets, mode="exact")
+        out = permutational_t_test(resid, SetLayout([2, 2]), mode="exact")
         assert out.statistic == 2.0
         assert out.p_two_sided == 0.5
         assert out.detail["n_assignments"] == 4
 
     def test_all_zero_residuals(self):
-        resid = np.zeros(4)
-        z = np.array([1, 0, 1, 0])
-        sets = (np.array([0, 1]), np.array([2, 3]))
-        out = permutational_t_test(resid, z, sets, mode="exact")
+        out = permutational_t_test(np.zeros(4), SetLayout([2, 2]), mode="exact")
         assert out.statistic == 0.0
         assert out.p_two_sided == 1.0
 
     def test_exact_matches_brute_force(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
-            resid, z, sets = random_matched_instance(rng, int(rng.integers(2, 6)))
-            out = permutational_t_test(resid, z, sets, mode="exact")
-            upper, lower, n_assign = brute_force_tail_probabilities(resid, z, sets)
+            resid, sets = random_matched_instance(rng, int(rng.integers(2, 6)))
+            out = permutational_t_test(resid, sets, mode="exact")
+            upper, lower, n_assign = brute_force_tail_probabilities(resid, sets.z, index_sets(sets))
             assert out.p_upper == pytest.approx(upper, abs=1e-12)
             assert out.p_lower == pytest.approx(lower, abs=1e-12)
             assert out.detail["n_assignments"] == n_assign
 
     def test_exact_p_is_multiple_of_assignment_fraction(self):
         rng = np.random.default_rng(7)
-        resid, z, sets = random_matched_instance(rng, 5)
-        out = permutational_t_test(resid, z, sets, mode="exact")
+        resid, sets = random_matched_instance(rng, 5)
+        out = permutational_t_test(resid, sets, mode="exact")
         n_assign = out.detail["n_assignments"]
         for p in (out.p_upper, out.p_lower):
             assert Fraction(p).limit_denominator(n_assign).denominator <= n_assign
@@ -179,32 +182,44 @@ class TestPermutationalTTest:
 
     def test_monte_carlo_close_to_exact(self):
         rng = np.random.default_rng(8)
-        resid, z, sets = random_matched_instance(rng, 5)
-        exact = permutational_t_test(resid, z, sets, mode="exact")
-        mc = permutational_t_test(resid, z, sets, mode="monte-carlo", n_draws=100_000, seed=11)
+        resid, sets = random_matched_instance(rng, 5)
+        exact = permutational_t_test(resid, sets, mode="exact")
+        mc = permutational_t_test(resid, sets, mode="monte-carlo", n_draws=100_000, seed=11)
         for p_mc, p_ex in ((mc.p_upper, exact.p_upper), (mc.p_lower, exact.p_lower)):
             bound = 3.0 * math.sqrt(p_ex * (1.0 - p_ex) / 100_000) + 2e-5
             assert abs(p_mc - p_ex) < bound
 
     def test_monte_carlo_seed_reproducible(self):
         rng = np.random.default_rng(9)
-        resid, z, sets = random_matched_instance(rng, 4)
-        a = permutational_t_test(resid, z, sets, mode="monte-carlo", n_draws=2000, seed=5)
-        b = permutational_t_test(resid, z, sets, mode="monte-carlo", n_draws=2000, seed=5)
+        resid, sets = random_matched_instance(rng, 4)
+        a = permutational_t_test(resid, sets, mode="monte-carlo", n_draws=2000, seed=5)
+        b = permutational_t_test(resid, sets, mode="monte-carlo", n_draws=2000, seed=5)
         assert a.p_upper == b.p_upper and a.p_lower == b.p_lower
+
+    def test_monte_carlo_draws_per_set_in_set_order(self):
+        # one index vector per set, drawn in set order from the seeded stream
+        rng = np.random.default_rng(9)
+        resid, sets = random_matched_instance(rng, 6)
+        out = permutational_t_test(resid, sets, mode="monte-carlo", n_draws=500, seed=3)
+        draws = np.random.default_rng(3)
+        acc = np.zeros(500)
+        for members in sets.split(resid):
+            acc += members[draws.integers(0, members.size, 500)]
+        t = resid[sets.starts].sum()
+        tol = 1e-9 * max(1.0, np.abs(acc).max())
+        assert out.p_upper == (1.0 + np.count_nonzero(acc >= t - tol)) / 501.0
+        assert out.p_lower == (1.0 + np.count_nonzero(acc <= t + tol)) / 501.0
 
     @pytest.mark.parametrize("n_draws", [0, -5, 2.7, True])
     def test_monte_carlo_rejects_bad_draw_counts(self, n_draws):
         rng = np.random.default_rng(9)
-        resid, z, sets = random_matched_instance(rng, 4)
+        resid, sets = random_matched_instance(rng, 4)
         with pytest.raises(ValueError, match="n_draws"):
-            permutational_t_test(resid, z, sets, mode="monte-carlo", n_draws=n_draws)
+            permutational_t_test(resid, sets, mode="monte-carlo", n_draws=n_draws)
 
     def test_normal_approx_closed_form(self):
         resid = np.array([1.0, -1.0, 1.0, -1.0])
-        z = np.array([1, 0, 1, 0])
-        sets = (np.array([0, 1]), np.array([2, 3]))
-        out = permutational_t_test(resid, z, sets, mode="normal-approx")
+        out = permutational_t_test(resid, SetLayout([2, 2]), mode="normal-approx")
         # each pair contributes population variance 1; T = 2, so the deviate
         # is 2/sqrt(2)
         assert out.detail["null_mean"] == pytest.approx(0.0, abs=1e-12)
@@ -213,37 +228,40 @@ class TestPermutationalTTest:
 
     def test_auto_switches_on_instance_size(self):
         rng = np.random.default_rng(10)
-        resid, z, sets = random_matched_instance(rng, 3)
-        assert permutational_t_test(resid, z, sets).method == "exact"
+        resid, sets = random_matched_instance(rng, 3)
+        assert permutational_t_test(resid, sets).method == "exact"
         # 25 sets of size >= 2 give at least 2^25 assignments, past the budget
-        resid, z, sets = random_matched_instance(rng, 25)
-        big = permutational_t_test(resid, z, sets, mode="auto", n_draws=1000)
+        resid, sets = random_matched_instance(rng, 25)
+        big = permutational_t_test(resid, sets, mode="auto", n_draws=1000)
         assert big.method == "monte-carlo"
 
     def test_empty_sets_rejected(self):
         with pytest.raises(ValueError, match="set"):
-            permutational_t_test(np.array([]), np.array([], dtype=int), ())
+            permutational_t_test(np.array([]), SetLayout(np.array([], dtype=int)))
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
-            permutational_t_test(np.array([1.0, 0.0]), np.array([1, 0]), (np.array([0, 1]),), mode="bootstrap")
+            permutational_t_test(np.array([1.0, 0.0]), SetLayout([2]), mode="bootstrap")
 
 
 class TestScrambledSets:
     """Segment reductions against per-set loops, on sets that are neither
-    contiguous nor treated-first, of mixed sizes and with tied values."""
+    contiguous nor treated-first, of mixed sizes and with tied values; the
+    library sees them laid out by ``lay_out``."""
 
     def test_align_responses_matches_per_set_loop(self):
         rng = np.random.default_rng(21)
         for _ in range(5):
             r, z, sets = shuffled_matched_instance(rng, 40)
             x = np.round(rng.normal(size=(r.size, 3)), 1)
-            aligned, aligned_x = align_responses(r, z, sets, tau0=0.3, x=x)
+            laid_r, layout = lay_out(r, z, sets)
+            aligned, aligned_x = align_responses(laid_r, layout, tau0=0.3, x=lay_out(x, z, sets)[0])
             ref, ref_x = np.empty_like(r), np.empty_like(x)
             for s in sets:
                 adjusted = r[s] - 0.3 * z[s]
                 ref[s] = adjusted - adjusted.mean()
                 ref_x[s] = x[s] - x[s].mean(axis=0)
+            ref, ref_x = lay_out(ref, z, sets)[0], lay_out(ref_x, z, sets)[0]
             np.testing.assert_allclose(aligned, ref, rtol=1e-12, atol=1e-12 * np.abs(r).max())
             np.testing.assert_allclose(aligned_x, ref_x, rtol=1e-12, atol=1e-12 * np.abs(x).max())
 
@@ -251,7 +269,7 @@ class TestScrambledSets:
         rng = np.random.default_rng(22)
         for _ in range(5):
             r, z, sets = shuffled_matched_instance(rng, 40)
-            out = permutational_t_test(r, z, sets, mode="normal-approx")
+            out = permutational_t_test(*lay_out(r, z, sets), mode="normal-approx")
             t = sum(r[s][z[s] == 1][0] for s in sets)
             mean = sum(r[s].mean() for s in sets)
             var = sum(np.var(r[s]) for s in sets)
@@ -264,10 +282,45 @@ class TestScrambledSets:
 
     @pytest.mark.parametrize("z", [[1, 1, 0, 0, 1], [0, 0, 0, 0, 1]], ids=["two-treated", "no-treated"])
     def test_set_without_exactly_one_treated_rejected(self, z):
-        resid = np.array([0.5, -1.0, 2.0, 0.3, -0.2])
-        sets = (np.array([2, 0, 1]), np.array([4, 3]))
+        # A set enters the layout only through matched_arrays, which checks
+        # that each set's first member is its one treated subject.
+        table = make_table(z, np.zeros((5, 1)), outcomes=[0.5, -1.0, 2.0, 0.3, -0.2], outcome_names=("y",))
         with pytest.raises(ValueError, match="exactly one treated"):
-            permutational_t_test(resid, np.array(z), sets, mode="normal-approx")
+            matched_arrays(table, match_of(table, [[2, 0, 1], [4, 3]]), "y")
+
+
+class TestSetLayout:
+    def test_starts_indicator_and_split(self):
+        layout = SetLayout(np.array([2, 1, 3]))
+        assert len(layout) == 3
+        assert layout.starts.tolist() == [0, 2, 3]
+        assert layout.z.tolist() == [1, 0, 1, 1, 0, 0]
+        assert [v.tolist() for v in layout.split(np.arange(6))] == [[0, 1], [2], [3, 4, 5]]
+        assert layout.means(np.arange(6.0)).tolist() == [0.5, 2.0, 4.0]
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [np.array([], dtype=int), np.array([[2, 3]]), np.array([2.0, 3.0]), np.array([2, 0, 3]), np.array([True])],
+        ids=["empty", "2-d", "float", "zero", "bool"],
+    )
+    def test_bad_sizes_rejected(self, sizes):
+        with pytest.raises(ValueError, match="set sizes"):
+            SetLayout(sizes)
+
+    def test_arrays_are_read_only(self):
+        layout = SetLayout([2, 2])
+        with pytest.raises(ValueError):
+            layout.z[1] = 1
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_values_of_another_length_rejected(self, n):
+        layout = SetLayout([2, 2])
+        with pytest.raises(ValueError, match="laid out"):
+            permutational_t_test(np.zeros(n), layout, mode="normal-approx")
+        with pytest.raises(ValueError, match="laid out"):
+            align_responses(np.zeros(4), layout, 0.0, np.zeros((n, 2)))
+        with pytest.raises(ValueError, match="laid out"):
+            mantel_haenszel(np.zeros(n), layout)
 
 
 class TestMatchedArrays:
@@ -291,9 +344,14 @@ class TestMatchedArrays:
         result = pair_result(2, table.ids)
         data = matched_arrays(table, result, "dep")
         assert data.r.tolist() == [4.0, 1.0, 7.0, 2.0]
-        assert data.z.tolist() == [1, 0, 1, 0]
-        assert [s.tolist() for s in data.sets] == [[0, 1], [2, 3]]
+        assert data.sets.z.tolist() == [1, 0, 1, 0]
+        assert data.sets.sizes.tolist() == [2, 2]
         assert data.excluded_sets == ()
+
+    def test_control_listed_as_treated_rejected(self):
+        table = self.make_outcome_table([4.0, 1.0, 7.0, 2.0])
+        with pytest.raises(ValueError, match=f"{table.ids[3]!r} must list exactly one treated"):
+            matched_arrays(table, match_of(table, [[0, 1], [3, 2]]), "dep")
 
     def test_missing_outcome_drops_whole_set(self):
         table = self.make_outcome_table([4.0, 1.0, 7.0, 2.0], missing_rows=(3,))
@@ -321,8 +379,12 @@ class TestMatchedArrays:
         data = matched_arrays(table, result, "y")
         assert data.excluded_sets == excluded
         assert len(data.sets) == len(sets)
-        assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(data.sets, sets))
-        for got, want in ((data.r, table.outcomes[rows, 0]), (data.z, table.z[rows]), (data.x, table.covariates[rows])):
+        assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(index_sets(data.sets), sets))
+        for got, want in (
+            (data.r, table.outcomes[rows, 0]),
+            (data.sets.z, table.z[rows]),
+            (data.x, table.covariates[rows]),
+        ):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
@@ -337,7 +399,7 @@ class TestInvertTests:
         table = make_table(z, np.zeros((8, 1)), outcomes=r, outcome_names=("dep",))
         result = pair_result(4, table.ids)
         grid = np.array([0.0, 0.75, 1.5, 2.25])
-        region = invert_tests(table, result, "dep", grid=grid, mode="exact")
+        region = invert_tests(matched_arrays(table, result, "dep"), grid=grid, mode="exact")
         at = {float(g): p for g, p in zip(region.grid, region.p_values)}
         assert at[1.5] == 1.0
         assert region.accepted[list(region.grid).index(1.5)]
@@ -350,7 +412,7 @@ class TestInvertTests:
         z = np.array([1, 0] * 6)
         table = make_table(z, rng.normal(size=(12, 2)), outcomes=r, outcome_names=("dep",))
         result = pair_result(6, table.ids)
-        region = invert_tests(table, result, "dep", mode="exact", adjustment=ADJUST_OLS)
+        region = invert_tests(matched_arrays(table, result, "dep"), mode="exact", adjustment=ADJUST_OLS)
         if region.accepted.any():
             inside = region.grid[region.accepted]
             assert region.hull == (float(inside.min()), float(inside.max()))
@@ -369,8 +431,12 @@ class TestInvertTests:
         z = np.array([1, 0, 1, 0])
         table = make_table(z, np.zeros((4, 1)), outcomes=r, outcome_names=("dep",))
         result = pair_result(2, table.ids)
-        region = invert_tests(table, result, "dep", grid=np.array([0.0]), mode="exact")
-        assert region.excluded_sets == (table.ids[2],)
+        data = matched_arrays(table, result, "dep")
+        region = invert_tests(data, grid=np.array([0.0]), mode="exact")
+        assert data.excluded_sets == (table.ids[2],)
+        # the one remaining pair (4, 1): both assignments, p = 1
+        assert len(data.sets) == 1
+        assert region.p_values.tolist() == [1.0]
 
 
 def mcnemar_reference(t, c):
@@ -418,26 +484,21 @@ class TestConditionalLogistic:
         c = rng.integers(0, 2, n_pairs)
         y = np.empty(2 * n_pairs)
         y[0::2], y[1::2] = t, c
-        z = np.array([1, 0] * n_pairs)
-        sets = tuple(np.array([2 * i, 2 * i + 1]) for i in range(n_pairs))
-        return y, z, sets, t, c
+        return y, SetLayout(np.full(n_pairs, 2)), t, c
 
     def test_pairs_reduce_to_mcnemar(self):
         rng = np.random.default_rng(14)
         for _ in range(10):
-            y, z, sets, t, c = self.pairs_instance(rng, 40)
+            y, sets, t, c = self.pairs_instance(rng, 40)
             if np.sum(t != c) < 2:
                 continue
-            out = conditional_logistic(y, z, sets)
+            out = conditional_logistic(y, sets)
             stat, p = mcnemar_reference(t, c)
             assert out.statistic == pytest.approx(stat, abs=1e-10)
             assert out.p == pytest.approx(p, abs=1e-10)
 
     def test_concordant_only_unidentified(self):
-        y = np.array([1.0, 1.0, 0.0, 0.0])
-        z = np.array([1, 0, 1, 0])
-        sets = (np.array([0, 1]), np.array([2, 3]))
-        out = conditional_logistic(y, z, sets)
+        out = conditional_logistic(np.array([1.0, 1.0, 0.0, 0.0]), SetLayout([2, 2]))
         assert not out.identified
         assert out.n_informative == 0
         assert out.p == 1.0
@@ -445,9 +506,7 @@ class TestConditionalLogistic:
     def test_one_to_two_sets_against_golden_section(self):
         # three 1:2 sets with mixed event patterns
         y = np.array([1.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0])
-        z = np.array([1, 0, 0, 1, 0, 0, 1, 0, 0])
-        sets = (np.array([0, 1, 2]), np.array([3, 4, 5]), np.array([6, 7, 8]))
-        out = conditional_logistic(y, z, sets)
+        out = conditional_logistic(y, SetLayout([3, 3, 3]))
         t = np.array([1.0, 0.0, 1.0])
         d = np.array([2, 1, 1])
         n = np.array([3, 3, 3])
@@ -458,15 +517,15 @@ class TestConditionalLogistic:
     def test_random_sets_against_golden_section(self):
         rng = np.random.default_rng(15)
         for _ in range(5):
-            _, z, sets = random_matched_instance(rng, 12)
-            y = rng.integers(0, 2, z.size).astype(float)
-            t = np.array([float(y[s][z[s] == 1][0]) for s in sets])
-            d = np.array([int(y[s].sum()) for s in sets])
-            n = np.array([len(s) for s in sets])
+            _, sets = random_matched_instance(rng, 12)
+            y = rng.integers(0, 2, sets.z.size).astype(float)
+            t = np.array([float(v[0]) for v in sets.split(y)])
+            d = np.array([int(v.sum()) for v in sets.split(y)])
+            n = np.array([v.size for v in sets.split(y)])
             keep = (d > 0) & (d < n)
             if keep.sum() < 3 or len({(int(a), int(b)) for a, b in zip(d[keep], t[keep])}) < 2:
                 continue
-            out = conditional_logistic(y, z, sets)
+            out = conditional_logistic(y, sets)
             if not out.identified:
                 continue
             theta_star = golden_section_max(
@@ -476,20 +535,16 @@ class TestConditionalLogistic:
 
     def test_score_statistic_sign_tracks_treated_excess(self):
         y = np.array([1.0, 0.0, 1.0, 0.0, 0.0, 1.0])
-        z = np.array([1, 0, 1, 0, 1, 0])
-        sets = (np.array([0, 1]), np.array([2, 3]), np.array([4, 5]))
-        assert conditional_logistic(y, z, sets).statistic > 0
+        assert conditional_logistic(y, SetLayout([2, 2, 2])).statistic > 0
 
     def test_non_binary_outcome_rejected(self):
         with pytest.raises(ValueError, match="0/1"):
-            conditional_logistic(np.array([0.5, 0.0]), np.array([1, 0]), (np.array([0, 1]),))
+            conditional_logistic(np.array([0.5, 0.0]), SetLayout([2]))
 
 
 class TestMantelHaenszel:
     def test_single_discordant_pair_margins(self):
-        y = np.array([1.0, 0.0])
-        z = np.array([1, 0])
-        out = mantel_haenszel(y, z, (np.array([0, 1]),), mode="exact")
+        out = mantel_haenszel(np.array([1.0, 0.0]), SetLayout([2]), mode="exact")
         assert out.detail["null_mean"] == 0.5
         assert out.detail["null_var"] == 0.25
         assert out.statistic == 1.0
@@ -497,36 +552,34 @@ class TestMantelHaenszel:
         assert out.p_two_sided == 1.0
 
     def test_no_events_anywhere(self):
-        y = np.zeros(6)
-        z = np.array([1, 0, 1, 0, 1, 0])
-        sets = (np.array([0, 1]), np.array([2, 3]), np.array([4, 5]))
-        out = mantel_haenszel(y, z, sets, mode="exact")
+        out = mantel_haenszel(np.zeros(6), SetLayout([2, 2, 2]), mode="exact")
         assert out.p_two_sided == 1.0
         assert out.p_upper == 1.0 and out.p_lower == 1.0
 
     def test_normal_close_to_exact_on_twenty_sets(self):
         rng = np.random.default_rng(16)
-        _, z, sets = random_matched_instance(rng, 20)
-        y = (rng.uniform(size=z.size) < 0.4).astype(float)
-        exact = mantel_haenszel(y, z, sets, mode="exact")
-        normal = mantel_haenszel(y, z, sets, mode="normal")
+        _, sets = random_matched_instance(rng, 20)
+        y = (rng.uniform(size=sets.z.size) < 0.4).astype(float)
+        exact = mantel_haenszel(y, sets, mode="exact")
+        normal = mantel_haenszel(y, sets, mode="normal")
         assert abs(exact.p_upper - normal.p_upper) < 0.02
         assert abs(exact.p_lower - normal.p_lower) < 0.02
 
     def test_auto_mode_switches_at_limit(self):
         rng = np.random.default_rng(17)
-        _, z, sets = random_matched_instance(rng, 10)
-        y = (rng.uniform(size=z.size) < 0.5).astype(float)
-        assert mantel_haenszel(y, z, sets).method == "mantel-haenszel-exact"
-        _, z, sets = random_matched_instance(rng, 201, max_controls=1)
-        y = (rng.uniform(size=z.size) < 0.5).astype(float)
-        assert mantel_haenszel(y, z, sets).method == "mantel-haenszel-normal"
+        _, sets = random_matched_instance(rng, 10)
+        y = (rng.uniform(size=sets.z.size) < 0.5).astype(float)
+        assert mantel_haenszel(y, sets).method == "mantel-haenszel-exact"
+        _, sets = random_matched_instance(rng, 201, max_controls=1)
+        y = (rng.uniform(size=sets.z.size) < 0.5).astype(float)
+        assert mantel_haenszel(y, sets).method == "mantel-haenszel-normal"
 
     def test_two_treated_in_a_set_rejected(self):
-        y = np.array([1.0, 0.0])
-        z = np.array([1, 1])
+        # The test sees a binary outcome only as laid out by matched_arrays,
+        # which rejects a set with two treated members.
+        table = make_table([1, 1], np.zeros((2, 1)), outcomes=[1.0, 0.0], outcome_names=("y",))
         with pytest.raises(ValueError, match="one treated"):
-            mantel_haenszel(y, z, (np.array([0, 1]),))
+            matched_arrays(table, match_of(table, [[0, 1]]), "y")
 
 
 class TestEventTails:

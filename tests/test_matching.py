@@ -492,6 +492,14 @@ class TestBuildMatch:
         assert composition(result) == {1: 4, **{k: 0 for k in range(2, 16)}}
         assert result.counts.n_matched == 8
 
+    def test_no_cell_with_both_arms_raises(self):
+        # Every treated subject in stratum a, every control in b: no cell
+        # can form a set, so there is no match to assess or test.
+        rng = np.random.default_rng(7)
+        table = make_table(np.array([1] * 4 + [0] * 4), rng.normal(size=(8, 3)), stratum=["a"] * 4 + ["b"] * 4)
+        with pytest.raises(MatchingError, match="no stratum x interval cell holds both arms"):
+            build_match(table, np.full(8, 0.5))
+
     def test_straddling_buckets_match_independent_sub_runs(self):
         # no caliper and no trims, so each interval cell is self-contained
         z = np.array([1, 1, 0, 0, 1, 1, 0, 0])

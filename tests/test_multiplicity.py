@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from matchstudy.inference import ConfidenceRegion
 from matchstudy.multiplicity import (
     EquivalenceResult,
     ProtocolError,
@@ -12,28 +11,8 @@ from matchstudy.multiplicity import (
 )
 
 
-def region_with_hull(hull):
-    if hull is None:
-        grid = np.array([0.0])
-        accepted = np.array([False])
-        p = np.array([0.01])
-    else:
-        grid = np.array([hull[0], hull[1]])
-        accepted = np.array([True, True])
-        p = np.array([0.5, 0.5])
-    return ConfidenceRegion(
-        grid=grid,
-        p_values=p,
-        accepted=accepted,
-        alpha=0.05,
-        adjustment="none",
-        hull=hull,
-        non_monotone=False,
-    )
-
-
 def shown_equivalence():
-    return equivalence_test(region_with_hull((-0.05, 0.08)), margin=0.2)
+    return equivalence_test((-0.05, 0.08), margin=0.2)
 
 
 class TestOrderedProcedure:
@@ -183,28 +162,29 @@ class TestEquivalence:
         out = shown_equivalence()
         assert out.equivalent and out.shown
         assert not out.empty_region
+        assert out.hull == (-0.05, 0.08) and out.margin == 0.2
 
     def test_hull_outside_margin(self):
-        out = equivalence_test(region_with_hull((-0.3, 0.1)), margin=0.2)
+        out = equivalence_test((-0.3, 0.1), margin=0.2)
         assert not out.equivalent and not out.shown
 
     def test_zero_margin_never_equivalent(self):
-        out = equivalence_test(region_with_hull((0.0, 0.0)), margin=0.0)
+        out = equivalence_test((0.0, 0.0), margin=0.0)
         assert not out.equivalent
 
     def test_boundary_is_open(self):
-        out = equivalence_test(region_with_hull((-0.1, 0.2)), margin=0.2)
+        out = equivalence_test((-0.1, 0.2), margin=0.2)
         assert not out.equivalent
 
     def test_empty_region_flagged(self):
-        out = equivalence_test(region_with_hull(None), margin=0.2)
+        out = equivalence_test(None, margin=0.2)
         assert out.empty_region
         assert not out.equivalent and not out.shown
         assert isinstance(out, EquivalenceResult)
 
     def test_negative_margin_rejected(self):
         with pytest.raises(ValueError, match="margin"):
-            equivalence_test(region_with_hull((0.0, 0.0)), margin=-0.1)
+            equivalence_test((0.0, 0.0), margin=-0.1)
 
 
 class TestSecondaryAdjustment:

@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from matchstudy.dataset import SubjectTable
+from matchstudy.inference import SetLayout
 from matchstudy.matching import MatchCounts, MatchedSet, MatchResult
 
 
@@ -57,15 +58,10 @@ def make_table(
 
 
 def random_matched_instance(rng, n_sets, max_controls=3, values=None):
-    """Residuals, treatment indicator, and set index arrays for testing.
-
-    Each set lists its treated row first, matching the compact layout used by
-    the inference module.
-    """
+    """Residuals laid out by ``n_sets`` sets of 2..max_controls+1 members,
+    and their ``SetLayout``."""
     resid = []
-    z = []
-    sets = []
-    pos = 0
+    sizes = []
     for _ in range(n_sets):
         size = int(rng.integers(2, max_controls + 2))
         if values is None:
@@ -73,10 +69,30 @@ def random_matched_instance(rng, n_sets, max_controls=3, values=None):
         else:
             vals = rng.choice(values, size=size)
         resid.extend(vals.tolist())
-        z.extend([1] + [0] * (size - 1))
-        sets.append(np.arange(pos, pos + size))
-        pos += size
-    return np.asarray(resid), np.asarray(z, dtype=np.int64), tuple(sets)
+        sizes.append(size)
+    return np.asarray(resid), SetLayout(np.array(sizes))
+
+
+def index_sets(layout):
+    """The per-set index arrays of a layout: the input of the brute-force
+    references, which take a treatment indicator and index arrays."""
+    return tuple(layout.split(np.arange(layout.z.size)))
+
+
+def lay_out(values, z, sets):
+    """A scrambled instance laid out set after set, each set's treated member
+    first and its other members in their listed order: the laid values (rows
+    along axis 0) and their ``SetLayout``."""
+    rows = np.concatenate([np.concatenate([s[z[s] == 1], s[z[s] != 1]]) for s in sets])
+    return values[rows], SetLayout(np.array([len(s) for s in sets]))
+
+
+def match_of(table, row_sets):
+    """A match whose sets list the given table rows, the first row of each as
+    its treated id."""
+    sets = tuple(MatchedSet(table.ids[rows[0]], tuple(table.ids[r] for r in rows[1:])) for rows in row_sets)
+    n_controls = sum(len(rows) - 1 for rows in row_sets)
+    return MatchResult(sets=sets, dropped=(), counts=MatchCounts(0, 0, 0, 0, len(sets), n_controls))
 
 
 def shuffled_matched_instance(rng, n_sets, max_size=16):
