@@ -8,8 +8,13 @@ previous stage wrote, so
 and the chain simulate / propensity / match / balance / infer / sensitivity /
 report produce byte-identical outputs.
 
-Exit codes: 0 success, 1 invalid configuration or missing inputs, 2 runtime
-failure (a failure manifest naming the stage is left in the output directory).
+The subcommands and the order ``run`` takes them in come from
+``pipeline.STAGES``, and ``run`` and each stage subcommand run a stage
+through ``pipeline.run_stage``, so both fail the same way.
+
+Exit codes: 0 success, 1 invalid configuration or missing inputs (no failure
+manifest is written), 2 runtime failure (``failure_manifest.txt`` naming the
+stage is left in the output directory).
 """
 from __future__ import annotations
 
@@ -20,45 +25,12 @@ import logging
 import sys
 
 from .config import config_from_dict, default_config_dict, load_config
-from .dataset import SchemaError, ValidationError
-from .matching import MatchingError
-from .multiplicity import ProtocolError
 from .oracles import run_oracle_suite
-from .pipeline import (
-    MissingIntermediateError,
-    PipelineError,
-    _write_failure_manifest,
-    run_pipeline,
-    stage_balance,
-    stage_infer,
-    stage_match,
-    stage_propensity,
-    stage_report,
-    stage_sensitivity,
-    stage_simulate,
-)
+from .pipeline import STAGES, VALIDATION_ERRORS, PipelineError, run_pipeline, run_stage
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
-
-_VALIDATION_ERRORS = (
-    SchemaError,
-    ValidationError,
-    ProtocolError,
-    MatchingError,
-    MissingIntermediateError,
-)
-
-STAGE_COMMANDS = {
-    "simulate": ("write a synthetic cohort csv", stage_simulate),
-    "propensity": ("fit the configured score models", stage_propensity),
-    "match": ("build matched sets for every comparison and method", stage_match),
-    "balance": ("tabulate covariate balance and select a match per comparison", stage_balance),
-    "infer": ("run the randomization tests and interval inversions", stage_infer),
-    "sensitivity": ("compute hidden-bias bounds over the gamma grid", stage_sensitivity),
-    "report": ("render the report tables from stored intermediates", stage_report),
-}
 
 log = logging.getLogger("matchstudy")
 
@@ -81,8 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
         s.add_argument("--seed", type=int, help="override the configured base seed")
         s.add_argument("--out", help="override the configured output directory")
 
-    for name, (help_text, _) in STAGE_COMMANDS.items():
-        common(sub.add_parser(name, help=help_text))
+    for command, _, help_text in STAGES:
+        common(sub.add_parser(command, help=help_text))
     common(sub.add_parser("run", help="run every stage in order"))
     oracle = sub.add_parser("oracle", help="run the brute-force self-checks")
     oracle.add_argument("--seed", type=int, default=0, help="seed for the generated instances")
@@ -132,35 +104,23 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (json.JSONDecodeError, *_VALIDATION_ERRORS, ValueError) as exc:
+    except ValueError as exc:  # ValidationError, SchemaError and bad JSON among them
         print(f"error: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
-    if args.command == "run":
-        try:
-            out = run_pipeline(cfg)
-        except PipelineError as exc:
-            cause = exc.__cause__
-            if isinstance(cause, _VALIDATION_ERRORS):
-                print(f"error: {cause}", file=sys.stderr)
-                return EXIT_VALIDATION
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_RUNTIME
-        log.info("wrote %s", out)
-        return EXIT_OK
-
-    stage_fn = STAGE_COMMANDS[args.command][1]
     try:
-        stage_fn(cfg)
-    except _VALIDATION_ERRORS as exc:
+        if args.command == "run":
+            done = f"wrote {run_pipeline(cfg)}"
+        else:
+            run_stage(cfg, args.command)
+            done = f"{args.command} done"
+    except VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except Exception as exc:  # runtime failure: leave a manifest naming the stage
-        stage = "inference" if args.command == "infer" else args.command
-        _write_failure_manifest(cfg, stage, exc)
-        print(f"error: stage {stage}: {exc}", file=sys.stderr)
+    except PipelineError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    log.info("%s done", args.command)
+    log.info(done)
     return EXIT_OK
 
 

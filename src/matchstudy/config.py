@@ -178,9 +178,12 @@ def _parse_comparison(obj: dict) -> ComparisonSpec:
     return ComparisonSpec(obj["name"], groups("treated_groups"), groups("control_groups"))
 
 
+def _field_names(cls) -> set:
+    return {f.name for f in dataclasses.fields(cls)}
+
+
 def _parse_outcome_model(obj: dict) -> OutcomeModel:
-    allowed = {"name", "kind", "intercept", "coefs", "effect", "noise_sd", "missing_rate"}
-    _expect_keys(obj, {"name"}, allowed - {"name"}, "simulate outcome")
+    _expect_keys(obj, {"name"}, _field_names(OutcomeModel) - {"name"}, "simulate outcome")
     kwargs = dict(obj)
     if "coefs" in kwargs:
         kwargs["coefs"] = tuple(kwargs["coefs"])
@@ -188,24 +191,10 @@ def _parse_outcome_model(obj: dict) -> OutcomeModel:
 
 
 def _parse_simulate(obj: dict) -> GeneratorConfig:
-    allowed = {
-        "n",
-        "n_continuous",
-        "n_binary",
-        "propensity_intercept",
-        "propensity_coefs",
-        "outcomes",
-        "strata",
-        "strata_probs",
-        "covariate_missing_rate",
-        "control_groups",
-        "control_group_probs",
-        "treated_group_label",
-    }
-    _expect_keys(obj, {"n"}, allowed - {"n"}, "simulate")
+    _expect_keys(obj, {"n"}, _field_names(GeneratorConfig) - {"n"}, "simulate")
     kwargs = dict(obj)
     for key in ("propensity_coefs", "strata", "strata_probs", "control_groups", "control_group_probs"):
-        if kwargs.get(key) is not None and key in kwargs:
+        if kwargs.get(key) is not None:
             kwargs[key] = tuple(kwargs[key])
     if "outcomes" in kwargs:
         kwargs["outcomes"] = tuple(_parse_outcome_model(o) for o in kwargs["outcomes"])
@@ -223,31 +212,12 @@ def _expect_keys(obj: dict, required: set, optional: set, where: str) -> None:
         raise ValidationError(f"{where}: unknown keys {sorted(unknown)}")
 
 
-_TOP_REQUIRED: set = set()
-_TOP_OPTIONAL = {
-    "data",
-    "output_dir",
-    "seed",
-    "columns",
-    "covariates",
-    "primary_outcome",
-    "secondary_outcomes",
-    "comparisons",
-    "propensity_methods",
-    "matching",
-    "inference",
-    "sensitivity",
-    "equivalence_margin_sd",
-    "simulate",
-}
-
-
 def config_from_dict(obj: dict) -> StudyConfig:
-    _expect_keys(obj, _TOP_REQUIRED, _TOP_OPTIONAL, "config")
     base = default_config_dict()
+    _expect_keys(obj, set(), set(base), "config")
     columns = dict(base["columns"])
     columns.update(obj.get("columns", {}))
-    _expect_keys(columns, set(), {"id", "treatment", "stratum", "group", "missing_token"}, "columns")
+    _expect_keys(columns, set(), set(base["columns"]), "columns")
 
     def section(name, parser, default):
         if name not in obj:
@@ -261,31 +231,27 @@ def config_from_dict(obj: dict) -> StudyConfig:
     inference = section("inference", _inference_params, InferenceParams())
     sensitivity = section("sensitivity", SensitivityParams, SensitivityParams())
 
-    covs = obj.get("covariates", base["covariates"])
-    outcomes = obj.get("primary_outcome", base["primary_outcome"])
-    secondary = obj.get("secondary_outcomes", base["secondary_outcomes"])
-    comparisons = obj.get("comparisons", base["comparisons"])
-    simulate = obj.get("simulate", base["simulate"])
-    margin = obj.get("equivalence_margin_sd", base["equivalence_margin_sd"])
+    value = {**base, **obj}
+    margin = value["equivalence_margin_sd"]
     return StudyConfig(
-        data=obj.get("data", base["data"]),
-        output_dir=obj.get("output_dir", base["output_dir"]),
-        seed=obj.get("seed", base["seed"]),
+        data=value["data"],
+        output_dir=value["output_dir"],
+        seed=value["seed"],
         id_column=columns["id"],
         treatment_column=columns["treatment"],
         stratum_column=columns["stratum"],
         group_column=columns["group"],
         missing_token=columns["missing_token"],
-        covariates=tuple(_parse_covariate(c) for c in covs),
-        primary_outcome=_parse_outcome(outcomes),
-        secondary_outcomes=tuple(_parse_outcome(o) for o in secondary),
-        comparisons=tuple(_parse_comparison(c) for c in comparisons),
-        propensity_methods=tuple(obj.get("propensity_methods", base["propensity_methods"])),
+        covariates=tuple(_parse_covariate(c) for c in value["covariates"]),
+        primary_outcome=_parse_outcome(value["primary_outcome"]),
+        secondary_outcomes=tuple(_parse_outcome(o) for o in value["secondary_outcomes"]),
+        comparisons=tuple(_parse_comparison(c) for c in value["comparisons"]),
+        propensity_methods=tuple(value["propensity_methods"]),
         matching=matching,
         inference=inference,
         sensitivity=sensitivity,
         equivalence_margin_sd=float(margin) if finite_number(margin) else margin,
-        simulate=None if simulate is None else _parse_simulate(simulate),
+        simulate=None if value["simulate"] is None else _parse_simulate(value["simulate"]),
     )
 
 

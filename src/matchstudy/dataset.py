@@ -542,6 +542,23 @@ class GeneratorConfig:
     control_group_probs: tuple[float, ...] | None = None
     treated_group_label: str = "treated"
 
+    def __post_init__(self):
+        if not (whole_number(self.n) and self.n >= 1):
+            raise ValidationError("simulate n must be an integer >= 1")
+        rates = {"covariate_missing_rate": self.covariate_missing_rate}
+        rates.update((f"outcome {m.name!r} missing_rate", m.missing_rate) for m in self.outcomes)
+        for what, rate in rates.items():
+            if not (finite_number(rate) and 0.0 <= rate <= 1.0):
+                raise ValidationError(f"simulate {what} must be a number in [0, 1]")
+        for key, labels in (("strata_probs", self.strata), ("control_group_probs", self.control_groups)):
+            probs = getattr(self, key)
+            if probs is not None and not (
+                len(probs) == len(labels)
+                and all(finite_number(p) and p >= 0 for p in probs)
+                and abs(math.fsum(probs) - 1.0) <= 1e-8
+            ):
+                raise ValidationError(f"simulate {key} must hold one probability >= 0 per label, summing to 1")
+
 
 @dataclass(frozen=True)
 class SyntheticCohort:

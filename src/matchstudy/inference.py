@@ -83,8 +83,8 @@ def matched_arrays(table: SubjectTable, result: MatchResult, outcome: str) -> In
     """Extract outcome/covariate arrays for the matched sets.
 
     Sets containing any member with a missing outcome are excluded and
-    logged. Raises if nothing remains, or unless each set's first member
-    (its treated id) is its one treated subject.
+    logged. Raises if nothing remains, or (in ``member_rows``) unless each
+    set's first member (its treated id) is its one treated subject.
     """
     j = table.outcome_index(outcome)
     rows, sizes = member_rows(table, result)
@@ -94,15 +94,10 @@ def matched_arrays(table: SubjectTable, result: MatchResult, outcome: str) -> In
         raise ValueError(f"no matched sets with observed outcome {outcome!r}")
     keep = ~missing
     idx = rows[np.repeat(keep, sizes)]
-    sets = SetLayout(sizes[keep])
-    wrong = np.logical_or.reduceat(table.z[idx] != sets.z, sets.starts)
-    if wrong.any():
-        treated_id = table.ids[idx[sets.starts[wrong.argmax()]]]
-        raise ValueError(f"matched set {treated_id!r} must list exactly one treated subject, first")
     return InferenceData(
         r=table.outcomes[idx, j],
         x=table.covariates[idx],
-        sets=sets,
+        sets=SetLayout(sizes[keep]),
         excluded_sets=tuple(table.ids[t] for t in rows[starts[missing]].tolist()),
     )
 

@@ -126,14 +126,23 @@ def member_rows(table: SubjectTable, result: MatchResult) -> tuple[np.ndarray, n
 
     Each set lists its treated row, then its controls in the order the set
     holds them, so set i occupies ``rows[starts[i] : starts[i] + sizes[i]]``
-    with ``starts = np.cumsum(sizes) - sizes``.
+    with ``starts = np.cumsum(sizes) - sizes``. Raises ``ValueError`` unless
+    each set's first member (its treated id) is its one treated subject.
     """
     ids: list[str] = []
     for s in result.sets:
         ids.append(s.treated_id)
         ids.extend(s.control_ids)
     sizes = np.fromiter((len(s.control_ids) for s in result.sets), dtype=np.intp, count=len(result.sets)) + 1
-    return np.fromiter(map(table.row_of, ids), dtype=np.intp, count=len(ids)), sizes
+    rows = np.fromiter(map(table.row_of, ids), dtype=np.intp, count=len(ids))
+    starts = np.cumsum(sizes) - sizes
+    first = np.zeros(len(rows), dtype=bool)
+    first[starts] = True
+    wrong = np.logical_or.reduceat(table.z[rows] != first, starts)
+    if wrong.any():
+        treated_id = table.ids[rows[starts[wrong.argmax()]]]
+        raise ValueError(f"matched set {treated_id!r} must list exactly one treated subject, first")
+    return rows, sizes
 
 
 # ---------------------------------------------------------------------------

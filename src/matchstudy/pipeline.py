@@ -36,6 +36,7 @@ from . import sensitivity as sensitivity_mod
 from .config import ComparisonSpec, StudyConfig
 from .dataset import (
     BINARY,
+    SchemaError,
     SubjectTable,
     ValidationError,
     attrition_check,
@@ -48,7 +49,18 @@ from .dataset import (
 
 METHOD_DISPLAY = {"mle": "MLE", "l1": "L1", "bayes": "Bayes", "bart": "BART"}
 
-STAGES = ("simulate", "propensity", "match", "balance", "inference", "sensitivity", "report")
+# The stages in run order: (subcommand, stage name in errors and failure
+# manifests, help text). ``run_stage`` looks ``stage_<subcommand>`` up in this
+# module when it runs, so a wrapper set on the module sees every call.
+STAGES = (
+    ("simulate", "simulate", "write a synthetic cohort csv"),
+    ("propensity", "propensity", "fit the configured score models"),
+    ("match", "match", "build matched sets for every comparison and method"),
+    ("balance", "balance", "tabulate covariate balance and select a match per comparison"),
+    ("infer", "inference", "run the randomization tests and interval inversions"),
+    ("sensitivity", "sensitivity", "compute hidden-bias bounds over the gamma grid"),
+    ("report", "report", "render the report tables from stored intermediates"),
+)
 
 
 class PipelineError(RuntimeError):
@@ -61,6 +73,17 @@ class MissingIntermediateError(FileNotFoundError):
     def __init__(self, path: str, producer: str):
         super().__init__(f"{path} not found; run the {producer} subcommand first")
         self.producer = producer
+
+
+# Invalid configuration or missing inputs: raised as they are, with no
+# failure manifest, because no stage ran into a fault.
+VALIDATION_ERRORS = (
+    SchemaError,
+    ValidationError,
+    multiplicity_mod.ProtocolError,
+    matching_mod.MatchingError,
+    MissingIntermediateError,
+)
 
 
 def derive_seed(base: int, *parts) -> int:
@@ -890,33 +913,36 @@ def _write_failure_manifest(cfg: StudyConfig, stage: str, error: Exception) -> N
         pass  # reporting the original failure matters more
 
 
-def run_pipeline(cfg: StudyConfig) -> str:
-    """Run every stage in order; returns the output directory.
+def run_stage(cfg: StudyConfig, command: str) -> None:
+    """Run ``stage_<command>(cfg)`` for a subcommand of ``STAGES``.
 
-    Synthesizes the cohort first when the config carries a simulate block
-    and the data file does not exist yet. On any stage failure a partial
-    manifest naming the stage is written before the error propagates.
+    A ``VALIDATION_ERRORS`` exception propagates unchanged. Any other
+    failure writes ``failure_manifest.txt`` naming the stage and raises
+    ``PipelineError``.
     """
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    stage = "simulate"
+    stage = {cmd: name for cmd, name, _ in STAGES}[command]
     try:
-        if not os.path.exists(_data_path(cfg)):
-            if cfg.simulate is None:
-                raise MissingIntermediateError(_data_path(cfg), "simulate")
-            stage_simulate(cfg)
-        stage = "propensity"
-        stage_propensity(cfg)
-        stage = "match"
-        stage_match(cfg)
-        stage = "balance"
-        stage_balance(cfg)
-        stage = "inference"
-        stage_infer(cfg)
-        stage = "sensitivity"
-        stage_sensitivity(cfg)
-        stage = "report"
-        stage_report(cfg)
+        globals()[f"stage_{command}"](cfg)
+    except VALIDATION_ERRORS:
+        raise
     except Exception as exc:
         _write_failure_manifest(cfg, stage, exc)
         raise PipelineError(stage, str(exc)) from exc
+
+
+def run_pipeline(cfg: StudyConfig) -> str:
+    """Run every stage in order through ``run_stage``; returns the output
+    directory.
+
+    Synthesizes the cohort first when the data file does not exist yet, and
+    raises ``MissingIntermediateError`` when there is no simulate block to
+    synthesize it from.
+    """
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    if not os.path.exists(_data_path(cfg)):
+        if cfg.simulate is None:
+            raise MissingIntermediateError(_data_path(cfg), "simulate")
+        run_stage(cfg, "simulate")
+    for command, _, _ in STAGES[1:]:
+        run_stage(cfg, command)
     return cfg.output_dir

@@ -1,3 +1,4 @@
+import argparse
 import copy
 import hashlib
 import json
@@ -12,7 +13,7 @@ import scipy
 
 import matchstudy
 from matchstudy import pipeline
-from matchstudy.cli import main
+from matchstudy.cli import build_parser, main
 from matchstudy.config import config_from_dict, default_config, default_config_dict, load_config
 from matchstudy.matching import build_match
 from matchstudy.dataset import ValidationError
@@ -67,6 +68,11 @@ def reduced_config_dict(out_dir, seed=7):
             "treated_group_label": "football",
         },
     }
+
+
+def simulate_with(**changes):
+    """A config entry: the reduced simulate block with some values changed."""
+    return {"simulate": dict(reduced_config_dict(None)["simulate"], **changes)}
 
 
 def write_config(tmp_path, obj, name="study.json"):
@@ -227,6 +233,17 @@ class TestValidation:
             {"seed": "7"},
             {"seed": True},
             {"seed": -3},
+            simulate_with(n="500"),
+            simulate_with(n=2.5),
+            simulate_with(n=-5),
+            simulate_with(n=0),
+            simulate_with(covariate_missing_rate=1.5),
+            simulate_with(covariate_missing_rate="0.03"),
+            simulate_with(outcomes=[{"name": "y", "missing_rate": -0.1}]),
+            simulate_with(strata_probs=[0.9, 0.9]),
+            simulate_with(strata_probs=[1.0]),
+            simulate_with(control_group_probs=[-0.45, 1.45]),
+            simulate_with(control_group_probs=[0.45, float("nan")]),
         ],
     )
     def test_bad_value_is_a_configuration_error_before_any_stage(self, tmp_path, capsys, section):
@@ -239,6 +256,13 @@ class TestValidation:
         assert err.startswith("error: invalid configuration: ")
         assert "Traceback" not in err
         assert not os.path.exists(out_dir)
+
+    def test_simulate_edge_values_accepted(self):
+        strata = [f"band-{i}" for i in range(10)]
+        sim = config_from_dict(
+            simulate_with(n=1, covariate_missing_rate=1.0, strata=strata, strata_probs=[0.1] * 10)
+        ).simulate
+        assert (sim.n, sim.covariate_missing_rate, sum(sim.strata_probs)) == (1, 1.0, 0.9999999999999999)
 
     def test_bad_json_rejected(self, tmp_path, capsys):
         path = os.path.join(str(tmp_path), "broken.json")
@@ -426,7 +450,7 @@ class TestFullRun:
         assert err.startswith("error: comparison-2: no stratum x interval cell holds both arms")
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("command", ["infer", "sensitivity"])
+    @pytest.mark.parametrize("command", ["balance", "infer", "sensitivity"])
     def test_set_file_naming_a_control_as_treated_is_rejected(self, completed_run, tmp_path, capsys, command):
         # The first id of a .sets.txt line is the set's treated subject;
         # swap it with the first control of one set.
@@ -509,6 +533,58 @@ class TestFailureManifest:
         assert "propensity_comparison-1_mle.json" in text
 
 
+class TestStages:
+    def test_parser_subcommands_are_the_stage_table_plus_run_and_oracle(self):
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == [command for command, _, _ in pipeline.STAGES] + ["run", "oracle"]
+
+    def test_stages_are_looked_up_when_they_run(self, tmp_path, monkeypatch):
+        # A wrapper set on the pipeline module, as the benchmark's tracer
+        # sets one, sees the calls of run_pipeline and of every subcommand.
+        calls = []
+        for command, _, _ in pipeline.STAGES:
+            monkeypatch.setattr(pipeline, f"stage_{command}", lambda cfg, command=command: calls.append(command))
+        cfg_path = write_config(tmp_path, reduced_config_dict(os.path.join(str(tmp_path), "out")))
+        pipeline.run_pipeline(load_config(cfg_path))
+        assert calls == [command for command, _, _ in pipeline.STAGES]
+        for command, _, _ in pipeline.STAGES:
+            calls.clear()
+            assert main([command, "--config", cfg_path]) == 0
+            assert calls == [command]
+
+    @pytest.mark.parametrize(
+        "chain, code, first_line",
+        [
+            # no cohort and no simulate block: a configuration error
+            (["propensity"], 1, None),
+            # the primary outcome is never observed: a runtime failure
+            (["simulate", "propensity", "match", "balance", "infer"], 2, "FAILED at stage inference\n"),
+        ],
+    )
+    def test_run_fails_like_the_stage_command(self, tmp_path, capsys, chain, code, first_line):
+        # `run` and the stage subcommands exit with the same code and message
+        # and leave the same failure manifest, or none.
+        errors, manifests = [], []
+        for way, commands in (("run", ["run"]), ("chain", chain)):
+            out_dir = os.path.join(str(tmp_path), way)
+            obj = reduced_config_dict(out_dir)
+            if code == 1:
+                obj["simulate"] = None
+            else:
+                obj["simulate"]["outcomes"][0]["missing_rate"] = 1.0
+            cfg_path = write_config(tmp_path, obj, f"{way}.json")
+            assert [main([c, "--config", cfg_path]) for c in commands] == [0] * (len(commands) - 1) + [code]
+            errors.append(capsys.readouterr().err.splitlines()[-1].replace(out_dir, "<out>"))
+            path = os.path.join(out_dir, "failure_manifest.txt")
+            if os.path.exists(path):
+                with open(path, encoding="utf-8") as fh:
+                    manifests.append(fh.readline())
+            else:
+                manifests.append(None)
+        assert errors[0] == errors[1] and errors[0].startswith("error: ")
+        assert manifests == [first_line] * 2
+
+
 class TestOracle:
     def test_oracle_suite_passes(self, capsys):
         assert main(["oracle"]) == 0
@@ -555,7 +631,7 @@ class TestImports:
 _SIMULATE_AND_SCORE = """
 import sys
 sys.path.insert(0, sys.argv[1])
-from matchstudy.cli import main
+from matchstudy.cli import build_parser, main
 sys.exit(main(["simulate", "--config", sys.argv[2]]) or main(["propensity", "--config", sys.argv[2]]))
 """
 
