@@ -69,16 +69,16 @@ def balance_table(
     covariates: tuple[str, ...] | None = None,
     threshold: float = IMBALANCE_THRESHOLD,
     schema: CovariateSchema | None = None,
-    expand_ordinal: bool = False,
+    codes: SubjectTable | None = None,
 ) -> tuple[BalanceRow, ...]:
     """Pre/post balance rows for the given covariates.
 
     Pre-match moments use every subject in ``table``; post-match moments use
     the matched sets with 1/(n_i - 1) control weights. The standardized
-    difference denominator is the pre-match pooled sd for both columns. When
-    ``expand_ordinal`` is set (and a schema identifies ordinal columns), each
-    ordinal level additionally gets a per-level indicator row named
-    ``<name>=<level>``.
+    difference denominator is the pre-match pooled sd for both columns. Each
+    ordinal covariate of ``schema`` also gets a row ``<name>=<level>`` per
+    level, counted on ``codes``: ``table``'s rows before scaling (by default
+    ``table``), because a scaled column no longer holds its codes.
     """
     if covariates is None:
         covariates = table.covariate_names
@@ -111,13 +111,11 @@ def balance_table(
         )
 
     for name in covariates:
-        values = table.covariate(name)
-        add_row(name, values)
-        if expand_ordinal and schema is not None and name in schema:
-            cov = next(c for c in schema.covariates if c.name == name)
-            if cov.kind == ORDINAL and cov.levels:
-                for level in cov.levels:
-                    add_row(f"{name}={level:g}", (values == level).astype(float))
+        add_row(name, table.covariate(name))
+        if schema is not None and name in schema and schema.kind_of(name) == ORDINAL:
+            values = (codes or table).covariate(name)
+            for level in next(c.levels for c in schema.covariates if c.name == name):
+                add_row(f"{name}={level:g}", (values == level).astype(float))
     return tuple(rows)
 
 

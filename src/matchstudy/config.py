@@ -84,6 +84,9 @@ class SensitivityParams:
             raise ValidationError("sensitivity start, stop and step must be finite numbers")
         if self.start != 1.0 or self.stop <= self.start or self.step <= 0:
             raise ValidationError("sensitivity grid must start at 1 and increase")
+        steps = round((self.stop - self.start) / self.step)
+        if steps < 1 or abs(steps * self.step - (self.stop - self.start)) > 1e-9:
+            raise ValidationError("sensitivity step must divide stop - start")
 
     def grid(self) -> np.ndarray:
         count = int(round((self.stop - self.start) / self.step)) + 1
@@ -251,7 +254,8 @@ def config_from_dict(obj: dict) -> StudyConfig:
         inference=inference,
         sensitivity=sensitivity,
         equivalence_margin_sd=float(margin) if finite_number(margin) else margin,
-        simulate=None if value["simulate"] is None else _parse_simulate(value["simulate"]),
+        # An omitted recipe is no recipe: nothing may synthesize the cohort.
+        simulate=None if obj.get("simulate") is None else _parse_simulate(obj["simulate"]),
     )
 
 

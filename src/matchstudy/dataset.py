@@ -188,6 +188,12 @@ class SubjectTable:
         )
 
 
+def id_order(ids: tuple[str, ...]) -> np.ndarray:
+    """Row positions that put ``ids`` in id order. Ids compare as Python
+    strings, so "s10" sorts before "s2": the order is canonical, not numeric."""
+    return np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
+
+
 # ---------------------------------------------------------------------------
 # Delimited-text ingest / emit
 # ---------------------------------------------------------------------------
@@ -420,32 +426,31 @@ def augment_missingness(table: SubjectTable) -> SubjectTable:
     )
 
 
+def missingness_flags(table: SubjectTable) -> np.ndarray:
+    """Mask, shape (n, p): subject i has a 1 in missingness indicator j, and
+    every 1 there is in one arm, so the propensity model could separate on
+    it. A subject with any flag is missingness-determined."""
+    indicator = np.array([name.endswith(MISSING_SUFFIX) for name in table.covariate_names], dtype=bool)
+    ones = (table.covariates == 1.0) & indicator
+    treated = table.z == 1
+    return ones & ~(ones[treated].any(axis=0) & ones[~treated].any(axis=0))
+
+
 def drop_missingness_determined(table: SubjectTable) -> tuple[SubjectTable, tuple[tuple[str, str], ...]]:
     """Drop subjects whose missingness pattern perfectly predicts their arm.
 
-    A missingness indicator whose value-1 subjects are all treated or all
-    control would let the propensity model separate on it; those subjects are
-    removed. One pass against the original table (indicators are not
-    re-evaluated after removals). Returns the reduced table plus a ledger of
-    (subject id, indicator column) pairs.
+    One pass against the original table (indicators are not re-evaluated
+    after removals); see :func:`missingness_flags`. Returns the reduced
+    table plus a ledger of (subject id, indicator column) pairs.
     """
-    ledger: list[tuple[str, str]] = []
-    drop = np.zeros(table.n, dtype=bool)
-    for j, name in enumerate(table.covariate_names):
-        if not name.endswith(MISSING_SUFFIX):
-            continue
-        ones = table.covariates[:, j] == 1.0
-        count = int(np.count_nonzero(ones))
-        if count == 0:
-            continue
-        arm = table.z[ones]
-        if arm.all() or not arm.any():
-            drop |= ones
-            for i in np.flatnonzero(ones):
-                ledger.append((table.ids[i], name))
+    flags = missingness_flags(table)
+    drop = flags.any(axis=1)
     if not drop.any():
         return table, ()
-    return table.subset(~drop), tuple(ledger)
+    ledger = tuple(
+        (table.ids[i], name) for j, name in enumerate(table.covariate_names) for i in np.flatnonzero(flags[:, j])
+    )
+    return table.subset(~drop), ledger
 
 
 @dataclass(frozen=True)
@@ -545,6 +550,8 @@ class GeneratorConfig:
     def __post_init__(self):
         if not (whole_number(self.n) and self.n >= 1):
             raise ValidationError("simulate n must be an integer >= 1")
+        if not self.strata:
+            raise ValidationError("simulate strata must list at least one label")
         rates = {"covariate_missing_rate": self.covariate_missing_rate}
         rates.update((f"outcome {m.name!r} missing_rate", m.missing_rate) for m in self.outcomes)
         for what, rate in rates.items():

@@ -31,7 +31,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.special import logit
 
-from .dataset import SubjectTable, ValidationError, drop_missingness_determined, finite_number, whole_number
+from .dataset import SubjectTable, ValidationError, finite_number, id_order, missingness_flags, whole_number
 
 #: Largest number of controls a single treated subject can receive.
 MAX_CONTROLS = 15
@@ -338,16 +338,19 @@ def match_bucket(
 
     Returns (sets, dropped) where sets pair each matched treated id with its
     control ids and dropped lists (id, reason) rows: the treated subjects
-    without a control, then the controls no row took. ``dist`` is not
-    modified.
+    without a control, then the controls no row took. Whatever the order of
+    the arguments, the output is in id order: the sets by treated id, each
+    set's controls by id, and each arm's dropped subjects by id. ``dist`` is
+    not modified.
     """
     n_t, n_c = len(treated_ids), len(control_ids)
     if np.shape(dist) != (n_t, n_c):
         raise ValueError("distance matrix shape must be (n_treated, n_control)")
+    t, c = id_order(treated_ids), id_order(control_ids)
+    treated_ids, control_ids = tuple(treated_ids[i] for i in t), tuple(control_ids[j] for j in c)
     if n_t == 0 or n_c == 0:
-        dropped = [(s, REASON_UNMATCHED) for s in treated_ids] + [(s, REASON_UNMATCHED) for s in control_ids]
-        return [], dropped
-    return _solve_assignment(_build_assignment(dist, treated_ids, control_ids, k))
+        return [], [(s, REASON_UNMATCHED) for s in treated_ids + control_ids]
+    return _solve_assignment(_build_assignment(np.asarray(dist)[np.ix_(t, c)], treated_ids, control_ids, k))
 
 
 @dataclass(frozen=True)
@@ -356,7 +359,8 @@ class _Assignment:
 
     Row r of ``matrix`` belongs to treated subject ``r // copies`` and column
     c < n_c is control c; later columns are dummies. A ``transposed`` matrix
-    has the controls as rows and the treated subjects as columns.
+    has the controls as rows and the treated subjects as columns. Both id
+    tuples are in id order.
     """
 
     matrix: np.ndarray
@@ -370,7 +374,7 @@ def _build_assignment(
     dist: np.ndarray, treated_ids: tuple[str, ...], control_ids: tuple[str, ...], k: int
 ) -> _Assignment:
     """The assignment matrix of a non-empty cell, as ``match_bucket`` documents
-    it, without modifying ``dist``.
+    it, without modifying ``dist``. Both id tuples must be in id order.
 
     The integer costs are the one full-size array the build allocates besides
     the replicated rows and dummy columns. A cell with more treated subjects
@@ -387,7 +391,7 @@ def _build_assignment(
     np.multiply(dist, _COST_SCALE, out=scaled)
     np.round(scaled, out=scaled)
     # No assignment takes more than max(n_c, k * n_t) entries.
-    cost = _fold_tie_rule(scaled, treated_ids, control_ids, max(n_c, k * n_t))
+    cost = _fold_tie_rule(scaled, max(n_c, k * n_t))
     if transposed:
         return _Assignment(np.ascontiguousarray(cost.T), True, 1, treated_ids, control_ids)
 
@@ -421,7 +425,7 @@ def _solve_assignment(cell: _Assignment) -> tuple[list[tuple[str, tuple[str, ...
             assigned[r // cell.copies].append(c)
             taken[c] = True
     sets = [
-        (treated_ids[t], tuple(sorted(control_ids[c] for c in controls)))
+        (treated_ids[t], tuple(control_ids[c] for c in sorted(controls)))
         for t, controls in enumerate(assigned)
         if controls
     ]
@@ -430,23 +434,15 @@ def _solve_assignment(cell: _Assignment) -> tuple[list[tuple[str, tuple[str, ...
     return sets, dropped
 
 
-def _id_ranks(ids: tuple[str, ...]) -> np.ndarray:
-    ranks = np.empty(len(ids), dtype=np.int64)
-    ranks[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
-    return ranks
-
-
-def _fold_tie_rule(
-    cost: np.ndarray, treated_ids: tuple[str, ...], control_ids: tuple[str, ...], max_rows: int
-) -> np.ndarray:
+def _fold_tie_rule(cost: np.ndarray, max_rows: int) -> np.ndarray:
     """Integer costs with ``match_bucket``'s tie rule folded in, or ``cost``
     unchanged when a total the solver forms could reach 2**53.
 
-    With base = n_t + 1, primary costs are scaled by base**n_c, and giving
-    control c to treated t adds (id rank of t - n_t) * base**(n_c - 1 - id
-    rank of c). A match's secondary total is then its label vector read as a
-    base-(n_t + 1) number, less a constant, and it is below the primary
-    scale, so it orders only matches of equal primary cost. The result is
+    Rows and columns are in id order. With base = n_t + 1, primary costs are
+    scaled by base**n_c, and giving control c to treated t adds (t - n_t) *
+    base**(n_c - 1 - c). A match's secondary total is then its label vector
+    read as a base-(n_t + 1) number, less a constant, and it is below the
+    primary scale, so it orders only matches of equal primary cost. The result is
     shifted to a zero minimum; every assignment of a cell fills the same
     number of real entries, so the shift moves all feasible totals alike.
     ``max_rows`` bounds the number of entries an assignment takes.
@@ -459,8 +455,8 @@ def _fold_tie_rule(
     # A forbidden dummy entry of match_bucket is at most n_c * span + 1.
     if max_rows * (n_c * span + 1) >= 2**53:
         return cost
-    place = base ** (n_c - 1 - _id_ranks(control_ids))
-    folded = (cost.astype(np.int64) - low) * scale + (_id_ranks(treated_ids) - n_t)[:, None] * place[None, :]
+    place = base ** (n_c - 1 - np.arange(n_c))
+    folded = (cost.astype(np.int64) - low) * scale + (np.arange(n_t) - n_t)[:, None] * place[None, :]
     return (folded - folded.min()).astype(float)
 
 
@@ -475,43 +471,39 @@ def build_match(table: SubjectTable, scores, params: MatchingParams = MatchingPa
 
     ``scores`` are the propensity scores of the ``table`` rows. Every input
     subject lands either in a matched set or in the dropped ledger with a
-    reason. The sets come in cell order (stratum, then interval), each cell's
-    by treated id. Raises ``MatchingError`` when no cell holds both arms.
+    reason. Whatever the row order of ``table``, the output is in id order:
+    the sets come in cell order (stratum, then interval), each cell's by
+    treated id, and the ledger lists each step's drops by id. Raises
+    ``MatchingError`` when no cell holds both arms.
     """
     scores = np.asarray(scores, dtype=float)
     if scores.shape != (table.n,):
         raise ValueError("scores must align with the table rows")
 
-    kept_table, miss_ledger = drop_missingness_determined(table)
-    # A subject can trip several indicators; drop it once.
-    dropped = [(subject_id, REASON_MISSINGNESS) for subject_id, _ in _dedupe_ledger(miss_ledger)]
-    kept_rows = np.array([table.row_of(s) for s in kept_table.ids], dtype=int)
-    scores = scores[kept_rows]
+    # The subjects' rows in id order; every step below keeps that order.
+    ids, rows = np.array(table.ids, dtype=object), id_order(table.ids)
+    determined = missingness_flags(table).any(axis=1)[rows]
+    dropped = [(s, REASON_MISSINGNESS) for s in ids[rows[determined]]]
+    rows = rows[~determined]
+    trim = trim_common_support(scores[rows], table.z[rows])
+    dropped += [(s, REASON_COMMON_SUPPORT) for s in ids[rows[trim]]]
+    rows = np.delete(rows, trim)
+    kept_scores = scores[rows]
 
-    trim = trim_common_support(scores, kept_table.z)
-    dropped += [(kept_table.ids[i], REASON_COMMON_SUPPORT) for i in trim]
-    keep_mask = np.ones(kept_table.n, dtype=bool)
-    keep_mask[trim] = False
-    work = kept_table.subset(keep_mask)
-    scores = scores[keep_mask]
-
-    intervals = np.minimum(propensity_interval(scores), params.max_controls)
-    cells: dict[tuple[str, int], list[int]] = {}
-    for i in range(work.n):
-        cells.setdefault((work.stratum[i], int(intervals[i])), []).append(i)
-
+    # A stable sort by cell keeps the id order inside each cell.
+    labels, stratum = np.unique(np.asarray(table.stratum, dtype=object)[rows], return_inverse=True)
+    intervals = np.minimum(propensity_interval(kept_scores), params.max_controls)
+    cell_of = stratum * (MAX_CONTROLS + 1) + intervals
+    by_cell = np.argsort(cell_of, kind="stable")
     members: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
-    for key, rows in cells.items():
-        rows = np.array(rows, dtype=int)
-        is_treated = work.z[rows] == 1
-        # Deterministic id order inside the cell.
-        members[key] = tuple(
-            part[np.argsort([work.ids[i] for i in part])] for part in (rows[is_treated], rows[~is_treated])
-        )
+    for part in np.split(by_cell, np.flatnonzero(np.diff(cell_of[by_cell])) + 1):
+        cell_rows = rows[part]
+        treated = table.z[cell_rows] == 1
+        members[labels[stratum[part[0]]], int(intervals[part[0]])] = (cell_rows[treated], cell_rows[~treated])
 
     # Largest cells first, so the longest solves start early. A matrix is
     # built only when a worker is free, so at most workers + 1 cells hold one.
-    solvable = [key for key in sorted(members) if all(len(part) for part in members[key])]
+    solvable = [key for key, parts in members.items() if all(len(part) for part in parts)]
     if not solvable:
         raise MatchingError("no stratum x interval cell holds both arms")
     solvable.sort(key=lambda key: len(members[key][0]) * len(members[key][1]) * key[1], reverse=True)
@@ -525,35 +517,35 @@ def build_match(table: SubjectTable, scores, params: MatchingParams = MatchingPa
                 _, running = wait(running, return_when=FIRST_COMPLETED)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # constant-column drops are routine in small cells
-                dist = rank_mahalanobis(work.covariates[t_rows], work.covariates[c_rows])
+                dist = rank_mahalanobis(table.covariates[t_rows], table.covariates[c_rows])
             dist = apply_caliper(
                 dist,
                 scores[t_rows],
                 scores[c_rows],
                 width_sd=params.caliper_width_sd,
                 penalty=params.caliper_penalty,
-                scale_scores=scores,
+                scale_scores=kept_scores,
             )
             # The worker holds the only reference to the built matrix.
-            cell = _build_assignment(dist, _ids(work, t_rows), _ids(work, c_rows), key[1])
+            cell = _build_assignment(dist, tuple(ids[t_rows]), tuple(ids[c_rows]), key[1])
             del dist
             solves[key] = pool.submit(_solve_assignment, cell)
             del cell
             running.add(solves[key])
 
-    all_sets: list[MatchedSet] = []
-    for key in sorted(members):
+    sets: list[MatchedSet] = []
+    for key, parts in members.items():
         if key not in solves:
-            dropped += [(s, REASON_UNMATCHED) for part in members[key] for s in _ids(work, part)]
+            dropped += [(s, REASON_UNMATCHED) for part in parts for s in ids[part]]
             continue
         cell_sets, cell_dropped = solves[key].result()
         dropped.extend(cell_dropped)
-        all_sets += sorted((MatchedSet(t, cs) for t, cs in cell_sets), key=lambda s: s.treated_id)
+        sets += (MatchedSet(t, cs) for t, cs in cell_sets)
 
-    counts = match_counts(table, all_sets, dropped)
+    counts = match_counts(table, sets, dropped)
     if counts.n_matched + len(dropped) != table.n:
         raise AssertionError("subject accounting failed: sets + dropped != input")
-    return MatchResult(sets=tuple(all_sets), dropped=tuple(dropped), counts=counts)
+    return MatchResult(sets=tuple(sets), dropped=tuple(dropped), counts=counts)
 
 
 def match_counts(
@@ -584,23 +576,9 @@ def composition(result: MatchResult) -> dict[int, int]:
     return out
 
 
-def _ids(table: SubjectTable, rows: np.ndarray) -> tuple[str, ...]:
-    return tuple(table.ids[i] for i in rows)
-
-
 def _worker_count() -> int:
     """Cores this process may run on; the CPU count where the platform
     cannot tell."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
-
-
-def _dedupe_ledger(ledger: tuple[tuple[str, str], ...]) -> list[tuple[str, str]]:
-    seen = set()
-    out = []
-    for subject_id, cov in ledger:
-        if subject_id not in seen:
-            seen.add(subject_id)
-            out.append((subject_id, cov))
-    return out

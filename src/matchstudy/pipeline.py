@@ -42,6 +42,7 @@ from .dataset import (
     attrition_check,
     augment_missingness,
     generate_synthetic,
+    id_order,
     load_subjects,
     save_subjects,
     scale_covariates,
@@ -140,10 +141,14 @@ def _sha256(path: str) -> str:
 
 
 def load_cohort(cfg: StudyConfig) -> SubjectTable:
+    """The cohort in id order, so no output depends on the file's row order;
+    validation errors still name file rows."""
     path = _data_path(cfg)
     if not os.path.exists(path):
         raise MissingIntermediateError(path, "simulate")
-    return load_subjects(path, cfg.schema, cfg.load_options)
+    table = load_subjects(path, cfg.schema, cfg.load_options)
+    order = id_order(table.ids)
+    return table if np.array_equal(order, np.arange(table.n)) else table.subset(order)
 
 
 def prepare(cfg: StudyConfig, table: SubjectTable) -> SubjectTable:
@@ -324,14 +329,15 @@ def load_match(cfg: StudyConfig, name: str, method: str, ct: SubjectTable) -> ma
 
 
 def stage_balance(cfg: StudyConfig) -> None:
-    tables = _comparison_tables(cfg)
+    imputed = augment_missingness(load_cohort(cfg))
+    scaled, _ = scale_covariates(imputed, cfg.schema)
     for comp in cfg.comparisons:
-        ct = tables[comp.name]
+        ct, codes = comparison_table(cfg, scaled, comp), comparison_table(cfg, imputed, comp)
         per_method = {}
         candidates = []
         for method in cfg.propensity_methods:
             result = load_match(cfg, comp.name, method, ct)
-            rows = balance_mod.balance_table(ct, result, schema=cfg.schema, expand_ordinal=True)
+            rows = balance_mod.balance_table(ct, result, schema=cfg.schema, codes=codes)
             n_imbalanced = balance_mod.count_imbalanced(rows)
             per_method[method] = {
                 "rows": [dataclasses.asdict(r) for r in rows],

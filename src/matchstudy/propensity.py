@@ -4,7 +4,9 @@ Metropolis, and a sum-of-trees probit fit.
 
 All fitters take a covariate matrix ``x`` of shape (n, p) WITHOUT an
 intercept column; the intercept is handled internally and is never penalized.
-Fitted scores are clipped to the open interval (0, 1).
+Fitted scores are clipped to the open interval (0, 1). The fitters take the
+rows as given, and sums, L1 folds and BART draws follow the row order; the
+pipeline sorts the cohort by id first (``pipeline.load_cohort``).
 """
 from __future__ import annotations
 

@@ -183,7 +183,7 @@ class TestBalanceTable:
         ids = table.ids
         result = manual_result([pair(ids[0], ids[3])])
         schema = CovariateSchema((Covariate("grade", ORDINAL, levels=(7.0, 8.0, 9.0)),))
-        rows = balance_table(table, result, schema=schema, expand_ordinal=True)
+        rows = balance_table(table, result, schema=schema)
         names = [r.name for r in rows]
         assert names == ["grade", "grade=7", "grade=8", "grade=9"]
         by_name = {r.name: r for r in rows}

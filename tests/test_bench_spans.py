@@ -1,9 +1,11 @@
-"""The traced benchmark wraps matchstudy functions by name.
+"""The benchmark calls and wraps matchstudy functions by name.
 
 ``bench/spans.py`` lists them in ``WRAPPED`` and reads call arguments by
-parameter name in ``HOOKS``. ``bench/test_bench.py`` is not collected with
-this suite, so this guard checks here that every listed name still exists
-and still takes the parameters its hook reads.
+parameter name in ``HOOKS``; ``bench/child.py`` calls the pipeline stages
+with the config alone. ``bench/test_bench.py`` is not collected with this
+suite, so this guard checks here that every listed name still exists and
+still takes the parameters its hook reads, and that every stage the
+benchmark calls still takes a config alone.
 """
 import importlib
 import importlib.util
@@ -42,3 +44,10 @@ def test_wrapped_name_is_callable(module, attr):
 def test_hooked_function_takes_the_parameters_its_hook_reads(layer):
     parameters = inspect.signature(_wrapped(layer)).parameters
     assert HOOK_PARAMETERS.get(layer, {"sets"}) <= set(parameters)
+
+
+@pytest.mark.parametrize("name", ["stage_simulate", "stage_propensity", "stage_match", "stage_balance", "run_pipeline"])
+def test_stage_the_benchmark_calls_takes_a_config_alone(name):
+    from matchstudy import pipeline
+
+    inspect.signature(getattr(pipeline, name)).bind("cfg")

@@ -1,5 +1,6 @@
 import argparse
 import copy
+import csv
 import hashlib
 import json
 import os
@@ -198,11 +199,19 @@ class TestValidation:
             {"start": True},
             {"step": 0.0},
             {"stop": 1.0},
+            {"step": 0.3},
+            {"step": 5.0},
         ],
     )
     def test_bad_sensitivity_grid_rejected(self, grid):
         with pytest.raises(ValidationError, match="sensitivity"):
             config_from_dict({"sensitivity": grid})
+
+    @pytest.mark.parametrize("step", [0.05, 0.25, 2.0])
+    def test_sensitivity_step_that_divides_the_span_accepted(self, step):
+        grid = config_from_dict({"sensitivity": {"step": step}}).sensitivity.grid()
+        np.testing.assert_allclose(np.diff(grid), step)
+        assert (grid[0], grid[-1]) == (1.0, 3.0)
 
     @pytest.mark.parametrize("margin", [-0.1, float("nan"), float("inf"), "0.2", True])
     def test_bad_equivalence_margin_rejected(self, margin):
@@ -244,6 +253,7 @@ class TestValidation:
             simulate_with(strata_probs=[1.0]),
             simulate_with(control_group_probs=[-0.45, 1.45]),
             simulate_with(control_group_probs=[0.45, float("nan")]),
+            simulate_with(strata=[], strata_probs=None),
         ],
     )
     def test_bad_value_is_a_configuration_error_before_any_stage(self, tmp_path, capsys, section):
@@ -281,6 +291,9 @@ class TestValidation:
         cfg_path = write_config(tmp_path, obj)
         assert main(["propensity", "--config", cfg_path]) == 1
         assert "simulate" in capsys.readouterr().err
+        assert main(["run", "--config", cfg_path]) == 1
+        assert capsys.readouterr().err.endswith("cohort.csv not found; run the simulate subcommand first\n")
+        assert not os.path.exists(os.path.join(out_dir, "cohort.csv"))
 
         obj = reduced_config_dict(out_dir)
         cfg_path = write_config(tmp_path, obj)
@@ -378,6 +391,24 @@ class TestFullRun:
         for command in ("simulate", "propensity", "match", "balance", "infer", "sensitivity", "report"):
             assert main([command, "--config", cfg_path]) == 0, command
         assert dir_digest(out_dir) == digests
+
+    def test_cohort_row_order_does_not_change_the_outputs(self, completed_run, tmp_path):
+        _, out_dir, digests = completed_run
+        shuffled_dir = os.path.join(str(tmp_path), "out")
+        os.makedirs(shuffled_dir)
+        with open(os.path.join(out_dir, "cohort.csv"), encoding="utf-8") as fh:
+            header, *rows = fh.readlines()
+        with open(os.path.join(shuffled_dir, "cohort.csv"), "w", encoding="utf-8") as fh:
+            fh.writelines([header] + [rows[i] for i in np.random.default_rng(0).permutation(len(rows))])
+        assert main(["run", "--config", write_config(tmp_path, reduced_config_dict(shuffled_dir))]) == 0
+        fresh = dir_digest(shuffled_dir)
+        assert set(fresh) == set(digests)
+        assert {name for name in digests if fresh[name] != digests[name]} == {"cohort.csv", "manifest.txt"}
+        manifests = []
+        for directory in (out_dir, shuffled_dir):
+            with open(os.path.join(directory, "manifest.txt"), encoding="utf-8") as fh:
+                manifests.append([line for line in fh if not line.endswith("  cohort.csv\n")])
+        assert manifests[0] == manifests[1]
 
     def test_seed_override_changes_cohort(self, completed_run, tmp_path):
         _, _, digests = completed_run
@@ -534,6 +565,36 @@ class TestFailureManifest:
 
 
 class TestStages:
+    def test_ordinal_level_rows_count_the_unscaled_codes(self, tmp_path):
+        # With nothing missing, each arm's pre-match level means are its
+        # level shares, and they sum to 1.
+        out_dir = os.path.join(str(tmp_path), "out")
+        obj = reduced_config_dict(out_dir)
+        obj["simulate"]["covariate_missing_rate"] = 0.0
+        obj["covariates"][2] = {"name": "x3", "kind": "ordinal", "levels": [0, 1, 2]}
+        cfg_path = write_config(tmp_path, obj)
+        assert main(["simulate", "--config", cfg_path]) == 0
+        cohort = os.path.join(out_dir, "cohort.csv")
+        with open(cohort, newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        j, t = header.index("x3"), header.index("treated")
+        codes = np.digitize([float(row[j]) for row in rows], [-0.5, 0.5])
+        for row, code in zip(rows, codes):
+            row[j] = str(code)
+        with open(cohort, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+        for command in ("propensity", "match", "balance"):
+            assert main([command, "--config", cfg_path]) == 0, command
+        with open(os.path.join(out_dir, "balance_comparison-1.json"), encoding="utf-8") as fh:
+            per_method = json.load(fh)["per_method"]
+        treated = np.array([row[t] == "1" for row in rows])
+        for entry in per_method.values():
+            by_name = {r["name"]: r for r in entry["rows"]}
+            for arm, in_arm in (("treated", treated), ("control", ~treated)):
+                means = [by_name[f"x3={level}"][f"{arm}_mean_pre"] for level in range(3)]
+                assert means == pytest.approx([np.mean(codes[in_arm] == level) for level in range(3)])
+                assert sum(means) == pytest.approx(1.0)
+
     def test_parser_subcommands_are_the_stage_table_plus_run_and_oracle(self):
         sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
         assert list(sub.choices) == [command for command, _, _ in pipeline.STAGES] + ["run", "oracle"]

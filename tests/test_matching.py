@@ -468,7 +468,7 @@ class TestTieRule:
 def assert_not_folded(dist, t_ids, c_ids, k):
     """The costs of this cell are too large for the tie-rule fold."""
     cost = np.round(dist * matching._COST_SCALE)
-    assert matching._fold_tie_rule(cost, t_ids, c_ids, max(len(c_ids), k * len(t_ids))) is cost
+    assert matching._fold_tie_rule(cost, max(len(c_ids), k * len(t_ids))) is cost
 
 
 def simple_instance(rng, n_treated, n_control, strata=("a",), score_range=(0.35, 0.9)):
@@ -491,6 +491,41 @@ class TestBuildMatch:
         assert all(len(s.control_ids) == 1 for s in result.sets)
         assert composition(result) == {1: 4, **{k: 0 for k in range(2, 16)}}
         assert result.counts.n_matched == 8
+
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_row_order_does_not_change_the_match(self, seed, data):
+        # Ids s1..s24 compare as strings, so "s10" comes before "s2": the
+        # table rows are not in id order even before they are permuted.
+        rng = np.random.default_rng(seed)
+        n = 24
+        z = np.array([1] * 9 + [0] * 15)
+        scores = rng.uniform(0.2, 0.8, size=n)
+        # s1 is a treated subject below every control, s10 and s11 are
+        # controls above every treated subject.
+        scores[[0, 9, 10]] = (0.05, 0.9, 0.95)
+        # Only controls have a 1 in either indicator: s12 and s13 are
+        # missingness-determined, and s12 is flagged twice.
+        indicators = np.zeros((n, 2))
+        indicators[11, 0] = indicators[[11, 12], 1] = 1.0
+        covs = np.column_stack([rng.normal(size=(n, 3)).round(1), indicators])
+        table = make_table(
+            z,
+            covs,
+            covariate_names=("x1", "x2", "x3", "x1__missing", "x2__missing"),
+            stratum=rng.choice(["a", "b"], size=n),
+            ids=[f"s{i + 1}" for i in range(n)],
+        )
+        order = np.array(data.draw(st.permutations(range(n))))
+        result = build_match(table, scores)
+        assert build_match(table.subset(order), scores[order]) == result
+        assert result.dropped[:5] == (
+            ("s12", REASON_MISSINGNESS),
+            ("s13", REASON_MISSINGNESS),
+            ("s1", REASON_COMMON_SUPPORT),
+            ("s10", REASON_COMMON_SUPPORT),
+            ("s11", REASON_COMMON_SUPPORT),
+        )
 
     def test_no_cell_with_both_arms_raises(self):
         # Every treated subject in stratum a, every control in b: no cell
