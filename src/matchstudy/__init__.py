@@ -31,7 +31,6 @@ from .dataset import (
     ValidationError,
     attrition_check,
     augment_missingness,
-    drop_missingness_determined,
     generate_synthetic,
     load_subjects,
     save_subjects,
@@ -51,7 +50,6 @@ from .inference import (
     permutational_t_test,
 )
 from .matching import (
-    MatchedSet,
     MatchingError,
     MatchResult,
     apply_caliper,

@@ -74,7 +74,8 @@ def balance_table(
     """Pre/post balance rows for the given covariates.
 
     Pre-match moments use every subject in ``table``; post-match moments use
-    the matched sets with 1/(n_i - 1) control weights. The standardized
+    the match's member rows of ``table``, as its set layout gives them, with
+    1/(n_i - 1) control weights. The standardized
     difference denominator is the pre-match pooled sd for both columns. Each
     ordinal covariate of ``schema`` also gets a row ``<name>=<level>`` per
     level, counted on ``codes``: ``table``'s rows before scaling (by default
@@ -83,10 +84,9 @@ def balance_table(
     if covariates is None:
         covariates = table.covariate_names
     treated_pre = table.z == 1
-    members, sizes = member_rows(table, result)
-    starts = np.cumsum(sizes) - sizes
-    t_rows, c_rows = members[starts], np.delete(members, starts)
-    c_weights = np.repeat(1.0 / (sizes - 1), sizes - 1)
+    members, layout = member_rows(table, result)
+    t_rows, c_rows = members[layout.starts], members[layout.z == 0]
+    c_weights = np.repeat(1.0 / (layout.sizes - 1), layout.sizes - 1)
 
     rows: list[BalanceRow] = []
 

@@ -312,15 +312,9 @@ def default_config_dict() -> dict:
             {"name": "comparison-4", "treated_groups": ["sport"], "control_groups": ["non-sport"]},
         ],
         "propensity_methods": list(METHOD_ORDER),
-        "matching": {"max_controls": 15, "caliper_width_sd": 0.2, "caliper_penalty": None},
-        "inference": {
-            "alpha": 0.05,
-            "adjustment": "ols",
-            "mode": "normal-approx",
-            "n_draws": 100_000,
-            "grid": None,
-        },
-        "sensitivity": {"start": 1.0, "stop": 3.0, "step": 0.05},
+        "matching": dataclasses.asdict(MatchingParams()),
+        "inference": dataclasses.asdict(InferenceParams()),
+        "sensitivity": dataclasses.asdict(SensitivityParams()),
         "equivalence_margin_sd": 0.2,
         "simulate": {
             "n": 500,

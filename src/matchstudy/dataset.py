@@ -339,35 +339,15 @@ def save_subjects(table: SubjectTable, path: str, options: LoadOptions) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ScaledColumn:
-    name: str
-    mean: float
-    sd: float
-    scaled: bool  # False when the column had zero variance and was left alone
-
-
-@dataclass(frozen=True)
-class ScalingReport:
-    """Per-column record of the recenter/rescale transform."""
-
-    columns: tuple[ScaledColumn, ...]
-
-    @property
-    def zero_variance(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.columns if not c.scaled)
-
-
-def scale_covariates(table: SubjectTable, schema: CovariateSchema) -> tuple[SubjectTable, ScalingReport]:
+def scale_covariates(table: SubjectTable, schema: CovariateSchema) -> SubjectTable:
     """Recenter/rescale continuous (and ordinal) covariates to mean 0, sd 0.5.
 
     x -> (x - mean) / (2 * sd) with the sample sd (ddof=1), computed over
     observed entries. Binary covariates and columns absent from the schema
-    (e.g. missingness indicators) are untouched. Zero-variance columns are
-    left unscaled and flagged in the report.
+    (e.g. missingness indicators) are untouched, and so are zero-variance
+    columns.
     """
     covs = table.covariates.copy()
-    records = []
     for j, name in enumerate(table.covariate_names):
         if name not in schema or schema.kind_of(name) == BINARY:
             continue
@@ -375,14 +355,10 @@ def scale_covariates(table: SubjectTable, schema: CovariateSchema) -> tuple[Subj
         values = covs[observed, j]
         if values.size == 0:
             raise ValidationError(f"covariate {name!r} has no observed values")
-        mean = float(np.mean(values))
         sd = float(np.std(values, ddof=1)) if values.size > 1 else 0.0
-        if sd <= 0.0:
-            records.append(ScaledColumn(name, mean, sd, scaled=False))
-            continue
-        covs[observed, j] = (values - mean) / (2.0 * sd)
-        records.append(ScaledColumn(name, mean, sd, scaled=True))
-    return replace(table, covariates=covs), ScalingReport(tuple(records))
+        if sd > 0.0:
+            covs[observed, j] = (values - float(np.mean(values))) / (2.0 * sd)
+    return replace(table, covariates=covs)
 
 
 def augment_missingness(table: SubjectTable) -> SubjectTable:
@@ -434,23 +410,6 @@ def missingness_flags(table: SubjectTable) -> np.ndarray:
     ones = (table.covariates == 1.0) & indicator
     treated = table.z == 1
     return ones & ~(ones[treated].any(axis=0) & ones[~treated].any(axis=0))
-
-
-def drop_missingness_determined(table: SubjectTable) -> tuple[SubjectTable, tuple[tuple[str, str], ...]]:
-    """Drop subjects whose missingness pattern perfectly predicts their arm.
-
-    One pass against the original table (indicators are not re-evaluated
-    after removals); see :func:`missingness_flags`. Returns the reduced
-    table plus a ledger of (subject id, indicator column) pairs.
-    """
-    flags = missingness_flags(table)
-    drop = flags.any(axis=1)
-    if not drop.any():
-        return table, ()
-    ledger = tuple(
-        (table.ids[i], name) for j, name in enumerate(table.covariate_names) for i in np.flatnonzero(flags[:, j])
-    )
-    return table.subset(~drop), ledger
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.special import gammaln, ndtr
 
 from .dataset import SubjectTable
-from .matching import MatchResult, member_rows
+from .matching import MatchResult, SetLayout, member_rows
 
 #: Largest number of equiprobable assignments enumerated exactly.
 EXACT_LIMIT = 10**6
@@ -25,45 +25,6 @@ EXACT_LIMIT = 10**6
 ADJUST_NONE = "none"
 ADJUST_OLS = "ols"
 ADJUST_BART = "bart"
-
-
-class SetLayout:
-    """Matched sets laid end to end, each with its treated member first.
-
-    An array laid out with it holds set i at ``[starts[i], starts[i] + sizes[i])``
-    along its first axis, the treated member at ``starts[i]``. So the layout
-    is its own treatment indicator: ``z`` is 1 at the starts and 0 elsewhere.
-    """
-
-    def __init__(self, sizes) -> None:
-        sizes = np.asarray(sizes)
-        if sizes.ndim != 1 or sizes.size == 0 or sizes.dtype.kind not in "iu" or sizes.min() < 1:
-            raise ValueError("set sizes must be a non-empty 1-d integer array of values >= 1")
-        self.sizes = sizes.astype(np.intp)
-        self.starts = np.cumsum(self.sizes) - self.sizes
-        self.z = np.zeros(int(self.sizes.sum()), dtype=np.int64)
-        self.z[self.starts] = 1
-        for a in (self.sizes, self.starts, self.z):
-            a.flags.writeable = False
-
-    def __len__(self) -> int:
-        return self.sizes.size
-
-    def check(self, values, dtype=None) -> np.ndarray:
-        """``values`` as an array (of ``dtype``, if given), after checking
-        that it has one entry (or row) per member."""
-        values = np.asarray(values, dtype=dtype)
-        if values.shape[:1] != self.z.shape:
-            raise ValueError(f"expected {self.z.size} values laid out by set, got shape {values.shape}")
-        return values
-
-    def split(self, values: np.ndarray) -> list[np.ndarray]:
-        """Per-set views of laid-out values, in set order."""
-        return np.split(values, self.starts[1:])
-
-    def means(self, laid: np.ndarray) -> np.ndarray:
-        """Per-set means of laid-out values (along axis 0)."""
-        return np.add.reduceat(laid, self.starts, axis=0) / self.sizes.reshape((-1,) + (1,) * (laid.ndim - 1))
 
 
 @dataclass(frozen=True)
@@ -80,25 +41,25 @@ class InferenceData:
 
 
 def matched_arrays(table: SubjectTable, result: MatchResult, outcome: str) -> InferenceData:
-    """Extract outcome/covariate arrays for the matched sets.
+    """Extract outcome/covariate arrays for the matched sets, laid out as the
+    match lays out its member rows of ``table``.
 
     Sets containing any member with a missing outcome are excluded and
     logged. Raises if nothing remains, or (in ``member_rows``) unless each
-    set's first member (its treated id) is its one treated subject.
+    set's first member is its one treated subject.
     """
     j = table.outcome_index(outcome)
-    rows, sizes = member_rows(table, result)
-    starts = np.cumsum(sizes) - sizes
-    missing = np.logical_or.reduceat(table.outcome_missing[rows, j], starts)
+    rows, layout = member_rows(table, result)
+    missing = np.logical_or.reduceat(table.outcome_missing[rows, j], layout.starts)
     if missing.all():
         raise ValueError(f"no matched sets with observed outcome {outcome!r}")
     keep = ~missing
-    idx = rows[np.repeat(keep, sizes)]
+    idx = rows[np.repeat(keep, layout.sizes)]
     return InferenceData(
         r=table.outcomes[idx, j],
         x=table.covariates[idx],
-        sets=SetLayout(sizes[keep]),
-        excluded_sets=tuple(table.ids[t] for t in rows[starts[missing]].tolist()),
+        sets=SetLayout(layout.sizes[keep]),
+        excluded_sets=tuple(table.ids[t] for t in rows[layout.starts[missing]].tolist()),
     )
 
 

@@ -54,16 +54,43 @@ class MatchingError(ValueError):
     """Matching is impossible for the given comparison."""
 
 
-@dataclass(frozen=True)
-class MatchedSet:
-    """One treated subject with its matched controls."""
+class SetLayout:
+    """Matched sets laid end to end, each with its treated member first.
 
-    treated_id: str
-    control_ids: tuple[str, ...]
+    An array laid out with it holds set i at ``[starts[i], starts[i] + sizes[i])``
+    along its first axis, the treated member at ``starts[i]``. So the layout
+    is its own treatment indicator: ``z`` is 1 at the starts and 0 elsewhere.
+    """
 
-    @property
-    def size(self) -> int:
-        return 1 + len(self.control_ids)
+    def __init__(self, sizes) -> None:
+        sizes = np.asarray(sizes)
+        if sizes.ndim != 1 or sizes.size == 0 or sizes.dtype.kind not in "iu" or sizes.min() < 1:
+            raise ValueError("set sizes must be a non-empty 1-d integer array of values >= 1")
+        self.sizes = sizes.astype(np.intp)
+        self.starts = np.cumsum(self.sizes) - self.sizes
+        self.z = np.zeros(int(self.sizes.sum()), dtype=np.int64)
+        self.z[self.starts] = 1
+        for a in (self.sizes, self.starts, self.z):
+            a.flags.writeable = False
+
+    def __len__(self) -> int:
+        return self.sizes.size
+
+    def check(self, values, dtype=None) -> np.ndarray:
+        """``values`` as an array (of ``dtype``, if given), after checking
+        that it has one entry (or row) per member."""
+        values = np.asarray(values, dtype=dtype)
+        if values.shape[:1] != self.z.shape:
+            raise ValueError(f"expected {self.z.size} values laid out by set, got shape {values.shape}")
+        return values
+
+    def split(self, values: np.ndarray) -> list[np.ndarray]:
+        """Per-set views of laid-out values, in set order."""
+        return np.split(values, self.starts[1:])
+
+    def means(self, laid: np.ndarray) -> np.ndarray:
+        """Per-set means of laid-out values (along axis 0)."""
+        return np.add.reduceat(laid, self.starts, axis=0) / self.sizes.reshape((-1,) + (1,) * (laid.ndim - 1))
 
 
 @dataclass(frozen=True)
@@ -90,12 +117,20 @@ class MatchCounts:
         return self.n_matched_treated + self.n_matched_control
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatchResult:
-    """Complete output of one comparison x method matching run."""
+    """One comparison x method match, as rows of the comparison table it was
+    built from or loaded against.
 
-    sets: tuple[MatchedSet, ...]
-    dropped: tuple[tuple[str, str], ...]  # (subject id, reason)
+    ``members`` holds the sets end to end as ``sets`` lays them out: each
+    set's treated row, then its control rows. ``dropped`` holds every other
+    row, the ledger, with ``reasons`` parallel to it.
+    """
+
+    members: np.ndarray
+    sets: SetLayout
+    dropped: np.ndarray
+    reasons: tuple[str, ...]
     counts: MatchCounts
 
     @property
@@ -121,28 +156,21 @@ class MatchingParams:
             raise ValidationError("caliper_penalty must be null or finite and >= 0")
 
 
-def member_rows(table: SubjectTable, result: MatchResult) -> tuple[np.ndarray, np.ndarray]:
-    """The table rows of a match's members, set after set, and each set's size.
+def member_rows(table: SubjectTable, result: MatchResult) -> tuple[np.ndarray, SetLayout]:
+    """The member rows of a match and their layout, after checking them
+    against ``table``, the comparison table the match belongs to.
 
-    Each set lists its treated row, then its controls in the order the set
-    holds them, so set i occupies ``rows[starts[i] : starts[i] + sizes[i]]``
-    with ``starts = np.cumsum(sizes) - sizes``. Raises ``ValueError`` unless
-    each set's first member (its treated id) is its one treated subject.
+    Set i occupies ``rows[starts[i] : starts[i] + sizes[i]]`` of the layout,
+    its treated row first. Raises ``ValueError`` unless each set's first row,
+    and no other, is a treated subject of ``table``; the error names the
+    set's first id.
     """
-    ids: list[str] = []
-    for s in result.sets:
-        ids.append(s.treated_id)
-        ids.extend(s.control_ids)
-    sizes = np.fromiter((len(s.control_ids) for s in result.sets), dtype=np.intp, count=len(result.sets)) + 1
-    rows = np.fromiter(map(table.row_of, ids), dtype=np.intp, count=len(ids))
-    starts = np.cumsum(sizes) - sizes
-    first = np.zeros(len(rows), dtype=bool)
-    first[starts] = True
-    wrong = np.logical_or.reduceat(table.z[rows] != first, starts)
-    if wrong.any():
-        treated_id = table.ids[rows[starts[wrong.argmax()]]]
-        raise ValueError(f"matched set {treated_id!r} must list exactly one treated subject, first")
-    return rows, sizes
+    rows, layout = result.members, result.sets
+    wrong = np.flatnonzero(table.z[rows] != layout.z)
+    if wrong.size:
+        first = layout.starts[np.searchsorted(layout.starts, wrong[0], side="right") - 1]
+        raise ValueError(f"matched set {table.ids[rows[first]]!r} must list exactly one treated subject, first")
+    return rows, layout
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +353,9 @@ def match_bucket(
       the extra rows; a dummy costs 0 except on a subject's first row, where
       it costs more than any feasible real total.
 
-    Ties among optimal matches are broken by one canonical rule: read the
-    controls in id order, label each with the id rank of the treated subject
-    it joins (a discarded control comes after every treated subject), and
+    The solve gives the cell's label vector: for each control in id order,
+    the id rank of the treated subject it joins, or n_t when it is
+    discarded. Ties among optimal matches are broken by one canonical rule:
     take the optimum whose label vector is lexicographically smallest. The
     rule is folded into the integer costs as a secondary cost, which needs
     every assignment total the solver can form to stay below 2**53 so that
@@ -340,17 +368,24 @@ def match_bucket(
     control ids and dropped lists (id, reason) rows: the treated subjects
     without a control, then the controls no row took. Whatever the order of
     the arguments, the output is in id order: the sets by treated id, each
-    set's controls by id, and each arm's dropped subjects by id. ``dist`` is
-    not modified.
+    set's controls by id, and each arm's dropped subjects by id. This is
+    ``build_match``'s decode of the same label vector, on ids in place of
+    table rows. ``dist`` is not modified.
     """
     n_t, n_c = len(treated_ids), len(control_ids)
     if np.shape(dist) != (n_t, n_c):
         raise ValueError("distance matrix shape must be (n_treated, n_control)")
     t, c = id_order(treated_ids), id_order(control_ids)
-    treated_ids, control_ids = tuple(treated_ids[i] for i in t), tuple(control_ids[j] for j in c)
+    treated = np.array([treated_ids[i] for i in t], dtype=object)
+    controls = np.array([control_ids[j] for j in c], dtype=object)
     if n_t == 0 or n_c == 0:
-        return [], [(s, REASON_UNMATCHED) for s in treated_ids + control_ids]
-    return _solve_assignment(_build_assignment(np.asarray(dist)[np.ix_(t, c)], treated_ids, control_ids, k))
+        return [], [(s, REASON_UNMATCHED) for s in treated.tolist() + controls.tolist()]
+    labels = _solve_assignment(_build_assignment(np.asarray(dist)[np.ix_(t, c)], k))
+    members, sizes, dropped = _decode(labels, treated, controls)
+    members = members.tolist()
+    starts = (np.cumsum(sizes) - sizes).tolist()
+    sets = [(members[s], tuple(members[s + 1 : s + n])) for s, n in zip(starts, sizes.tolist())]
+    return sets, [(s, REASON_OPTIMAL_DISCARD) for s in dropped.tolist()]
 
 
 @dataclass(frozen=True)
@@ -359,22 +394,20 @@ class _Assignment:
 
     Row r of ``matrix`` belongs to treated subject ``r // copies`` and column
     c < n_c is control c; later columns are dummies. A ``transposed`` matrix
-    has the controls as rows and the treated subjects as columns. Both id
-    tuples are in id order.
+    has the controls as rows and the treated subjects as columns. Both arms
+    are in id order.
     """
 
     matrix: np.ndarray
     transposed: bool
     copies: int
-    treated_ids: tuple[str, ...]
-    control_ids: tuple[str, ...]
+    n_t: int
+    n_c: int
 
 
-def _build_assignment(
-    dist: np.ndarray, treated_ids: tuple[str, ...], control_ids: tuple[str, ...], k: int
-) -> _Assignment:
+def _build_assignment(dist: np.ndarray, k: int) -> _Assignment:
     """The assignment matrix of a non-empty cell, as ``match_bucket`` documents
-    it, without modifying ``dist``. Both id tuples must be in id order.
+    it, without modifying ``dist``. Rows and columns must be in id order.
 
     The integer costs are the one full-size array the build allocates besides
     the replicated rows and dummy columns. A cell with more treated subjects
@@ -393,11 +426,11 @@ def _build_assignment(
     # No assignment takes more than max(n_c, k * n_t) entries.
     cost = _fold_tie_rule(scaled, max(n_c, k * n_t))
     if transposed:
-        return _Assignment(np.ascontiguousarray(cost.T), True, 1, treated_ids, control_ids)
+        return _Assignment(np.ascontiguousarray(cost.T), True, 1, n_t, n_c)
 
     copies = max(1, min(k, n_c - n_t + 1))
     if copies == 1:
-        return _Assignment(cost, False, 1, treated_ids, control_ids)
+        return _Assignment(cost, False, 1, n_t, n_c)
     n_rows = n_t * copies
     # Where the rows outnumber the controls, dummy columns square the matrix.
     matrix = np.zeros((n_rows, max(n_rows, n_c)))
@@ -407,31 +440,44 @@ def _build_assignment(
         # The finite forbidden cost exceeds any feasible real total, so it is
         # never paid.
         matrix[::copies, n_c:] = float(np.sort(cost, axis=None)[-n_c:].sum()) + 1.0
-    return _Assignment(matrix, False, copies, treated_ids, control_ids)
+    return _Assignment(matrix, False, copies, n_t, n_c)
 
 
-def _solve_assignment(cell: _Assignment) -> tuple[list[tuple[str, tuple[str, ...]]], list[tuple[str, str]]]:
-    """Solve one built cell and decode it into ``match_bucket``'s (sets,
-    dropped). Runs on the worker threads of ``build_match``."""
+def _solve_assignment(cell: _Assignment) -> np.ndarray:
+    """Solve one built cell into its label vector: for each control in id
+    order, the position of the treated subject it joins, or n_t when it is
+    discarded. Runs on the worker threads of ``build_match``."""
     rows, cols = linear_sum_assignment(cell.matrix)
     if cell.transposed:
         rows, cols = cols, rows
-    treated_ids, control_ids = cell.treated_ids, cell.control_ids
-    n_c = len(control_ids)
-    assigned: list[list[int]] = [[] for _ in treated_ids]
-    taken = np.zeros(n_c, dtype=bool)
-    for r, c in zip(rows.tolist(), cols.tolist()):
-        if c < n_c:
-            assigned[r // cell.copies].append(c)
-            taken[c] = True
-    sets = [
-        (treated_ids[t], tuple(control_ids[c] for c in sorted(controls)))
-        for t, controls in enumerate(assigned)
-        if controls
-    ]
-    dropped = [(treated_ids[t], REASON_OPTIMAL_DISCARD) for t, controls in enumerate(assigned) if not controls]
-    dropped += [(control_ids[c], REASON_OPTIMAL_DISCARD) for c in np.flatnonzero(~taken).tolist()]
-    return sets, dropped
+    real = cols < cell.n_c
+    labels = np.full(cell.n_c, cell.n_t, dtype=np.intp)
+    labels[cols[real]] = rows[real] // cell.copies
+    return labels
+
+
+def _decode(labels: np.ndarray, treated: np.ndarray, controls: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A cell's sets from its label vector. ``treated`` and ``controls`` hold
+    the cell's subjects in id order, as table rows or as ids.
+
+    Returns (members, sizes, dropped): the sets end to end, each its treated
+    subject, then its controls in id order; each set's size; and the treated
+    subjects without a control, then the discarded controls. A stable sort of
+    the labels groups the controls by treated subject and keeps id order
+    inside each group, so the discarded controls, labelled n_t, come last.
+    """
+    n_t = treated.size
+    counts = np.bincount(labels, minlength=n_t + 1)
+    joined = np.argsort(labels, kind="stable")
+    n_joined = labels.size - counts[n_t]
+    matched = counts[:n_t] > 0
+    sizes = counts[:n_t][matched] + 1
+    first = np.zeros(n_joined + sizes.size, dtype=bool)
+    first[np.cumsum(sizes) - sizes] = True
+    members = np.empty(first.size, dtype=controls.dtype)
+    members[first] = treated[matched]
+    members[~first] = controls[joined[:n_joined]]
+    return members, sizes, np.concatenate([treated[~matched], controls[joined[n_joined:]]])
 
 
 def _fold_tie_rule(cost: np.ndarray, max_rows: int) -> np.ndarray:
@@ -469,11 +515,13 @@ def build_match(table: SubjectTable, scores, params: MatchingParams = MatchingPa
     """Run the matching pipeline: missingness-determined drop, common-support
     trim, stratum x interval cells, per-cell optimal assignment.
 
-    ``scores`` are the propensity scores of the ``table`` rows. Every input
-    subject lands either in a matched set or in the dropped ledger with a
-    reason. Whatever the row order of ``table``, the output is in id order:
-    the sets come in cell order (stratum, then interval), each cell's by
-    treated id, and the ledger lists each step's drops by id. Raises
+    ``scores`` are the propensity scores of the ``table`` rows. The result
+    holds rows of ``table``: every row lands either in a matched set or in
+    the ledger with a reason. Whatever the row order of ``table``, the output
+    is in id order: the sets come in cell order (stratum, then interval),
+    each cell's by treated id with its controls by id, and the ledger lists
+    each step's drops by id. Each cell's label vector is decoded straight
+    into rows, as ``match_bucket`` decodes it into ids. Raises
     ``MatchingError`` when no cell holds both arms.
     """
     scores = np.asarray(scores, dtype=float)
@@ -481,12 +529,12 @@ def build_match(table: SubjectTable, scores, params: MatchingParams = MatchingPa
         raise ValueError("scores must align with the table rows")
 
     # The subjects' rows in id order; every step below keeps that order.
-    ids, rows = np.array(table.ids, dtype=object), id_order(table.ids)
+    rows = id_order(table.ids)
     determined = missingness_flags(table).any(axis=1)[rows]
-    dropped = [(s, REASON_MISSINGNESS) for s in ids[rows[determined]]]
+    ledger = [(rows[determined], REASON_MISSINGNESS)]
     rows = rows[~determined]
     trim = trim_common_support(scores[rows], table.z[rows])
-    dropped += [(s, REASON_COMMON_SUPPORT) for s in ids[rows[trim]]]
+    ledger.append((rows[trim], REASON_COMMON_SUPPORT))
     rows = np.delete(rows, trim)
     kept_scores = scores[rows]
 
@@ -495,24 +543,24 @@ def build_match(table: SubjectTable, scores, params: MatchingParams = MatchingPa
     intervals = np.minimum(propensity_interval(kept_scores), params.max_controls)
     cell_of = stratum * (MAX_CONTROLS + 1) + intervals
     by_cell = np.argsort(cell_of, kind="stable")
-    members: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
+    cells: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
     for part in np.split(by_cell, np.flatnonzero(np.diff(cell_of[by_cell])) + 1):
         cell_rows = rows[part]
         treated = table.z[cell_rows] == 1
-        members[labels[stratum[part[0]]], int(intervals[part[0]])] = (cell_rows[treated], cell_rows[~treated])
+        cells[labels[stratum[part[0]]], int(intervals[part[0]])] = (cell_rows[treated], cell_rows[~treated])
 
     # Largest cells first, so the longest solves start early. A matrix is
     # built only when a worker is free, so at most workers + 1 cells hold one.
-    solvable = [key for key, parts in members.items() if all(len(part) for part in parts)]
+    solvable = [key for key, parts in cells.items() if all(len(part) for part in parts)]
     if not solvable:
         raise MatchingError("no stratum x interval cell holds both arms")
-    solvable.sort(key=lambda key: len(members[key][0]) * len(members[key][1]) * key[1], reverse=True)
+    solvable.sort(key=lambda key: len(cells[key][0]) * len(cells[key][1]) * key[1], reverse=True)
     solves = {}
     workers = _worker_count()
     with ThreadPoolExecutor(max_workers=workers) as pool:
         running: set = set()
         for key in solvable:
-            t_rows, c_rows = members[key]
+            t_rows, c_rows = cells[key]
             while len(running) >= workers:
                 _, running = wait(running, return_when=FIRST_COMPLETED)
             with warnings.catch_warnings():
@@ -527,53 +575,57 @@ def build_match(table: SubjectTable, scores, params: MatchingParams = MatchingPa
                 scale_scores=kept_scores,
             )
             # The worker holds the only reference to the built matrix.
-            cell = _build_assignment(dist, tuple(ids[t_rows]), tuple(ids[c_rows]), key[1])
+            cell = _build_assignment(dist, key[1])
             del dist
             solves[key] = pool.submit(_solve_assignment, cell)
             del cell
             running.add(solves[key])
 
-    sets: list[MatchedSet] = []
-    for key, parts in members.items():
+    members, sizes = [], []
+    for key, (t_rows, c_rows) in cells.items():
         if key not in solves:
-            dropped += [(s, REASON_UNMATCHED) for part in parts for s in ids[part]]
+            ledger += [(t_rows, REASON_UNMATCHED), (c_rows, REASON_UNMATCHED)]
             continue
-        cell_sets, cell_dropped = solves[key].result()
-        dropped.extend(cell_dropped)
-        sets += (MatchedSet(t, cs) for t, cs in cell_sets)
+        cell_members, cell_sizes, cell_dropped = _decode(solves[key].result(), t_rows, c_rows)
+        members.append(cell_members)
+        sizes.append(cell_sizes)
+        ledger.append((cell_dropped, REASON_OPTIMAL_DISCARD))
 
-    counts = match_counts(table, sets, dropped)
-    if counts.n_matched + len(dropped) != table.n:
+    layout = SetLayout(np.concatenate(sizes))
+    dropped = np.concatenate([part for part, _ in ledger])
+    reasons = tuple(reason for part, reason in ledger for _ in range(part.size))
+    if layout.z.size + dropped.size != table.n:
         raise AssertionError("subject accounting failed: sets + dropped != input")
-    return MatchResult(sets=tuple(sets), dropped=tuple(dropped), counts=counts)
+    return MatchResult(
+        np.concatenate(members), layout, dropped, reasons, match_counts(table, layout, dropped, reasons)
+    )
 
 
-def match_counts(
-    table: SubjectTable, sets: Sequence[MatchedSet], dropped: Sequence[tuple[str, str]]
-) -> MatchCounts:
+def match_counts(table: SubjectTable, sets: SetLayout, dropped: np.ndarray, reasons: Sequence[str]) -> MatchCounts:
     """The subject accounting of a match: treated and control subjects in the
     ledger for missingness and for common support, and in the matched sets.
-    ``table`` is the comparison table the match was built from."""
-    tallies = {REASON_MISSINGNESS: [0, 0], REASON_COMMON_SUPPORT: [0, 0]}
-    for subject_id, reason in dropped:
-        if reason in tallies:
-            tallies[reason][0 if table.z[table.row_of(subject_id)] == 1 else 1] += 1
+    ``dropped`` holds rows of ``table``, the comparison table of the match,
+    with ``reasons`` parallel to it."""
+    treated = table.z[dropped] == 1
+    reasons = np.array(reasons, dtype=object)
+
+    def tally(reason: str, arm: np.ndarray) -> int:
+        return int(np.count_nonzero((reasons == reason) & arm))
+
     return MatchCounts(
-        n_miss_treated=tallies[REASON_MISSINGNESS][0],
-        n_miss_control=tallies[REASON_MISSINGNESS][1],
-        n_cs_treated=tallies[REASON_COMMON_SUPPORT][0],
-        n_cs_control=tallies[REASON_COMMON_SUPPORT][1],
+        n_miss_treated=tally(REASON_MISSINGNESS, treated),
+        n_miss_control=tally(REASON_MISSINGNESS, ~treated),
+        n_cs_treated=tally(REASON_COMMON_SUPPORT, treated),
+        n_cs_control=tally(REASON_COMMON_SUPPORT, ~treated),
         n_matched_treated=len(sets),
-        n_matched_control=sum(len(s.control_ids) for s in sets),
+        n_matched_control=sets.z.size - len(sets),
     )
 
 
 def composition(result: MatchResult) -> dict[int, int]:
     """Count matched sets by number of controls, 1 through 15."""
-    out = {k: 0 for k in range(1, MAX_CONTROLS + 1)}
-    for s in result.sets:
-        out[len(s.control_ids)] += 1
-    return out
+    counts = np.bincount(result.sets.sizes - 1, minlength=MAX_CONTROLS + 1)
+    return {k: int(counts[k]) for k in range(1, counts.size)}
 
 
 def _worker_count() -> int:

@@ -158,9 +158,7 @@ def prepare(cfg: StudyConfig, table: SubjectTable) -> SubjectTable:
     appended indicators stay binary. Runs on the full cohort once so every
     comparison sees the same prepared values.
     """
-    augmented = augment_missingness(table)
-    scaled, _ = scale_covariates(augmented, cfg.schema)
-    return scaled
+    return scale_covariates(augment_missingness(table), cfg.schema)
 
 
 def comparison_table(cfg: StudyConfig, table: SubjectTable, comp: ComparisonSpec) -> SubjectTable:
@@ -279,47 +277,80 @@ def stage_match(cfg: StudyConfig) -> None:
                 result = matching_mod.build_match(ct, scores, cfg.matching)
             except matching_mod.MatchingError as err:
                 raise matching_mod.MatchingError(f"{comp.name}: {err}") from None
-            base = f"match_{comp.name}_{method}"
-            _write_text(
-                _path(cfg, base + ".sets.txt"),
-                "".join(f"{s.treated_id}: {','.join(s.control_ids)}\n" for s in result.sets),
-            )
-            _write_text(
-                _path(cfg, base + ".ledger.csv"),
-                "id,reason\n" + "".join(f"{sid},{reason}\n" for sid, reason in result.dropped),
-            )
+            for path, text in zip(_match_paths(cfg, comp.name, method), render_match(ct, result)):
+                _write_text(path, text)
+
+
+def _match_paths(cfg: StudyConfig, name: str, method: str) -> tuple[str, str]:
+    base = _path(cfg, f"match_{name}_{method}")
+    return base + ".sets.txt", base + ".ledger.csv"
+
+
+def render_match(ct: SubjectTable, result: matching_mod.MatchResult) -> tuple[str, str]:
+    """The text of a match's two files, ``.sets.txt`` and ``.ledger.csv``.
+
+    A set line is ``<treated id>: <control id>,<control id>...`` with the
+    controls in the order the match holds them; a ledger line is
+    ``<id>,<reason>``. ``ct`` is the comparison table whose rows the match
+    holds: the ids are looked up here, and only here and in ``load_match``.
+    """
+    ids = np.asarray(ct.ids, dtype=object)
+    members = ids[result.members].tolist()
+    starts = result.sets.starts.tolist()
+    ends = starts[1:] + [len(members)]
+    sets = "".join(f"{members[s]}: {','.join(members[s + 1 : e])}\n" for s, e in zip(starts, ends))
+    ledger = "".join(f"{sid},{reason}\n" for sid, reason in zip(ids[result.dropped].tolist(), result.reasons))
+    return sets, "id,reason\n" + ledger
 
 
 def load_match(cfg: StudyConfig, name: str, method: str, ct: SubjectTable) -> matching_mod.MatchResult:
-    """Rebuild a MatchResult from the two match files, ``.sets.txt`` and
-    ``.ledger.csv``, alone. ``ct`` is the comparison table the match was
-    built from; the subject accounting is recounted on it.
+    """The match in the two files ``render_match`` writes, ``.sets.txt`` and
+    ``.ledger.csv``, as rows of ``ct``, the comparison table it was built
+    from. The files are read alone; their ids are mapped to rows once, here,
+    and the subject accounting is recounted on ``ct``.
+
+    Raises ``ValueError`` naming the file and the id when an id is not in
+    ``ct``, when a subject is listed twice across the two files, or when a
+    subject of ``ct`` is in neither.
     """
-    base = f"match_{name}_{method}"
-    sets_path = _path(cfg, base + ".sets.txt")
-    ledger_path = _path(cfg, base + ".ledger.csv")
-    for p in (sets_path, ledger_path):
+    paths = _match_paths(cfg, name, method)
+    for p in paths:
         if not os.path.exists(p):
             raise MissingIntermediateError(p, "match")
-    sets = []
-    with open(sets_path, encoding="utf-8") as fh:
+    listed, sizes = [], []
+    with open(paths[0], encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if line:
                 treated_id, _, rest = line.partition(": ")
-                sets.append(matching_mod.MatchedSet(treated_id, tuple(rest.split(","))))
-    dropped = []
-    with open(ledger_path, encoding="utf-8") as fh:
+                set_ids = [treated_id, *rest.split(",")]
+                listed += set_ids
+                sizes.append(len(set_ids))
+    with open(paths[1], encoding="utf-8") as fh:
         next(fh)
-        for line in fh:
-            line = line.strip()
-            if line:
-                sid, _, reason = line.partition(",")
-                dropped.append((sid, reason))
+        ledger = [line.strip().partition(",") for line in fh if line.strip()]
+    ledger_ids = [sid for sid, _, _ in ledger]
+
+    rows = []
+    for path, ids in zip(paths, (listed, ledger_ids)):
+        try:
+            rows.append(np.fromiter(map(ct.row_of, ids), dtype=np.intp, count=len(ids)))
+        except KeyError as err:
+            raise ValueError(f"{path}: subject {err.args[0]!r} is not in {name}") from None
+    members, dropped = rows
+    everyone = np.concatenate(rows)
+    _, first = np.unique(everyone, return_index=True)
+    if first.size < everyone.size:
+        again = np.setdiff1d(np.arange(everyone.size), first)[0]
+        path = paths[0] if again < members.size else paths[1]
+        raise ValueError(f"{path}: subject {ct.ids[everyone[again]]!r} is listed twice")
+    if first.size < ct.n:
+        unlisted = np.setdiff1d(np.arange(ct.n), everyone)[0]
+        raise ValueError(f"{paths[0]}, {paths[1]}: subject {ct.ids[unlisted]!r} is in neither file")
+    layout = matching_mod.SetLayout(np.array(sizes, dtype=np.intp))
+    reasons = tuple(reason for _, _, reason in ledger)
     return matching_mod.MatchResult(
-        sets=tuple(sets),
-        dropped=tuple(dropped),
-        counts=matching_mod.match_counts(ct, sets, dropped),
+        members, layout, dropped, reasons, matching_mod.match_counts(ct, layout, dropped, reasons)
     )
 
 
@@ -330,7 +361,7 @@ def load_match(cfg: StudyConfig, name: str, method: str, ct: SubjectTable) -> ma
 
 def stage_balance(cfg: StudyConfig) -> None:
     imputed = augment_missingness(load_cohort(cfg))
-    scaled, _ = scale_covariates(imputed, cfg.schema)
+    scaled = scale_covariates(imputed, cfg.schema)
     for comp in cfg.comparisons:
         ct, codes = comparison_table(cfg, scaled, comp), comparison_table(cfg, imputed, comp)
         per_method = {}

@@ -29,9 +29,6 @@ from matchstudy.inference import (
     permutational_t_test,
 )
 from matchstudy.matching import (
-    MatchCounts,
-    MatchResult,
-    MatchedSet,
     build_match,
     match_bucket,
     propensity_interval,
@@ -57,7 +54,7 @@ from matchstudy.sensitivity import (
 
 from test_cli import reduced_config_dict
 from test_propensity import irls_reference, logistic_data
-from util import index_sets, lay_out, make_table, random_matched_instance
+from util import index_sets, lay_out, make_table, match_of, random_matched_instance
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +184,7 @@ def _paired_cohort_region(seed, adjustment):
     z = np.tile([1, 0], n_pairs)
     y = x @ beta + 0.5 * z + rng.normal(size=2 * n_pairs)
     table = make_table(z, x, outcomes=y, outcome_names=("y",))
-    ids = table.ids
-    sets = tuple(MatchedSet(ids[2 * i], (ids[2 * i + 1],)) for i in range(n_pairs))
-    result = MatchResult(sets, (), MatchCounts(0, 0, 0, 0, n_pairs, n_pairs))
+    result = match_of(table, [[2 * i, 2 * i + 1] for i in range(n_pairs)])
     return invert_tests(
         matched_arrays(table, result, "y"),
         grid=np.linspace(0.3, 0.7, 11),

@@ -12,23 +12,18 @@ from matchstudy.balance import (
     standardized_difference,
 )
 from matchstudy.dataset import Covariate, CovariateSchema, CONTINUOUS, ORDINAL
-from matchstudy.matching import MatchCounts, MatchResult, MatchedSet, build_match
+from matchstudy.matching import build_match
 
-from util import make_table, random_match, reference_weighted_rows
+from util import make_table, match_of, random_match, reference_weighted_rows
 
 
-def manual_result(sets, n_dropped=0):
-    matched_t = len(sets)
-    matched_c = sum(len(s.control_ids) for s in sets)
-    return MatchResult(
-        sets=tuple(sets),
-        dropped=(),
-        counts=MatchCounts(0, 0, 0, 0, matched_t, matched_c),
-    )
+def manual_result(table, sets):
+    """A match of ``table`` whose sets list the given ids, treated id first."""
+    return match_of(table, [[table.row_of(s) for s in ids] for ids in sets])
 
 
 def pair(treated_id, *control_ids):
-    return MatchedSet(treated_id=treated_id, control_ids=tuple(control_ids))
+    return (treated_id, *control_ids)
 
 
 def fake_row(post_diff):
@@ -52,7 +47,7 @@ def post_control_means(values, sets):
     table = make_table(
         [1 if i.startswith("t") else 0 for i in ids], [values[i] for i in ids], ids=ids
     )
-    return [row.control_mean_post for row in balance_table(table, manual_result(sets))]
+    return [row.control_mean_post for row in balance_table(table, manual_result(table, sets))]
 
 
 class TestWeights:
@@ -77,9 +72,9 @@ class TestWeights:
         rng = np.random.default_rng(0)
         sizes = rng.integers(1, 6, size=12)
         sets = [pair(f"t{i:02d}", *(f"c{i:02d}_{j}" for j in range(size))) for i, size in enumerate(sizes)]
-        values = {s.treated_id: [0.0] * len(sets) for s in sets}
+        values = {s[0]: [0.0] * len(sets) for s in sets}
         for i, s in enumerate(sets):
-            values.update({c: [float(i == j) for j in range(len(sets))] for c in s.control_ids})
+            values.update({c: [float(i == j) for j in range(len(sets))] for c in s[1:]})
         assert post_control_means(values, sets) == pytest.approx([1.0 / len(sets)] * len(sets))
 
     @pytest.mark.parametrize("seed", range(6))
@@ -147,7 +142,7 @@ class TestBalanceTable:
         table = make_table(z, covs)
         t_ids = [table.ids[i] for i in np.flatnonzero(z == 1)[:50]]
         c_ids = [table.ids[i] for i in np.flatnonzero(z == 0)[:50]]
-        result = manual_result([pair(t, c) for t, c in zip(t_ids, c_ids)])
+        result = manual_result(table, [pair(t, c) for t, c in zip(t_ids, c_ids)])
         rows = balance_table(table, result)
         assert all(abs(r.sd_diff_pre) < 0.1 for r in rows)
 
@@ -155,8 +150,8 @@ class TestBalanceTable:
         rng = np.random.default_rng(3)
         table = make_table(np.array([1, 1, 0, 0, 0]), rng.normal(size=(5, 3)))
         ids = table.ids
-        full = manual_result([pair(ids[0], ids[2]), pair(ids[1], ids[3], ids[4])])
-        trimmed = manual_result([pair(ids[0], ids[2]), pair(ids[1], ids[3])])
+        full = manual_result(table, [pair(ids[0], ids[2]), pair(ids[1], ids[3], ids[4])])
+        trimmed = manual_result(table, [pair(ids[0], ids[2]), pair(ids[1], ids[3])])
         for before, after in zip(balance_table(table, full), balance_table(table, trimmed)):
             assert before.sd_diff_pre == after.sd_diff_pre
             assert before.control_mean_pre == after.control_mean_pre
@@ -169,7 +164,7 @@ class TestBalanceTable:
         z = np.array([1] * 6 + [0] * 6)
         table = make_table(z, covs)
         ids = table.ids
-        result = manual_result([pair(ids[0], ids[6]), pair(ids[1], ids[7], ids[8])])
+        result = manual_result(table, [pair(ids[0], ids[6]), pair(ids[1], ids[7], ids[8])])
         rows = balance_table(table, result)
         scaled = make_table(z, covs * -2.5 + 7.0)
         rows_scaled = balance_table(scaled, result)
@@ -181,7 +176,7 @@ class TestBalanceTable:
         z = np.array([1, 1, 1, 0, 0, 0])
         table = make_table(z, grades, covariate_names=("grade",))
         ids = table.ids
-        result = manual_result([pair(ids[0], ids[3])])
+        result = manual_result(table, [pair(ids[0], ids[3])])
         schema = CovariateSchema((Covariate("grade", ORDINAL, levels=(7.0, 8.0, 9.0)),))
         rows = balance_table(table, result, schema=schema)
         names = [r.name for r in rows]
@@ -194,7 +189,7 @@ class TestBalanceTable:
         rng = np.random.default_rng(5)
         table = make_table(np.array([1, 1, 0, 0]), rng.normal(size=(4, 1)))
         ids = table.ids
-        result = manual_result([pair(ids[0], ids[2]), pair(ids[1], ids[3])])
+        result = manual_result(table, [pair(ids[0], ids[2]), pair(ids[1], ids[3])])
         d = abs(balance_table(table, result)[0].sd_diff_post)
         at = balance_table(table, result, threshold=d)
         below = balance_table(table, result, threshold=d * (1.0 - 1e-12))

@@ -437,11 +437,14 @@ class TestFullRun:
             if name.startswith("propensity_"):
                 os.replace(os.path.join(out_copy, name), os.path.join(str(tmp_path), name))
         for (comp_name, method), result in built.items():
-            loaded = pipeline.load_match(cfg, comp_name, method, tables[comp_name])
-            assert loaded.sets == result.sets, (comp_name, method)
-            assert loaded.dropped == result.dropped, (comp_name, method)
+            ct = tables[comp_name]
+            loaded = pipeline.load_match(cfg, comp_name, method, ct)
+            assert np.array_equal(loaded.members, result.members), (comp_name, method)
+            assert np.array_equal(loaded.sets.sizes, result.sets.sizes), (comp_name, method)
+            assert np.array_equal(loaded.dropped, result.dropped), (comp_name, method)
+            assert loaded.reasons == result.reasons, (comp_name, method)
             assert loaded.counts == result.counts, (comp_name, method)
-            assert loaded == result
+            assert pipeline.render_match(ct, loaded) == pipeline.render_match(ct, result)
 
     def test_match_error_names_the_comparison(self, completed_run, tmp_path, capsys):
         # Every treated score below every control score: the trim empties the
@@ -506,6 +509,47 @@ class TestFullRun:
             matchstudy.matched_arrays(ct, result, cfg.primary_outcome.name)
         assert main([command, "--config", cfg_path]) == 2
         assert "must list exactly one treated subject" in capsys.readouterr().err
+
+    def _selected_sets(self, completed_run, tmp_path):
+        """A copy of the run: its config path, and the path and lines of its
+        comparison-1 set file for the selected method."""
+        _, out_dir, _ = completed_run
+        out_copy = os.path.join(str(tmp_path), "out")
+        shutil.copytree(out_dir, out_copy)
+        with open(os.path.join(out_copy, "balance_comparison-1.json"), encoding="utf-8") as fh:
+            selected = json.load(fh)["selected"]
+        path = os.path.join(out_copy, f"match_comparison-1_{selected}.sets.txt")
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines(keepends=True)
+        return write_config(tmp_path, reduced_config_dict(out_copy)), path, lines
+
+    def _assert_rejected(self, capsys, command, cfg_path, path, message):
+        assert main([command, "--config", cfg_path]) == 2
+        err = capsys.readouterr().err
+        assert path in err and message in err
+
+    @pytest.mark.parametrize("command", ["balance", "infer"])
+    def test_set_file_with_an_unknown_id_is_rejected(self, completed_run, tmp_path, capsys, command):
+        cfg_path, path, lines = self._selected_sets(completed_run, tmp_path)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines([f"s9999: {lines[0].split(': ')[1]}"] + lines[1:])
+        self._assert_rejected(capsys, command, cfg_path, path, "'s9999' is not in comparison-1")
+
+    @pytest.mark.parametrize("command", ["balance", "infer"])
+    def test_control_listed_in_two_sets_is_rejected(self, completed_run, tmp_path, capsys, command):
+        # The first control of the first set is listed again in the second.
+        cfg_path, path, lines = self._selected_sets(completed_run, tmp_path)
+        control = lines[0].rstrip("\n").split(": ")[1].split(",")[0]
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines([lines[0], lines[1].rstrip("\n") + f",{control}\n"] + lines[2:])
+        self._assert_rejected(capsys, command, cfg_path, path, f"{control!r} is listed twice")
+
+    @pytest.mark.parametrize("command", ["balance", "infer"])
+    def test_deleted_set_line_is_rejected(self, completed_run, tmp_path, capsys, command):
+        cfg_path, path, lines = self._selected_sets(completed_run, tmp_path)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(lines[1:])
+        self._assert_rejected(capsys, command, cfg_path, path, f"{lines[0].split(': ')[0]!r} is in neither file")
 
     def test_match_stage_rerun_reproduces_run_output(self, completed_run):
         cfg_path, out_dir, digests = completed_run

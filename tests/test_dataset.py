@@ -19,9 +19,9 @@ from matchstudy.dataset import (
     ValidationError,
     attrition_check,
     augment_missingness,
-    drop_missingness_determined,
     generate_synthetic,
     load_subjects,
+    missingness_flags,
     save_subjects,
     scale_covariates,
 )
@@ -205,35 +205,33 @@ class TestScaleCovariates:
     def test_two_point_column(self):
         # sample sd of (1, 3) is sqrt(2), so the scaled pair is +-1/(2 sqrt 2)
         table = make_table(z=[0, 1], covariates=[[1.0], [3.0]])
-        scaled, report = scale_covariates(table, CovariateSchema((Covariate("x1", CONTINUOUS),)))
+        scaled = scale_covariates(table, CovariateSchema((Covariate("x1", CONTINUOUS),)))
         np.testing.assert_allclose(scaled.covariates[:, 0], [-0.5 / np.sqrt(2), 0.5 / np.sqrt(2)])
         assert abs(scaled.covariates[:, 0].std(ddof=1) - 0.5) < 1e-12
-        assert report.columns[0].scaled
 
     def test_five_point_column_exact_values(self):
         # mean 2, sample sd sqrt(2.5): scaled values are (-2,-1,0,1,2)/sqrt(10)
         table = make_table(z=[0, 1, 0, 1, 0], covariates=[[0.0], [1.0], [2.0], [3.0], [4.0]])
-        scaled, _ = scale_covariates(table, CovariateSchema((Covariate("x1", CONTINUOUS),)))
+        scaled = scale_covariates(table, CovariateSchema((Covariate("x1", CONTINUOUS),)))
         expected = np.array([-2.0, -1.0, 0.0, 1.0, 2.0]) / np.sqrt(10.0)
         np.testing.assert_allclose(scaled.covariates[:, 0], expected, atol=1e-12)
 
-    def test_constant_column_flagged_not_scaled(self):
+    def test_constant_column_left_as_it_was(self):
         table = make_table(z=[0, 1, 0], covariates=[[2.0], [2.0], [2.0]])
-        scaled, report = scale_covariates(table, CovariateSchema((Covariate("x1", CONTINUOUS),)))
-        np.testing.assert_array_equal(scaled.covariates[:, 0], [2.0, 2.0, 2.0])
-        assert report.zero_variance == ("x1",)
+        scaled = scale_covariates(table, CovariateSchema((Covariate("x1", CONTINUOUS),)))
+        np.testing.assert_array_equal(scaled.covariates, table.covariates)
 
     def test_recomputed_moments_after_transform(self):
         # mean 2, sd sqrt(2.5) variants: verify the post-transform moments
         table = make_table(z=[0, 1, 0, 1, 0], covariates=[[0.0], [1.0], [2.0], [3.0], [4.0]])
-        scaled, _ = scale_covariates(table, CovariateSchema((Covariate("x1", CONTINUOUS),)))
+        scaled = scale_covariates(table, CovariateSchema((Covariate("x1", CONTINUOUS),)))
         col = scaled.covariates[:, 0]
         assert abs(col.mean()) < 1e-10
         assert abs(col.std(ddof=1) - 0.5) < 1e-10
 
     def test_binary_columns_untouched(self):
         table = make_table(z=[0, 1, 0], covariates=[[1.0, 1.0], [3.0, 0.0], [5.0, 1.0]])
-        scaled, _ = scale_covariates(table, SCHEMA2)
+        scaled = scale_covariates(table, SCHEMA2)
         np.testing.assert_array_equal(scaled.covariates[:, 1], [1.0, 0.0, 1.0])
 
     @given(st.integers(0, 2**32 - 1), st.integers(3, 40))
@@ -242,7 +240,7 @@ class TestScaleCovariates:
         rng = np.random.default_rng(seed)
         values = rng.normal(loc=rng.normal() * 10, scale=rng.uniform(0.1, 9), size=n)
         table = make_table(z=[i % 2 for i in range(n)], covariates=values)
-        scaled, _ = scale_covariates(table, CovariateSchema((Covariate("x1", CONTINUOUS),)))
+        scaled = scale_covariates(table, CovariateSchema((Covariate("x1", CONTINUOUS),)))
         col = scaled.covariates[:, 0]
         assert abs(col.mean()) < 1e-10
         assert abs(col.std(ddof=1) - 0.5) < 1e-10
@@ -301,18 +299,21 @@ class TestDropMissingnessDetermined:
             covariate_missing=np.zeros_like(covs, dtype=bool),
         )
 
+    @staticmethod
+    def _flagged(table):
+        """(subject id, indicator column) of every flag, subject by subject."""
+        return [(table.ids[i], table.covariate_names[j]) for i, j in np.argwhere(missingness_flags(table))]
+
     def test_all_control_indicator_drops_and_keeps_column(self):
         table = self._table([1, 0, 0, 0], [[0, 1, 1, 0]], ("x1__missing",))
-        out, dropped = drop_missingness_determined(table)
-        assert out.ids == ("s000", "s003")
-        assert dropped == (("s001", "x1__missing"), ("s002", "x1__missing"))
-        assert "x1__missing" in out.covariate_names
-        assert not out.covariates[:, 0].any()
+        flags = missingness_flags(table)
+        assert flags.shape == (4, 1)
+        assert [table.ids[i] for i in np.flatnonzero(~flags.any(axis=1))] == ["s000", "s003"]
+        assert self._flagged(table) == [("s001", "x1__missing"), ("s002", "x1__missing")]
 
     def test_mixed_arms_drop_nobody(self):
         table = self._table([1, 0, 0, 1], [[0, 1, 0, 1]], ("x1__missing",))
-        out, dropped = drop_missingness_determined(table)
-        assert out.n == 4 and dropped == ()
+        assert not missingness_flags(table).any()
 
     def test_overlapping_indicators_drop_union_with_pair_ledger(self):
         # 6 subjects; both indicators point only at controls; s2 is flagged by both
@@ -321,8 +322,9 @@ class TestDropMissingnessDetermined:
             [[0, 0, 1, 1, 0, 0], [0, 0, 1, 0, 1, 0]],
             ("a__missing", "b__missing"),
         )
-        out, dropped = drop_missingness_determined(table)
-        assert out.ids == ("s000", "s001", "s005")
+        kept = np.flatnonzero(~missingness_flags(table).any(axis=1))
+        assert [table.ids[i] for i in kept] == ["s000", "s001", "s005"]
+        dropped = self._flagged(table)
         assert set(dropped) == {
             ("s002", "a__missing"),
             ("s003", "a__missing"),
@@ -345,8 +347,7 @@ class TestDropMissingnessDetermined:
             if name.endswith("__missing")
             for i in np.flatnonzero(table.covariates[:, j] == 1.0)
         }
-        _, dropped = drop_missingness_determined(table)
-        assert {sid for sid, _ in dropped} <= flagged
+        assert {sid for sid, _ in self._flagged(table)} <= flagged
 
 
 class TestAttritionCheck:

@@ -22,7 +22,6 @@ from matchstudy.inference import (
     matched_arrays,
     permutational_t_test,
 )
-from matchstudy.matching import MatchCounts, MatchResult, MatchedSet
 from matchstudy.oracles import brute_force_tail_probabilities
 
 from util import (
@@ -37,16 +36,9 @@ from util import (
 )
 
 
-def pair_result(n_pairs, ids):
-    sets = tuple(
-        MatchedSet(treated_id=ids[2 * i], control_ids=(ids[2 * i + 1],))
-        for i in range(n_pairs)
-    )
-    return MatchResult(
-        sets=sets,
-        dropped=(),
-        counts=MatchCounts(0, 0, 0, 0, n_pairs, n_pairs),
-    )
+def pair_result(table, n_pairs):
+    """Rows 2i (treated) and 2i + 1 (control) of ``table`` as pair i."""
+    return match_of(table, [[2 * i, 2 * i + 1] for i in range(n_pairs)])
 
 
 class TestAlignResponses:
@@ -341,7 +333,7 @@ class TestMatchedArrays:
 
     def test_layout_treated_first(self):
         table = self.make_outcome_table([4.0, 1.0, 7.0, 2.0])
-        result = pair_result(2, table.ids)
+        result = pair_result(table, 2)
         data = matched_arrays(table, result, "dep")
         assert data.r.tolist() == [4.0, 1.0, 7.0, 2.0]
         assert data.sets.z.tolist() == [1, 0, 1, 0]
@@ -355,7 +347,7 @@ class TestMatchedArrays:
 
     def test_missing_outcome_drops_whole_set(self):
         table = self.make_outcome_table([4.0, 1.0, 7.0, 2.0], missing_rows=(3,))
-        result = pair_result(2, table.ids)
+        result = pair_result(table, 2)
         data = matched_arrays(table, result, "dep")
         assert data.excluded_sets == (table.ids[2],)
         assert len(data.sets) == 1
@@ -363,7 +355,7 @@ class TestMatchedArrays:
 
     def test_all_sets_missing_raises(self):
         table = self.make_outcome_table([4.0, 1.0, 7.0, 2.0], missing_rows=(1, 3))
-        result = pair_result(2, table.ids)
+        result = pair_result(table, 2)
         with pytest.raises(ValueError, match="dep"):
             matched_arrays(table, result, "dep")
 
@@ -397,7 +389,7 @@ class TestInvertTests:
         r[1::2] = controls
         z = np.array([1, 0] * 4)
         table = make_table(z, np.zeros((8, 1)), outcomes=r, outcome_names=("dep",))
-        result = pair_result(4, table.ids)
+        result = pair_result(table, 4)
         grid = np.array([0.0, 0.75, 1.5, 2.25])
         region = invert_tests(matched_arrays(table, result, "dep"), grid=grid, mode="exact")
         at = {float(g): p for g, p in zip(region.grid, region.p_values)}
@@ -411,7 +403,7 @@ class TestInvertTests:
         r = rng.normal(size=12)
         z = np.array([1, 0] * 6)
         table = make_table(z, rng.normal(size=(12, 2)), outcomes=r, outcome_names=("dep",))
-        result = pair_result(6, table.ids)
+        result = pair_result(table, 6)
         region = invert_tests(matched_arrays(table, result, "dep"), mode="exact", adjustment=ADJUST_OLS)
         if region.accepted.any():
             inside = region.grid[region.accepted]
@@ -430,7 +422,7 @@ class TestInvertTests:
         r = np.array([4.0, 1.0, 7.0, np.nan])
         z = np.array([1, 0, 1, 0])
         table = make_table(z, np.zeros((4, 1)), outcomes=r, outcome_names=("dep",))
-        result = pair_result(2, table.ids)
+        result = pair_result(table, 2)
         data = matched_arrays(table, result, "dep")
         region = invert_tests(data, grid=np.array([0.0]), mode="exact")
         assert data.excluded_sets == (table.ids[2],)

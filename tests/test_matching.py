@@ -16,13 +16,13 @@ from scipy.stats import rankdata
 from matchstudy import matching
 from matchstudy.matching import (
     MatchCounts,
-    MatchedSet,
     MatchingError,
     MatchingParams,
     REASON_COMMON_SUPPORT,
     REASON_MISSINGNESS,
     REASON_OPTIMAL_DISCARD,
     REASON_UNMATCHED,
+    SetLayout,
     apply_caliper,
     build_match,
     composition,
@@ -35,7 +35,7 @@ from matchstudy.matching import (
 from matchstudy.oracles import brute_force_bucket_cost, brute_force_canonical_match, match_total_cost
 from matchstudy.pipeline import format_match_row
 
-from util import make_table
+from util import id_ledger, id_sets, make_table
 
 
 def exact_rank_mahalanobis(x_treated, x_control):
@@ -465,6 +465,47 @@ class TestTieRule:
             assert match_total_cost(d, t_ids, c_ids, sets) == brute_force_bucket_cost(d, k)
 
 
+class TestOneDecode:
+    @pytest.mark.parametrize("regime", REGIMES)
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_build_match_sets_are_match_bucket_sets_on_one_cell(self, regime, data):
+        # One stratum, every score in interval k and no caliper penalty: the
+        # table is one cell, and build_match's decode into rows must name the
+        # sets that match_bucket's decode into ids names for its distances.
+        k = data.draw(st.integers(2 if regime == "intermediate" else 1, 4))
+        if regime == "scarce":
+            n_c = data.draw(st.integers(1, 5))
+            n_t = data.draw(st.integers(n_c + 1, n_c + 5))
+        elif regime == "surplus":
+            n_t = data.draw(st.integers(1, 4))
+            n_c = data.draw(st.integers(k * n_t, k * n_t + 4))
+        else:
+            n_t = data.draw(st.integers(1, 4))
+            n_c = data.draw(st.integers(n_t, k * n_t - 1))
+        n = n_t + n_c
+        z = np.array(data.draw(st.permutations([1] * n_t + [0] * n_c)))
+        covs = np.array(data.draw(st.lists(st.integers(0, 3), min_size=2 * n, max_size=2 * n)), dtype=float)
+        table = make_table(z, covs.reshape(n, 2))  # ids in row order
+        # Treated scores above control scores, so the trim keeps everyone.
+        low, high = 1.0 / (k + 2), 1.0 / (k + 1)
+        scores = np.where(z == 1, low + 0.75 * (high - low), low + 0.25 * (high - low))
+        assert (propensity_interval(scores) == k).all()
+        result = build_match(table, scores, MatchingParams(caliper_penalty=0.0))
+
+        t_rows, c_rows = np.flatnonzero(z == 1), np.flatnonzero(z == 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            dist = rank_mahalanobis(table.covariates[t_rows], table.covariates[c_rows])
+        tp = data.draw(st.permutations(range(n_t)))
+        cp = data.draw(st.permutations(range(n_c)))
+        sets, dropped = match_bucket(
+            dist[np.ix_(tp, cp)], tuple(table.ids[t_rows[i]] for i in tp), tuple(table.ids[c_rows[j]] for j in cp), k
+        )
+        assert id_sets(table, result) == sets
+        assert id_ledger(table, result) == dropped
+
+
 def assert_not_folded(dist, t_ids, c_ids, k):
     """The costs of this cell are too large for the tie-rule fold."""
     cost = np.round(dist * matching._COST_SCALE)
@@ -487,8 +528,7 @@ class TestBuildMatch:
         scores = np.array([0.50, 0.55, 0.60, 0.65, 0.45, 0.52, 0.58, 0.63])
         assert (propensity_interval(scores) == 1).all()
         result = build_match(table, scores)
-        assert len(result.sets) == 4
-        assert all(len(s.control_ids) == 1 for s in result.sets)
+        assert result.sets.sizes.tolist() == [2] * 4
         assert composition(result) == {1: 4, **{k: 0 for k in range(2, 16)}}
         assert result.counts.n_matched == 8
 
@@ -518,14 +558,18 @@ class TestBuildMatch:
         )
         order = np.array(data.draw(st.permutations(range(n))))
         result = build_match(table, scores)
-        assert build_match(table.subset(order), scores[order]) == result
-        assert result.dropped[:5] == (
+        permuted = table.subset(order)
+        again = build_match(permuted, scores[order])
+        assert id_sets(permuted, again) == id_sets(table, result)
+        assert id_ledger(permuted, again) == id_ledger(table, result)
+        assert again.counts == result.counts
+        assert id_ledger(table, result)[:5] == [
             ("s12", REASON_MISSINGNESS),
             ("s13", REASON_MISSINGNESS),
             ("s1", REASON_COMMON_SUPPORT),
             ("s10", REASON_COMMON_SUPPORT),
             ("s11", REASON_COMMON_SUPPORT),
-        )
+        ]
 
     def test_no_cell_with_both_arms_raises(self):
         # Every treated subject in stratum a, every control in b: no cell
@@ -549,9 +593,8 @@ class TestBuildMatch:
         pieces = []
         for cell in (slice(0, 4), slice(4, 8)):
             sub = make_table(z[cell], covs[cell], ids=table.ids[cell])
-            pieces.extend(build_match(sub, scores[cell], params).sets)
-        key = lambda s: s.treated_id
-        assert sorted(full.sets, key=key) == sorted(pieces, key=key)
+            pieces.extend(id_sets(sub, build_match(sub, scores[cell], params)))
+        assert sorted(id_sets(table, full)) == sorted(pieces)
 
     def test_common_support_and_accounting(self):
         z = np.array([1, 1, 1, 0, 0, 0])
@@ -559,27 +602,21 @@ class TestBuildMatch:
         rng = np.random.default_rng(9)
         table = make_table(z, rng.normal(size=(6, 2)))
         result = build_match(table, scores)
-        reasons = dict(result.dropped)
+        reasons = dict(id_ledger(table, result))
         assert reasons[table.ids[2]] == REASON_COMMON_SUPPORT  # below every control
         assert reasons[table.ids[5]] == REASON_COMMON_SUPPORT  # above every treated
         assert result.counts.n_cs_treated == 1 and result.counts.n_cs_control == 1
-        matched = {s.treated_id for s in result.sets} | {c for s in result.sets for c in s.control_ids}
+        matched = {table.ids[r] for r in result.members}
         assert matched | set(reasons) == set(table.ids)
         assert len(matched) + len(result.dropped) == table.n
 
     def test_match_counts_split_the_ledger_by_arm(self):
         z = np.array([1, 1, 1, 0, 0, 0, 0])
         table = make_table(z, np.zeros((7, 1)))
-        ids = table.ids
-        dropped = [
-            (ids[0], REASON_MISSINGNESS),
-            (ids[3], REASON_MISSINGNESS),
-            (ids[4], REASON_MISSINGNESS),
-            (ids[1], REASON_COMMON_SUPPORT),
-            (ids[5], REASON_OPTIMAL_DISCARD),
-        ]
-        sets = [MatchedSet(treated_id=ids[2], control_ids=(ids[6],))]
-        assert match_counts(table, sets, dropped) == MatchCounts(1, 2, 1, 0, 1, 1)
+        dropped = np.array([0, 3, 4, 1, 5])
+        reasons = (REASON_MISSINGNESS,) * 3 + (REASON_COMMON_SUPPORT, REASON_OPTIMAL_DISCARD)
+        # One set, row 2 with row 6.
+        assert match_counts(table, SetLayout([2]), dropped, reasons) == MatchCounts(1, 2, 1, 0, 1, 1)
 
     def test_worker_count_does_not_change_the_result(self, monkeypatch):
         # Cells: (a,1) scarce, (a,3) intermediate and (b,2) surplus, all small
@@ -631,12 +668,14 @@ class TestBuildMatch:
                 sys.setswitchinterval(switch)
         assert pools == [1, 3]
         serial, pooled = results
-        assert pooled.sets == serial.sets
-        assert pooled.dropped == serial.dropped
+        assert np.array_equal(pooled.members, serial.members)
+        assert np.array_equal(pooled.sets.sizes, serial.sets.sizes)
+        assert np.array_equal(pooled.dropped, serial.dropped)
+        assert pooled.reasons == serial.reasons
         assert pooled.counts == serial.counts
-        assert not any(reason == REASON_COMMON_SUPPORT for _, reason in serial.dropped)
+        assert REASON_COMMON_SUPPORT not in serial.reasons
         cell_of = {table.ids[i]: (table.stratum[i], int(propensity_interval(scores[i]))) for i in range(table.n)}
-        assert {cell_of[s.treated_id] for s in serial.sets} == {key for key in layout if key[0] != "e"}
+        assert {cell_of[t] for t, _ in id_sets(table, serial)} == {key for key in layout if key[0] != "e"}
 
         # One match_bucket call per cell, in cell order.
         keyed, dropped = [], []
@@ -652,10 +691,10 @@ class TestBuildMatch:
             d = rank_mahalanobis(table.covariates[t_rows], table.covariates[c_rows])
             d = apply_caliper(d, scores[t_rows], scores[c_rows], scale_scores=scores)
             cell_sets, cell_dropped = match_bucket(d, t_ids, c_ids, k)
-            keyed += [((name, k, t), MatchedSet(t, cs)) for t, cs in cell_sets]
+            keyed += [((name, k, t), (t, cs)) for t, cs in cell_sets]
             dropped += cell_dropped
-        assert serial.sets == tuple(s for _, s in sorted(keyed, key=lambda item: item[0]))
-        assert serial.dropped == tuple(dropped)
+        assert id_sets(table, serial) == [s for _, s in sorted(keyed, key=lambda item: item[0])]
+        assert id_ledger(table, serial) == dropped
 
     def test_sets_never_cross_strata(self):
         rng = np.random.default_rng(10)
@@ -663,19 +702,19 @@ class TestBuildMatch:
             table, scores = simple_instance(rng, 6, 10, strata=("7-8", "9-10", "11-12"))
             result = build_match(table, scores)
             stratum_of = {s: table.stratum[i] for i, s in enumerate(table.ids)}
-            for matched_set in result.sets:
-                for c in matched_set.control_ids:
-                    assert stratum_of[c] == stratum_of[matched_set.treated_id]
-                assert 1 <= len(matched_set.control_ids) <= 15
+            for treated_id, control_ids in id_sets(table, result):
+                for c in control_ids:
+                    assert stratum_of[c] == stratum_of[treated_id]
+                assert 1 <= len(control_ids) <= 15
 
     def test_partition_property(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
             table, scores = simple_instance(rng, 5, 12, strata=("a", "b"), score_range=(0.05, 0.95))
             result = build_match(table, scores)
-            in_sets = [s.treated_id for s in result.sets]
-            in_sets += [c for s in result.sets for c in s.control_ids]
-            everyone = in_sets + [s for s, _ in result.dropped]
+            in_sets = [t for t, _ in id_sets(table, result)]
+            in_sets += [c for _, cs in id_sets(table, result) for c in cs]
+            everyone = in_sets + [s for s, _ in id_ledger(table, result)]
             assert sorted(everyone) == sorted(table.ids)
 
     def test_caliper_penalty_monotone_in_total_violation(self):
@@ -732,7 +771,7 @@ class TestComposition:
         table, scores = simple_instance(rng, 4, 20, score_range=(0.1, 0.9))
         result = build_match(table, scores)
         counts = composition(result)
-        sizes = [len(s.control_ids) for s in result.sets]
+        sizes = (result.sets.sizes - 1).tolist()
         for j in range(1, 16):
             assert counts[j] == sizes.count(j)
 

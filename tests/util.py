@@ -4,8 +4,7 @@ from __future__ import annotations
 import numpy as np
 
 from matchstudy.dataset import SubjectTable
-from matchstudy.inference import SetLayout
-from matchstudy.matching import MatchCounts, MatchedSet, MatchResult
+from matchstudy.matching import MatchCounts, MatchResult, SetLayout
 
 
 def make_table(
@@ -89,10 +88,21 @@ def lay_out(values, z, sets):
 
 def match_of(table, row_sets):
     """A match whose sets list the given table rows, the first row of each as
-    its treated id."""
-    sets = tuple(MatchedSet(table.ids[rows[0]], tuple(table.ids[r] for r in rows[1:])) for rows in row_sets)
-    n_controls = sum(len(rows) - 1 for rows in row_sets)
-    return MatchResult(sets=sets, dropped=(), counts=MatchCounts(0, 0, 0, 0, len(sets), n_controls))
+    its treated member, with an empty ledger."""
+    sizes = np.array([len(rows) for rows in row_sets])
+    members = np.array([r for rows in row_sets for r in rows], dtype=np.intp)
+    counts = MatchCounts(0, 0, 0, 0, sizes.size, int(sizes.sum()) - sizes.size)
+    return MatchResult(members, SetLayout(sizes), np.empty(0, dtype=np.intp), (), counts)
+
+
+def id_sets(table, result):
+    """A match's sets as (treated id, control ids) pairs, in set order."""
+    return [(table.ids[rows[0]], tuple(table.ids[r] for r in rows[1:])) for rows in result.sets.split(result.members)]
+
+
+def id_ledger(table, result):
+    """A match's ledger as (id, reason) pairs, in ledger order."""
+    return [(table.ids[r], reason) for r, reason in zip(result.dropped.tolist(), result.reasons)]
 
 
 def shuffled_matched_instance(rng, n_sets, max_size=16):
@@ -151,26 +161,19 @@ def random_match(rng, n_sets, max_controls=15, missing_rate=0.1):
     outcomes = rng.normal(size=n)
     outcomes[rng.random(n) < missing_rate] = np.nan
     table = make_table(z, rng.normal(size=(n, 3)), outcomes=outcomes, outcome_names=("y",))
-    sets = tuple(
-        MatchedSet(table.ids[t], tuple(table.ids[c] for c in cs)) for t, cs in zip(order[:n_sets].tolist(), controls)
-    )
-    counts = MatchCounts(0, 0, 0, 0, n_sets, int(sizes.sum()))
-    return table, MatchResult(sets=sets, dropped=(), counts=counts)
+    return table, match_of(table, [[t, *cs] for t, cs in zip(order[:n_sets].tolist(), controls)])
 
 
 def reference_weighted_rows(table, result):
     """Treated rows, control rows and control weights 1/(set size - 1) of a
     match, built set by set in Python, as an independent reference for the
     balance module's row layout."""
-    weights = {}
-    for s in result.sets:
-        w = 1.0 / len(s.control_ids)
-        for c in s.control_ids:
-            weights[c] = w
-    t_rows = np.array([table.row_of(s.treated_id) for s in result.sets], dtype=int)
-    c_ids = [c for s in result.sets for c in s.control_ids]
-    c_rows = np.array([table.row_of(c) for c in c_ids], dtype=int)
-    return t_rows, c_rows, np.array([weights[c] for c in c_ids])
+    t_rows, c_rows, weights = [], [], []
+    for rows in result.sets.split(result.members):
+        t_rows.append(rows[0])
+        c_rows.extend(rows[1:])
+        weights += [1.0 / (len(rows) - 1)] * (len(rows) - 1)
+    return np.array(t_rows, dtype=int), np.array(c_rows, dtype=int), np.array(weights)
 
 
 def reference_matched_arrays(table, result, outcome):
@@ -179,10 +182,9 @@ def reference_matched_arrays(table, result, outcome):
     for a missing outcome, in set order."""
     j = table.outcome_index(outcome)
     rows, sets, excluded = [], [], []
-    for s in result.sets:
-        members = [table.row_of(s.treated_id)] + [table.row_of(c) for c in s.control_ids]
+    for members in result.sets.split(result.members):
         if any(table.outcome_missing[m, j] for m in members):
-            excluded.append(s.treated_id)
+            excluded.append(table.ids[members[0]])
             continue
         start = len(rows)
         rows.extend(members)
