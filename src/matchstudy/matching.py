@@ -18,17 +18,26 @@ its own malloc arena, so matrices built in the workers raised the peak
 resident memory. The warning filter around the distances is not thread-safe
 and stays on the main thread too. Results are gathered in cell order, so
 the output does not depend on the number of workers.
+
+The solver is scipy's ``linear_sum_assignment``, loaded alone from its own
+extension module, ``scipy.optimize._lsap``. Importing the ``scipy.optimize``
+package would load ``scipy.linalg``, ``scipy.sparse`` and ``linprog`` with
+it, about 250 modules that no stage uses, into every process. Of scipy, the
+library loads only ``scipy.special`` and this one extension module.
 """
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import os
+import sys
 import warnings
 from collections.abc import Sequence
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
+import scipy
 from scipy.special import logit
 
 from .dataset import SubjectTable, ValidationError, finite_number, id_order, missingness_flags, whole_number
@@ -40,6 +49,8 @@ REASON_MISSINGNESS = "missingness-determined"
 REASON_COMMON_SUPPORT = "common-support"
 REASON_OPTIMAL_DISCARD = "optimal-discard"
 REASON_UNMATCHED = "unmatched-leftover"
+#: Every reason a ledger line may give.
+REASONS = frozenset({REASON_MISSINGNESS, REASON_COMMON_SUPPORT, REASON_OPTIMAL_DISCARD, REASON_UNMATCHED})
 
 #: Distances are scaled to integers (1e-6 resolution) before assignment so the
 #: solver's optimum is exact in double precision.
@@ -48,6 +59,29 @@ _COST_SCALE = 1e6
 #: Treated rows per block of ``apply_caliper``'s penalty, so its temporaries
 #: stay small next to the distance matrix.
 _CALIPER_ROWS = 64
+
+
+def _load_solver(folders: Sequence[str]):
+    """``linear_sum_assignment`` from the extension module ``_lsap`` in one of
+    ``folders``, loaded under its real name, ``scipy.optimize._lsap``, so that
+    a later ``import scipy.optimize`` reuses it. Where no folder holds the
+    module (another scipy layout), the public ``scipy.optimize`` function,
+    which runs the same C function."""
+    name = "scipy.optimize._lsap"
+    spec = importlib.machinery.PathFinder.find_spec(name, folders)
+    if spec is None:
+        from scipy.optimize import linear_sum_assignment
+
+        return linear_sum_assignment
+    module = sys.modules.get(name)
+    if module is None:
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return module.linear_sum_assignment
+
+
+linear_sum_assignment = _load_solver([os.path.join(p, "optimize") for p in scipy.__path__])
 
 
 class MatchingError(ValueError):

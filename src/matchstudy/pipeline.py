@@ -310,8 +310,9 @@ def load_match(cfg: StudyConfig, name: str, method: str, ct: SubjectTable) -> ma
     and the subject accounting is recounted on ``ct``.
 
     Raises ``ValueError`` naming the file and the id when an id is not in
-    ``ct``, when a subject is listed twice across the two files, or when a
-    subject of ``ct`` is in neither.
+    ``ct``, when a subject is listed twice across the two files, when a
+    subject of ``ct`` is in neither, or when a ledger line gives a reason
+    that is not one of ``matching.REASONS``.
     """
     paths = _match_paths(cfg, name, method)
     for p in paths:
@@ -329,6 +330,9 @@ def load_match(cfg: StudyConfig, name: str, method: str, ct: SubjectTable) -> ma
     with open(paths[1], encoding="utf-8") as fh:
         next(fh)
         ledger = [line.strip().partition(",") for line in fh if line.strip()]
+    for sid, _, reason in ledger:
+        if reason not in matching_mod.REASONS:
+            raise ValueError(f"{paths[1]}: subject {sid!r} has the unknown reason {reason!r}")
     ledger_ids = [sid for sid, _, _ in ledger]
 
     rows = []

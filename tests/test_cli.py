@@ -551,6 +551,28 @@ class TestFullRun:
             fh.writelines(lines[1:])
         self._assert_rejected(capsys, command, cfg_path, path, f"{lines[0].split(': ')[0]!r} is in neither file")
 
+    @pytest.mark.parametrize(
+        "command, reason",
+        [("balance", "common-suport"), ("infer", "common-suport"), ("sensitivity", "common-suport"), ("balance", "")],
+    )
+    def test_ledger_line_with_an_unknown_reason_is_rejected(self, completed_run, tmp_path, capsys, command, reason):
+        # mle is the selected match of comparison-3, so every stage that
+        # loads a match reads this ledger; its one common-support line gets
+        # a misspelled or an empty reason.
+        _, out_dir, _ = completed_run
+        out_copy = os.path.join(str(tmp_path), "out")
+        shutil.copytree(out_dir, out_copy)
+        cfg_path = write_config(tmp_path, reduced_config_dict(out_copy))
+        path = os.path.join(out_copy, "match_comparison-3_mle.ledger.csv")
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+        assert text.count(",common-support\n") == 1
+        sid = next(line for line in text.splitlines() if line.endswith(",common-support")).split(",")[0]
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text.replace(",common-support\n", f",{reason}\n"))
+        self._assert_rejected(capsys, command, cfg_path, path, f"{sid!r} has the unknown reason {reason!r}")
+        assert os.path.exists(os.path.join(out_copy, "failure_manifest.txt"))
+
     def test_match_stage_rerun_reproduces_run_output(self, completed_run):
         cfg_path, out_dir, digests = completed_run
         assert main(["match", "--config", cfg_path]) == 0
@@ -699,19 +721,32 @@ class TestOracle:
 
 
 # Run in a fresh interpreter: this test process has loaded scipy.stats itself.
-_SCIPY_STATS_PROBE = """
+# scipy.stats is only a test oracle. Of scipy.optimize the runtime needs only
+# the solver's extension module, and the package would load scipy.linalg and
+# scipy.sparse with it.
+_SCIPY_PROBE = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 import matchstudy, matchstudy.cli
 from matchstudy.config import config_from_dict
 from matchstudy.pipeline import run_pipeline
 
+UNUSED = {"scipy.stats", "scipy.optimize", "scipy.linalg", "scipy.sparse"}
+
 def loaded():
-    return sorted(m for m in sys.modules if m == "scipy.stats" or m.startswith("scipy.stats."))
+    return sorted(
+        m for m in sys.modules if ".".join(m.split(".")[:2]) in UNUSED and m != "scipy.optimize._lsap"
+    )
 
 after_import = loaded()
 run_pipeline(config_from_dict(json.loads(sys.argv[2])))
-print(json.dumps({"after_import": after_import, "after_run": loaded()}))
+after_run = loaded()
+# The package, imported last, takes the solver the runtime loaded.
+import scipy.optimize
+from matchstudy import matching
+assert scipy.optimize.linear_sum_assignment is matching.linear_sum_assignment
+assert scipy.optimize.linear_sum_assignment([[2.0, 1.0], [1.0, 2.0]])[1].tolist() == [1, 0]
+print(json.dumps({"after_import": after_import, "after_run": after_run}))
 """
 
 
@@ -720,7 +755,7 @@ class TestImports:
         src = os.path.dirname(os.path.dirname(os.path.abspath(matchstudy.__file__)))
         out_dir = os.path.join(str(tmp_path), "out")
         proc = subprocess.run(
-            [sys.executable, "-c", _SCIPY_STATS_PROBE, src, json.dumps(reduced_config_dict(out_dir))],
+            [sys.executable, "-c", _SCIPY_PROBE, src, json.dumps(reduced_config_dict(out_dir))],
             cwd=str(tmp_path),
             capture_output=True,
             text=True,

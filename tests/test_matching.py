@@ -465,6 +465,37 @@ class TestTieRule:
             assert match_total_cost(d, t_ids, c_ids, sets) == brute_force_bucket_cost(d, k)
 
 
+@st.composite
+def tie_heavy_matrix(draw):
+    """A small-integer cost matrix, wide, tall, square, 1 x n or n x 1."""
+    a, b = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    shape = draw(st.sampled_from(((min(a, b), max(a, b)), (max(a, b), min(a, b)), (a, a), (1, b), (b, 1))))
+    values = draw(st.lists(st.integers(0, 3), min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]))
+    return np.array(values, dtype=float).reshape(shape)
+
+
+class TestSolver:
+    @given(matrix=tie_heavy_matrix())
+    @settings(max_examples=200, deadline=None)
+    def test_solver_is_scipys(self, matrix):
+        # linear_sum_assignment is the public scipy.optimize function.
+        rows, cols = matching.linear_sum_assignment(matrix)
+        expected = linear_sum_assignment(matrix)
+        np.testing.assert_array_equal(rows, expected[0])
+        np.testing.assert_array_equal(cols, expected[1])
+        assert matching.linear_sum_assignment is linear_sum_assignment
+        assert sys.modules["scipy.optimize._lsap"].linear_sum_assignment is linear_sum_assignment
+
+    def test_folder_without_the_extension_gives_the_public_function(self, tmp_path, monkeypatch):
+        import scipy.optimize
+
+        public = mock.Mock(name="linear_sum_assignment")
+        monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", public)
+        assert matching._load_solver([str(tmp_path)]) is public
+        folders = [os.path.join(p, "optimize") for p in scipy.__path__]
+        assert matching._load_solver(folders) is sys.modules["scipy.optimize._lsap"].linear_sum_assignment
+
+
 class TestOneDecode:
     @pytest.mark.parametrize("regime", REGIMES)
     @given(data=st.data())
