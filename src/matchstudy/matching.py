@@ -19,6 +19,15 @@ resident memory. The warning filter around the distances is not thread-safe
 and stays on the main thread too. Results are gathered in cell order, so
 the output does not depend on the number of workers.
 
+Each cell owns one cost matrix from its distances to the solve.
+``rank_mahalanobis`` writes it in the layout the solver takes: C-order
+(n_t, n_c) when n_t <= n_c, and the transpose of a C-order (n_c, n_t)
+array when n_t > n_c, which the solver would otherwise copy. The caliper
+penalty is added to it in place, in blocks of its memory rows, and
+``_build_assignment`` scales and rounds it in place and hands it to the
+solver as it is. Only a cell whose treated subjects own several rows
+allocates a second full-size matrix, the replicated one.
+
 The solver is scipy's ``linear_sum_assignment``, loaded alone from its own
 extension module, ``scipy.optimize._lsap``. Importing the ``scipy.optimize``
 package would load ``scipy.linalg``, ``scipy.sparse`` and ``linprog`` with
@@ -56,8 +65,8 @@ REASONS = frozenset({REASON_MISSINGNESS, REASON_COMMON_SUPPORT, REASON_OPTIMAL_D
 #: solver's optimum is exact in double precision.
 _COST_SCALE = 1e6
 
-#: Treated rows per block of ``apply_caliper``'s penalty, so its temporaries
-#: stay small next to the distance matrix.
+#: Memory rows per block of ``apply_caliper``'s penalty, so its temporary
+#: stays small next to the distance matrix.
 _CALIPER_ROWS = 64
 
 
@@ -213,7 +222,10 @@ def member_rows(table: SubjectTable, result: MatchResult) -> tuple[np.ndarray, S
 
 
 def rank_mahalanobis(x_treated: np.ndarray, x_control: np.ndarray) -> np.ndarray:
-    """Rank-based Mahalanobis distances, shape (n_treated, n_control).
+    """Rank-based Mahalanobis distances, shape (n_treated, n_control), in
+    the assignment solver's layout: a C-contiguous array when n_treated <=
+    n_control, and otherwise the transpose of a C-contiguous (n_control,
+    n_treated) array.
 
     Columns are converted to average ranks over the pooled sample; the rank
     covariance (ddof=1) is regularized by adding 1e-8 * trace/p to the
@@ -228,12 +240,18 @@ def rank_mahalanobis(x_treated: np.ndarray, x_control: np.ndarray) -> np.ndarray
     (n <= p + 1) have a singular rank covariance that only the ridge keeps
     invertible; there a quadratic form on uncentred ranks loses about 1e-6 to
     cancellation, a whole unit of the integer assignment cost, while the
-    whitened form stays within 1e-11 of exact rational arithmetic. Memory is
-    O(n * p) besides the result.
+    whitened form stays within 1e-11 of exact rational arithmetic.
+
+    The cross products come from one matrix product written in the result's
+    memory layout: whitened treated rows times control rows, or, when n_t >
+    n_c, control rows times treated rows, whose entries may differ from the
+    other order's in the last bit. The squared norms are then added to it in
+    place, so memory is O(n * p) besides the result.
     """
     x_treated = np.atleast_2d(np.asarray(x_treated, dtype=float))
     x_control = np.atleast_2d(np.asarray(x_control, dtype=float))
     n_t, n_c = x_treated.shape[0], x_control.shape[0]
+    transposed = n_t > n_c
     pooled = np.vstack([x_treated, x_control])
     finite = np.isfinite(pooled).all(axis=0)
     if not finite.all():
@@ -245,7 +263,7 @@ def rank_mahalanobis(x_treated: np.ndarray, x_control: np.ndarray) -> np.ndarray
         warnings.warn(f"{int((~keep).sum())} constant covariate(s) dropped from the distance", stacklevel=2)
     ranks = ranks[:, keep]
     if ranks.shape[1] == 0 or pooled.shape[0] < 2:
-        return np.zeros((n_t, n_c))
+        return np.zeros((n_c, n_t)).T if transposed else np.zeros((n_t, n_c))
     centred = ranks - ranks.mean(axis=0)
     cov = centred.T @ centred / (pooled.shape[0] - 1)
     p = cov.shape[0]
@@ -253,7 +271,7 @@ def rank_mahalanobis(x_treated: np.ndarray, x_control: np.ndarray) -> np.ndarray
     evals, evecs = np.linalg.eigh(cov)
     white = centred @ (evecs / np.sqrt(evals))
     wt, wc = white[:n_t], white[n_t:]
-    dist = wt @ wc.T
+    dist = (wc @ wt.T).T if transposed else wt @ wc.T
     dist *= -2.0
     dist += np.einsum("ij,ij->i", wt, wt)[:, None]
     dist += np.einsum("ij,ij->i", wc, wc)[None, :]
@@ -290,6 +308,7 @@ def apply_caliper(
     width_sd: float = 0.2,
     penalty: float | None = None,
     scale_scores: np.ndarray | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Add a soft propensity caliper on the logit scale.
 
@@ -298,8 +317,17 @@ def apply_caliper(
     rather than forbidden, so feasibility is preserved. The sd is taken over
     ``scale_scores`` when provided (e.g. the whole comparison) and otherwise
     over the pooled scores given here. Default penalty: 1000 x mean distance.
-    The result is a new array, filled in blocks of rows; ``dist`` is not
-    modified.
+    The mean is numpy's pairwise sum over the distances in their memory
+    order, so on a transposed layout it sums them control row by control
+    row; the same distances in the two layouts may give penalties that
+    differ in the last bit.
+
+    The result goes to ``out`` when it is given, which may be ``dist`` itself
+    (``build_match`` adds the caliper to its distances in place), and
+    otherwise to a new array with the memory layout of ``dist``; ``dist`` is
+    modified only when it is ``out``. The penalty is added in blocks of
+    memory rows (treated rows, or control rows of a transposed layout), so
+    the temporaries stay small next to the distance matrix.
     """
     lt = logit(np.asarray(scores_treated, dtype=float))
     lc = logit(np.asarray(scores_control, dtype=float))
@@ -309,14 +337,24 @@ def apply_caliper(
     dist = np.asarray(dist)
     if penalty is None:
         penalty = 1000.0 * float(dist.mean()) if dist.size else 0.0
-    out = np.empty(dist.shape, dtype=np.result_type(dist, np.float64))
-    for start in range(0, dist.shape[0], _CALIPER_ROWS):
-        block = slice(start, start + _CALIPER_ROWS)
-        excess = np.abs(lt[block, None] - lc[None, :])
+    if out is None:
+        out = np.array(dist, dtype=np.result_type(dist, np.float64), order="K")
+    elif out.shape != dist.shape:
+        raise ValueError("out must have the shape of dist")
+    elif out is not dist:
+        np.copyto(out, dist)
+    # |a - b| equals |b - a| exactly, so either arm may index the blocks.
+    rows, a, b = (out.T, lc, lt) if out.T.flags.c_contiguous and not out.flags.c_contiguous else (out, lt, lc)
+    buffer = np.empty((min(_CALIPER_ROWS, rows.shape[0]), rows.shape[1]))
+    for start in range(0, rows.shape[0], _CALIPER_ROWS):
+        block = rows[start : start + _CALIPER_ROWS]
+        excess = buffer[: block.shape[0]]
+        np.subtract(a[start : start + _CALIPER_ROWS, None], b[None, :], out=excess)
+        np.abs(excess, out=excess)
         excess -= width
         np.maximum(excess, 0.0, out=excess)
         excess *= penalty
-        np.add(dist[block], excess, out=out[block])
+        block += excess
     return out
 
 
@@ -404,7 +442,8 @@ def match_bucket(
     the arguments, the output is in id order: the sets by treated id, each
     set's controls by id, and each arm's dropped subjects by id. This is
     ``build_match``'s decode of the same label vector, on ids in place of
-    table rows. ``dist`` is not modified.
+    table rows. ``dist`` is not modified: the build works on a copy, taken in
+    id order and in the solver's layout.
     """
     n_t, n_c = len(treated_ids), len(control_ids)
     if np.shape(dist) != (n_t, n_c):
@@ -414,7 +453,10 @@ def match_bucket(
     controls = np.array([control_ids[j] for j in c], dtype=object)
     if n_t == 0 or n_c == 0:
         return [], [(s, REASON_UNMATCHED) for s in treated.tolist() + controls.tolist()]
-    labels = _solve_assignment(_build_assignment(np.asarray(dist)[np.ix_(t, c)], k))
+    dist = np.asarray(dist, dtype=float)
+    # A copy in id order and in the solver's layout, for the build to work on.
+    cost = dist.T[np.ix_(c, t)].T if n_t > n_c else dist[np.ix_(t, c)]
+    labels = _solve_assignment(_build_assignment(cost, k))
     members, sizes, dropped = _decode(labels, treated, controls)
     members = members.tolist()
     starts = (np.cumsum(sizes) - sizes).tolist()
@@ -441,24 +483,34 @@ class _Assignment:
 
 def _build_assignment(dist: np.ndarray, k: int) -> _Assignment:
     """The assignment matrix of a non-empty cell, as ``match_bucket`` documents
-    it, without modifying ``dist``. Rows and columns must be in id order.
+    it. Rows and columns must be in id order.
 
-    The integer costs are the one full-size array the build allocates besides
-    the replicated rows and dummy columns. A cell with more treated subjects
-    than controls gets its costs laid out as the C-contiguous transpose,
-    which the solver takes without copying; it transposes a tall matrix
-    itself, so the pairs are the same.
+    The build works in place: ``dist`` must be a writable float64 array in
+    the layout ``rank_mahalanobis`` returns, C-contiguous when n_t <= n_c
+    and the transpose of a C-contiguous array when n_t > n_c, and it is
+    scaled and rounded into the integer costs. Min and max reductions check
+    it for NaN, infinite and negative entries without allocating. A cell
+    with one row per treated subject hands ``dist`` itself to the solver, as
+    the transposed C-contiguous (n_c, n_t) array when n_t > n_c; the solver
+    transposes a tall matrix itself, so the pairs are the same. A cell whose
+    treated subjects own several rows allocates the replicated matrix, and
+    a cell small enough for the tie-rule fold gets folded costs in a new
+    array.
     """
-    dist = np.asarray(dist, dtype=float)
-    if not np.isfinite(dist).all() or (dist < 0).any():
-        raise ValueError("distances must be finite and non-negative")
     n_t, n_c = dist.shape
     transposed = n_t > n_c
-    scaled = np.empty((n_c, n_t)).T if transposed else np.empty((n_t, n_c))
-    np.multiply(dist, _COST_SCALE, out=scaled)
-    np.round(scaled, out=scaled)
+    if not (
+        dist.dtype == np.float64
+        and dist.flags.writeable
+        and (dist.T if transposed else dist).flags.c_contiguous
+    ):
+        raise ValueError("distances must be a writable float64 array in the solver's layout")
+    if not (dist.min() >= 0.0 and dist.max() < np.inf):
+        raise ValueError("distances must be finite and non-negative")
+    np.multiply(dist, _COST_SCALE, out=dist)
+    np.round(dist, out=dist)
     # No assignment takes more than max(n_c, k * n_t) entries.
-    cost = _fold_tie_rule(scaled, max(n_c, k * n_t))
+    cost = _fold_tie_rule(dist, max(n_c, k * n_t))
     if transposed:
         return _Assignment(np.ascontiguousarray(cost.T), True, 1, n_t, n_c)
 
@@ -467,14 +519,43 @@ def _build_assignment(dist: np.ndarray, k: int) -> _Assignment:
         return _Assignment(cost, False, 1, n_t, n_c)
     n_rows = n_t * copies
     # Where the rows outnumber the controls, dummy columns square the matrix.
+    # Their finite forbidden cost exceeds any feasible real total, so it is
+    # never paid. It is taken before the replicated matrix exists, so the
+    # sorted copy of the costs does not add to the peak.
+    forbidden = float(np.sort(cost, axis=None)[-n_c:].sum()) + 1.0 if n_rows > n_c else 0.0
     matrix = np.zeros((n_rows, max(n_rows, n_c)))
     for copy in range(copies):
         matrix[copy::copies, :n_c] = cost
-    if n_rows > n_c:
-        # The finite forbidden cost exceeds any feasible real total, so it is
-        # never paid.
-        matrix[::copies, n_c:] = float(np.sort(cost, axis=None)[-n_c:].sum()) + 1.0
+    matrix[::copies, n_c:] = forbidden
     return _Assignment(matrix, False, copies, n_t, n_c)
+
+
+def _cell_assignment(
+    x_treated: np.ndarray,
+    x_control: np.ndarray,
+    scores_treated: np.ndarray,
+    scores_control: np.ndarray,
+    k: int,
+    params: MatchingParams,
+    scale_scores: np.ndarray,
+) -> _Assignment:
+    """One cell's assignment matrix, built on the main thread of
+    ``build_match``: the distances, the caliper added to them in place, and
+    the integer costs scaled and rounded in place, all in one array. Both
+    arms must be in id order."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # constant-column drops are routine in small cells
+        dist = rank_mahalanobis(x_treated, x_control)
+    apply_caliper(
+        dist,
+        scores_treated,
+        scores_control,
+        width_sd=params.caliper_width_sd,
+        penalty=params.caliper_penalty,
+        scale_scores=scale_scores,
+        out=dist,
+    )
+    return _build_assignment(dist, k)
 
 
 def _solve_assignment(cell: _Assignment) -> np.ndarray:
@@ -597,20 +678,16 @@ def build_match(table: SubjectTable, scores, params: MatchingParams = MatchingPa
             t_rows, c_rows = cells[key]
             while len(running) >= workers:
                 _, running = wait(running, return_when=FIRST_COMPLETED)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")  # constant-column drops are routine in small cells
-                dist = rank_mahalanobis(table.covariates[t_rows], table.covariates[c_rows])
-            dist = apply_caliper(
-                dist,
+            # The worker holds the only reference to the built matrix.
+            cell = _cell_assignment(
+                table.covariates[t_rows],
+                table.covariates[c_rows],
                 scores[t_rows],
                 scores[c_rows],
-                width_sd=params.caliper_width_sd,
-                penalty=params.caliper_penalty,
-                scale_scores=kept_scores,
+                key[1],
+                params,
+                kept_scores,
             )
-            # The worker holds the only reference to the built matrix.
-            cell = _build_assignment(dist, key[1])
-            del dist
             solves[key] = pool.submit(_solve_assignment, cell)
             del cell
             running.add(solves[key])

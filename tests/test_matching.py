@@ -1,6 +1,7 @@
 import itertools
 import os
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction
 from unittest import mock
@@ -535,6 +536,152 @@ class TestOneDecode:
         )
         assert id_sets(table, result) == sets
         assert id_ledger(table, result) == dropped
+
+
+def solver_layout(a):
+    """A copy of ``a`` in the layout the assignment solver takes: C-order
+    when it is wide or square, the transpose of a C-order array when tall."""
+    return np.ascontiguousarray(a.T).T if a.shape[0] > a.shape[1] else np.ascontiguousarray(a)
+
+
+class TestOneCostMatrix:
+    """A cell's distances, caliper and integer costs share one array, laid
+    out as the solver takes it."""
+
+    @pytest.mark.parametrize("n_t, n_c", [(3, 5), (4, 4), (5, 3), (1, 6), (6, 1)])
+    @pytest.mark.parametrize("constant", [False, True])
+    def test_rank_mahalanobis_returns_the_solver_layout(self, n_t, n_c, constant):
+        rng = np.random.default_rng(21)
+        xt, xc = rng.normal(size=(n_t, 3)), rng.normal(size=(n_c, 3))
+        if constant:  # every covariate dropped: the distances are zeros
+            xt, xc = np.ones_like(xt), np.ones_like(xc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            d = rank_mahalanobis(xt, xc)
+        assert d.shape == (n_t, n_c) and d.dtype == np.float64
+        assert (d.T if n_t > n_c else d).flags.c_contiguous
+        np.testing.assert_allclose(d, rank_mahalanobis(xc, xt).T if not constant else 0.0, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-300])
+    @pytest.mark.parametrize("shape", [(3, 5), (5, 3)])
+    def test_build_rejects_non_finite_and_negative_distances(self, bad, shape):
+        dist = solver_layout(np.random.default_rng(22).random(shape))
+        dist[1, 2] = bad
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            matching._build_assignment(dist, 1)
+
+    @pytest.mark.parametrize("shape", [(3, 5), (5, 3)])
+    def test_build_accepts_zeros_of_either_sign(self, shape):
+        dist = solver_layout(np.random.default_rng(23).random(shape))
+        dist[0, 0], dist[1, 1] = 0.0, -0.0
+        matching._build_assignment(dist, 1)
+
+    @pytest.mark.parametrize("dist", [np.zeros((3, 5), order="F"), np.zeros((5, 3)), np.zeros((3, 5), dtype=np.float32)])
+    def test_build_rejects_another_layout(self, dist):
+        with pytest.raises(ValueError, match="solver's layout"):
+            matching._build_assignment(dist, 1)
+
+    @pytest.mark.parametrize("n_t, n_c", [(30, 40), (40, 40), (40, 30)])
+    def test_one_row_per_treated_subject_solves_the_input_array(self, n_t, n_c):
+        # 30 or more controls: too large for the tie-rule fold.
+        dist = solver_layout(np.random.default_rng(24).random((n_t, n_c)))
+        want = np.round(dist * matching._COST_SCALE)
+        cell = matching._build_assignment(dist, 1)
+        assert (cell.copies, cell.transposed) == (1, n_t > n_c)
+        assert cell.matrix.flags.c_contiguous and np.shares_memory(cell.matrix, dist)
+        np.testing.assert_array_equal(cell.matrix, want.T if n_t > n_c else want)
+
+    def test_caliper_in_the_transposed_layout(self):
+        # 70 controls: two blocks of memory rows; the default penalty's mean
+        # sums the distances in memory order.
+        rng = np.random.default_rng(25)
+        d = solver_layout(rng.random((90, 70)) * 10.0)
+        s_t, s_c = rng.uniform(0.05, 0.95, size=90), rng.uniform(0.05, 0.95, size=70)
+        before = d.copy()
+        want = apply_caliper(np.ascontiguousarray(d), s_t, s_c, penalty=1000.0 * float(d.T.mean()))
+        out = apply_caliper(d, s_t, s_c)
+        assert out.T.flags.c_contiguous and not np.shares_memory(out, d)
+        np.testing.assert_array_equal(d, before)
+        np.testing.assert_array_equal(out, want)
+        into = np.empty_like(d)
+        assert apply_caliper(d, s_t, s_c, out=into) is into
+        np.testing.assert_array_equal(into, want)
+        assert apply_caliper(d, s_t, s_c, out=d) is d
+        np.testing.assert_array_equal(d, want)
+
+    @pytest.mark.parametrize("regime", REGIMES)
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_in_place_build_equals_the_layered_build(self, regime, data):
+        # Cells from 1 x 1 to beyond the tie-rule fold's bound, both
+        # orientations (scarce cells are tall), default or fixed penalty.
+        k = data.draw(st.integers(2 if regime == "intermediate" else 1, 4))
+        if regime == "scarce":
+            n_c = data.draw(st.integers(1, 20))
+            n_t = data.draw(st.integers(n_c + 1, n_c + 30))
+        elif regime == "surplus":
+            n_t = data.draw(st.integers(1, 8))
+            n_c = data.draw(st.integers(k * n_t, k * n_t + 20))
+        else:
+            n_t = data.draw(st.integers(1, 12))
+            n_c = data.draw(st.integers(n_t, k * n_t - 1))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        xt, xc = rng.normal(size=(n_t, 3)).round(1), rng.normal(size=(n_c, 3)).round(1)
+        s_t, s_c = rng.uniform(0.05, 0.95, size=n_t), rng.uniform(0.05, 0.95, size=n_c)
+        scale = np.concatenate([s_t, s_c, rng.uniform(0.05, 0.95, size=5)])
+        params = MatchingParams(caliper_width_sd=0.2, caliper_penalty=data.draw(st.sampled_from([None, 0.0, 3.5])))
+
+        cell = matching._cell_assignment(xt, xc, s_t, s_c, k, params, scale)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            dist = rank_mahalanobis(xt, xc)
+        penalized = apply_caliper(dist, s_t, s_c, width_sd=0.2, penalty=params.caliper_penalty, scale_scores=scale)
+        layered = matching._build_assignment(penalized, k)
+        assert (cell.transposed, cell.copies, cell.n_t, cell.n_c) == (n_t > n_c, layered.copies, n_t, n_c)
+        assert cell.matrix.shape == layered.matrix.shape and cell.matrix.dtype == layered.matrix.dtype
+        assert cell.matrix.tobytes() == layered.matrix.tobytes()
+
+
+class TestCellMemory:
+    @pytest.mark.parametrize(
+        "n_t, n_c, k",
+        [
+            (600, 800, 1),  # one row per treated subject
+            (800, 600, 1),  # more treated subjects than controls: the transposed layout
+            (300, 450, 2),  # two rows per treated subject, and dummy columns
+        ],
+    )
+    def test_build_match_holds_one_cost_matrix_per_cell(self, n_t, n_c, k):
+        # One cell: one stratum, every score in interval k. Its build holds
+        # the cost matrix, plus the replicated matrix where a treated subject
+        # owns several rows; the caliper's row block (a ninth of the cost
+        # matrix here) and the O(n * p) arrays stay under a third of it. A
+        # build that copies the cost matrix once more exceeds the bound.
+        rng = np.random.default_rng(26)
+        n = n_t + n_c
+        table = make_table(np.array([1] * n_t + [0] * n_c), rng.normal(size=(n, 4)))
+        low, high = 1.0 / (k + 2), 1.0 / (k + 1)
+        scores = rng.uniform(low + 0.1 * (high - low), low + 0.9 * (high - low), size=n)
+        scores[0], scores[n_t] = low + 0.95 * (high - low), low + 0.05 * (high - low)  # the trim keeps everyone
+        assert (propensity_interval(scores) == k).all()
+        cost = n_t * n_c * 8
+        copies = max(1, min(k, n_c - n_t + 1))
+        rows = n_t * copies
+        replicated = rows * max(rows, n_c) * 8 if copies > 1 else 0
+
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        try:
+            result = build_match(table, scores)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert len(result.sets) == min(n_t, n_c)
+        assert peak < cost + replicated + cost / 3
 
 
 def assert_not_folded(dist, t_ids, c_ids, k):
