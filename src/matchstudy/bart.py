@@ -5,11 +5,13 @@ Continuous responses are standardized to [-0.5, 0.5] internally and the leaf
 prior is N(0, (0.5/(k*sqrt(m)))^2); the residual variance gets a scaled
 inverse-chi-square prior calibrated so the q-quantile of the prior sd sits at
 the sample sd. The chi-square quantile this needs is 2 * gammaincinv(nu/2,
-1 - q), the inverse regularized incomplete gamma function from
+1 - q), the inverse regularized incomplete gamma function of
 ``scipy.special``; that is the formula ``scipy.stats.chi2.ppf`` evaluates,
 so the prior is the same to the bit without loading ``scipy.stats``. Binary
 responses use the probit augmentation: latent normals with unit variance,
-truncated by the observed class.
+truncated by the observed class, drawn through ``ndtr`` and ``ndtri``. All
+three functions come from ``_scipy``, which loads them from the extension
+module ``scipy.special._ufuncs`` without the ``scipy.special`` package.
 
 Split candidates are the observed unique values of each covariate (excluding
 each column's maximum, which cannot separate anything); proposals that would
@@ -23,7 +25,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincinv, ndtr, ndtri
+
+from ._scipy import gammaincinv, ndtr, ndtri
 
 
 @dataclass(frozen=True)

@@ -455,7 +455,7 @@ def attrition_check(table: SubjectTable, outcome: str) -> AttritionResult:
     se = math.sqrt(max(cov[-1, -1], 0.0))
     if se == 0.0:
         return AttritionResult(coef=coef, p=math.nan, separation=True)
-    from scipy.special import ndtr
+    from ._scipy import ndtr
 
     p = 2.0 * float(ndtr(-abs(coef) / se))
     return AttritionResult(coef=coef, p=min(p, 1.0), separation=False)
@@ -557,7 +557,7 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> SyntheticCohort:
         + tuple(Covariate(name, BINARY) for name in names[config.n_continuous :])
     )
 
-    from scipy.special import expit
+    from ._scipy import expit
 
     e = expit(config.propensity_intercept + x @ coefs)
     z = (rng.random(n) < e).astype(np.int64)

@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, ndtr
 
+from ._scipy import gammaln, ndtr
 from .dataset import SubjectTable
 from .matching import MatchResult, SetLayout, member_rows
 

@@ -28,27 +28,21 @@ penalty is added to it in place, in blocks of its memory rows, and
 solver as it is. Only a cell whose treated subjects own several rows
 allocates a second full-size matrix, the replicated one.
 
-The solver is scipy's ``linear_sum_assignment``, loaded alone from its own
-extension module, ``scipy.optimize._lsap``. Importing the ``scipy.optimize``
-package would load ``scipy.linalg``, ``scipy.sparse`` and ``linprog`` with
-it, about 250 modules that no stage uses, into every process. Of scipy, the
-library loads only ``scipy.special`` and this one extension module.
+The solver is scipy's ``linear_sum_assignment``, which ``_scipy`` loads
+alone from its own extension module, ``scipy.optimize._lsap``, without the
+``scipy.optimize`` package.
 """
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 import os
-import sys
 import warnings
 from collections.abc import Sequence
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
-from scipy.special import logit
 
+from ._scipy import linear_sum_assignment, logit
 from .dataset import SubjectTable, ValidationError, finite_number, id_order, missingness_flags, whole_number
 
 #: Largest number of controls a single treated subject can receive.
@@ -68,29 +62,6 @@ _COST_SCALE = 1e6
 #: Memory rows per block of ``apply_caliper``'s penalty, so its temporary
 #: stays small next to the distance matrix.
 _CALIPER_ROWS = 64
-
-
-def _load_solver(folders: Sequence[str]):
-    """``linear_sum_assignment`` from the extension module ``_lsap`` in one of
-    ``folders``, loaded under its real name, ``scipy.optimize._lsap``, so that
-    a later ``import scipy.optimize`` reuses it. Where no folder holds the
-    module (another scipy layout), the public ``scipy.optimize`` function,
-    which runs the same C function."""
-    name = "scipy.optimize._lsap"
-    spec = importlib.machinery.PathFinder.find_spec(name, folders)
-    if spec is None:
-        from scipy.optimize import linear_sum_assignment
-
-        return linear_sum_assignment
-    module = sys.modules.get(name)
-    if module is None:
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-        sys.modules[name] = module
-    return module.linear_sum_assignment
-
-
-linear_sum_assignment = _load_solver([os.path.join(p, "optimize") for p in scipy.__path__])
 
 
 class MatchingError(ValueError):

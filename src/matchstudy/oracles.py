@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.special import expit, ndtr
 
 from . import inference, matching, propensity, sensitivity
+from ._scipy import expit, ndtr
 
 #: Cap on enumerated states in any single brute-force pass.
 ENUMERATION_LIMIT = 4_000_000

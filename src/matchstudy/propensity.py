@@ -15,7 +15,8 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
+
+from ._scipy import expit
 
 _SCORE_EPS = 1e-12
 

@@ -13,8 +13,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtr
 
+from ._scipy import ndtr
 from .inference import MH_EXACT_LIMIT, SetLayout, _binary_set_margins, event_tail_probabilities
 
 #: Default Gamma grid: 1.0 through 3.0 in steps of 0.05.

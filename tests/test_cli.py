@@ -721,9 +721,10 @@ class TestOracle:
 
 
 # Run in a fresh interpreter: this test process has loaded scipy.stats itself.
-# scipy.stats is only a test oracle. Of scipy.optimize the runtime needs only
-# the solver's extension module, and the package would load scipy.linalg and
-# scipy.sparse with it.
+# scipy.stats is only a test oracle. Of scipy.optimize and scipy.special the
+# runtime needs only extension modules: the scipy.optimize package would load
+# scipy.linalg and scipy.sparse with it, and the scipy.special package runs
+# scipy._lib._array_api, which loads numpy.f2py and numpy.testing.
 _SCIPY_PROBE = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
@@ -731,21 +732,37 @@ import matchstudy, matchstudy.cli
 from matchstudy.config import config_from_dict
 from matchstudy.pipeline import run_pipeline
 
-UNUSED = {"scipy.stats", "scipy.optimize", "scipy.linalg", "scipy.sparse"}
+UNUSED = (
+    "scipy.stats", "scipy.optimize", "scipy.linalg", "scipy.sparse", "scipy.special",
+    "scipy._lib._array_api", "numpy.f2py", "numpy.testing",
+)
+EXTENSIONS = {
+    "scipy.optimize._lsap", "scipy.special._ufuncs_cxx", "scipy.special._special_ufuncs",
+    "scipy.special._gufuncs", "scipy.special._ellip_harm_2", "scipy.special._ufuncs",
+}
 
 def loaded():
     return sorted(
-        m for m in sys.modules if ".".join(m.split(".")[:2]) in UNUSED and m != "scipy.optimize._lsap"
+        m for m in sys.modules
+        if m not in EXTENSIONS and any(m == u or m.startswith(u + ".") for u in UNUSED)
     )
 
 after_import = loaded()
 run_pipeline(config_from_dict(json.loads(sys.argv[2])))
 after_run = loaded()
-# The package, imported last, takes the solver the runtime loaded.
-import scipy.optimize
-from matchstudy import matching
+# The packages, imported last, take the functions the runtime loaded.
+import scipy.optimize, scipy.special
+from matchstudy import bart, inference, matching, oracles, propensity, sensitivity
 assert scipy.optimize.linear_sum_assignment is matching.linear_sum_assignment
 assert scipy.optimize.linear_sum_assignment([[2.0, 1.0], [1.0, 2.0]])[1].tolist() == [1, 0]
+held = {
+    "expit": (propensity, oracles), "gammaincinv": (bart,), "gammaln": (inference,),
+    "logit": (matching,), "ndtr": (bart, inference, oracles, sensitivity), "ndtri": (bart,),
+}
+for name, modules in held.items():
+    for module in modules:
+        assert getattr(scipy.special, name) is getattr(module, name), (name, module.__name__)
+assert round(float(scipy.special.ndtri(0.975)), 6) == 1.959964
 print(json.dumps({"after_import": after_import, "after_run": after_run}))
 """
 

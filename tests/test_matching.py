@@ -8,6 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
@@ -36,7 +37,7 @@ from matchstudy.matching import (
 from matchstudy.oracles import brute_force_bucket_cost, brute_force_canonical_match, match_total_cost
 from matchstudy.pipeline import format_match_row
 
-from util import id_ledger, id_sets, make_table
+from util import id_ledger, id_sets, load_in_fresh_interpreter, make_table
 
 
 def exact_rank_mahalanobis(x_treated, x_control):
@@ -487,14 +488,15 @@ class TestSolver:
         assert matching.linear_sum_assignment is linear_sum_assignment
         assert sys.modules["scipy.optimize._lsap"].linear_sum_assignment is linear_sum_assignment
 
-    def test_folder_without_the_extension_gives_the_public_function(self, tmp_path, monkeypatch):
-        import scipy.optimize
-
-        public = mock.Mock(name="linear_sum_assignment")
-        monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", public)
-        assert matching._load_solver([str(tmp_path)]) is public
+    def test_folder_without_the_extension_gives_the_public_function(self, tmp_path):
+        # In a fresh interpreter: this one has imported scipy.optimize, which
+        # the loader would reuse.
+        solve = "result.linear_sum_assignment([[2.0, 1.0], [1.0, 2.0]])[1].tolist()"
+        fallback = load_in_fresh_interpreter("scipy.optimize", ["_lsap"], [str(tmp_path)], solve)
+        assert fallback == {"module": "scipy.optimize", "at_fallback": [[]], "package_imported": True, "value": [1, 0]}
         folders = [os.path.join(p, "optimize") for p in scipy.__path__]
-        assert matching._load_solver(folders) is sys.modules["scipy.optimize._lsap"].linear_sum_assignment
+        alone = load_in_fresh_interpreter("scipy.optimize", ["_lsap"], folders, solve)
+        assert alone == {"module": "scipy.optimize._lsap", "at_fallback": [], "package_imported": False, "value": [1, 0]}
 
 
 class TestOneDecode:

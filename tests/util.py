@@ -1,8 +1,14 @@
 """Shared builders for the test suite."""
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 
+import matchstudy
 from matchstudy.dataset import SubjectTable
 from matchstudy.matching import MatchCounts, MatchResult, SetLayout
 
@@ -190,3 +196,55 @@ def reference_matched_arrays(table, result, outcome):
         rows.extend(members)
         sets.append(np.arange(start, start + len(members)))
     return np.array(rows, dtype=int), tuple(sets), tuple(excluded)
+
+
+# Stand-ins for the two packages make the loader's own module-level loads
+# reuse them and load nothing; with the stand-ins removed, the call runs as in
+# a fresh interpreter. The loader's fallback goes through
+# importlib.import_module, which records the package's entries it finds.
+_LOADER_PROBE = """
+import importlib, importlib.util, json, sys, types
+path, package, modules, folders, expression = sys.argv[1:]
+stand_in = types.SimpleNamespace(
+    **dict.fromkeys(("linear_sum_assignment", "expit", "gammaincinv", "gammaln", "logit", "ndtr", "ndtri"))
+)
+sys.modules["scipy.optimize"] = sys.modules["scipy.special"] = stand_in
+spec = importlib.util.spec_from_file_location("loader", path)
+loader = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(loader)
+del sys.modules["scipy.optimize"], sys.modules["scipy.special"]
+assert not [m for m in sys.modules if m.startswith(("scipy.optimize", "scipy.special"))]
+
+at_fallback = []
+public_import = importlib.import_module
+
+def import_module(name):
+    at_fallback.append(sorted(m for m in sys.modules if m == name or m.startswith(name + ".")))
+    return public_import(name)
+
+importlib.import_module = import_module
+result = loader.load(package, json.loads(modules), json.loads(folders))
+print(json.dumps({
+    "module": result.__name__,
+    "at_fallback": at_fallback[:1],
+    "package_imported": package in sys.modules,
+    "value": eval(expression),
+}))
+"""
+
+
+def load_in_fresh_interpreter(package, modules, folders, expression):
+    """Run ``matchstudy._scipy.load(package, modules, folders)`` in a fresh
+    interpreter. Returns the loaded module's name, the ``package`` entries
+    of ``sys.modules`` when the fallback began (empty list: no fallback),
+    whether ``package`` was then imported, and ``expression`` evaluated on
+    the result (named ``result``)."""
+    path = os.path.join(os.path.dirname(os.path.abspath(matchstudy.__file__)), "_scipy.py")
+    proc = subprocess.run(
+        [sys.executable, "-c", _LOADER_PROBE, path, package, json.dumps(modules), json.dumps(folders), expression],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
