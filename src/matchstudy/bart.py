@@ -17,11 +17,14 @@ Split candidates are the observed unique values of each covariate (excluding
 each column's maximum, which cannot separate anything); proposals that would
 create an empty leaf are rejected outright.
 
-A fit keeps its in-sample draws only; the trees themselves are not retained.
+Each fit streams its retained draws into one length-n sum and returns the
+posterior mean of its in-sample values, the only thing its callers read; no
+draw and no tree outlives the fit.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,28 +82,6 @@ class BartParams:
             raise ValueError("proposal probabilities must be >= 0")
         if abs(sum(mix) - 1.0) > 1e-12:
             raise ValueError("proposal probabilities must sum to 1")
-
-
-@dataclass
-class BartRegressionFit:
-    """Posterior sample of a sum-of-trees regression."""
-
-    sigma_draws: np.ndarray
-    in_sample: np.ndarray  # (draws, n) fitted values on the original scale
-    y_min: float
-    y_scale: float
-    params: BartParams
-    seed: int
-    constant_response: bool = False
-
-
-@dataclass
-class BartBinaryFit:
-    """Posterior sample of a probit sum-of-trees classifier."""
-
-    in_sample_probs: np.ndarray  # (draws, n)
-    params: BartParams
-    seed: int
 
 
 class _Tree:
@@ -226,8 +207,9 @@ class _Sampler:
         self.params = params
         self.leaf_var = leaf_sd * leaf_sd
         self.rng = np.random.default_rng(seed)
-        # Global split candidates: observed uniques minus each column's max.
-        self.cuts = [np.unique(col)[:-1] for col in self.columns]
+        # Global split candidates: observed uniques minus each column's max,
+        # read off the sorted columns (np.unique would import numpy.ma).
+        self.cuts = [s[:-1][s[:-1] != s[1:]] for s in np.sort(self.columns, axis=1)]
         m = params.num_trees
         self.trees = [_Tree(self.n) for _ in range(m)]
         self.fits = np.zeros((m, self.n))
@@ -384,7 +366,7 @@ class _Sampler:
                 stack.extend((tree.left[i], tree.right[i]))
         if tree.leaves() != sorted(reachable):
             raise AssertionError("row-list keys differ from the tree's leaves")
-        if tree.leaves() != np.unique(tree.leaf_of).tolist():
+        if tree.leaves() != np.flatnonzero(np.bincount(tree.leaf_of)).tolist():
             raise AssertionError("leaf list differs from the rows' leaves")
         for leaf, rows in tree.rows.items():
             if np.any(np.diff(rows) <= 0):
@@ -404,11 +386,10 @@ def _standardize(y: np.ndarray) -> tuple[np.ndarray, float, float]:
     return (y - y_min) / y_scale - 0.5, y_min, y_scale
 
 
-def fit_bart_regression(
-    x: np.ndarray, y: np.ndarray, params: BartParams | None = None, seed: int = 0, validate: bool = False
-) -> BartRegressionFit:
-    """Fit the sum-of-trees regression by MCMC and keep the post-burn draws."""
-    params = params or BartParams()
+def _regression_draws(
+    x: np.ndarray, y: np.ndarray, params: BartParams, seed: int, validate: bool
+) -> Iterator[tuple[np.ndarray, float]]:
+    """Yield each retained draw: fitted values on the original scale, sigma."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 2 or y.shape != (x.shape[0],):
@@ -417,53 +398,46 @@ def fit_bart_regression(
     y_std, y_min, y_scale = _standardize(y)
     if y_scale == 0.0:
         # Degenerate response: every draw reproduces the constant.
-        return BartRegressionFit(
-            sigma_draws=np.zeros(params.draws),
-            in_sample=np.full((params.draws, n), y_min),
-            y_min=y_min,
-            y_scale=1.0,
-            params=params,
-            seed=seed,
-            constant_response=True,
-        )
+        for _ in range(params.draws):
+            yield np.full(n, y_min), 0.0
+        return
 
     leaf_sd = 0.5 / (params.leaf_prior_k * math.sqrt(params.num_trees))
     sampler = _Sampler(x, params, leaf_sd, seed)
-    sd_hat = float(np.std(y_std, ddof=1)) if n > 1 else 0.5
+    # y takes at least two values here, so n >= 2.
+    sd_hat = float(np.std(y_std, ddof=1))
     nu = params.sigma_prior_df
     chi2_quantile = 2.0 * float(gammaincinv(nu / 2.0, 1.0 - params.sigma_prior_quantile))
     lam = sd_hat * sd_hat * chi2_quantile / nu
     sigma2 = sd_hat * sd_hat
 
-    sigma_draws = np.empty(params.draws)
-    in_sample = np.empty((params.draws, n))
     for it in range(params.burn_in + params.draws):
         sampler.backfit_iteration(y_std, sigma2, validate=validate)
         ssr = float(np.sum((y_std - sampler.total) ** 2))
         sigma2 = (nu * lam + ssr) / float(sampler.rng.chisquare(nu + n))
         if it >= params.burn_in:
-            k = it - params.burn_in
-            sigma_draws[k] = math.sqrt(sigma2) * y_scale
-            in_sample[k] = (sampler.total + 0.5) * y_scale + y_min
-    return BartRegressionFit(
-        sigma_draws=sigma_draws,
-        in_sample=in_sample,
-        y_min=y_min,
-        y_scale=y_scale,
-        params=params,
-        seed=seed,
-    )
+            yield (sampler.total + 0.5) * y_scale + y_min, math.sqrt(sigma2) * y_scale
+
+
+def fit_bart_regression(
+    x: np.ndarray, y: np.ndarray, params: BartParams | None = None, seed: int = 0, validate: bool = False
+) -> np.ndarray:
+    """Posterior mean of the sum-of-trees regression's in-sample fit."""
+    params = params or BartParams()
+    total = np.zeros(len(x))
+    for fitted, _ in _regression_draws(x, y, params, seed, validate):
+        total += fitted
+    return total / params.draws
 
 
 #: Leaf-prior numerator for the probit model (latent scale spans about +-3).
 _BINARY_LEAF_SPAN = 3.0
 
 
-def fit_bart_binary(
-    x: np.ndarray, z: np.ndarray, params: BartParams | None = None, seed: int = 0, validate: bool = False
-) -> BartBinaryFit:
-    """Probit sum-of-trees fit via truncated-normal latent augmentation."""
-    params = params or BartParams()
+def _binary_draws(
+    x: np.ndarray, z: np.ndarray, params: BartParams, seed: int, validate: bool
+) -> Iterator[np.ndarray]:
+    """Yield each retained draw's in-sample probabilities."""
     x = np.asarray(x, dtype=float)
     z = np.asarray(z)
     if x.ndim != 2 or z.shape != (x.shape[0],):
@@ -475,7 +449,6 @@ def fit_bart_binary(
     sampler = _Sampler(x, params, leaf_sd, seed)
     positive = z == 1
 
-    probs = np.empty((params.draws, n))
     for it in range(params.burn_in + params.draws):
         # Latent responses: N(g, 1) truncated to the observed class's side of 0.
         g = sampler.total
@@ -485,5 +458,16 @@ def fit_bart_binary(
         latent = g + ndtri(np.clip(q, 1e-15, 1.0 - 1e-15))
         sampler.backfit_iteration(latent, 1.0, validate=validate)
         if it >= params.burn_in:
-            probs[it - params.burn_in] = ndtr(sampler.total)
-    return BartBinaryFit(in_sample_probs=probs, params=params, seed=seed)
+            yield ndtr(sampler.total)
+
+
+def fit_bart_binary(
+    x: np.ndarray, z: np.ndarray, params: BartParams | None = None, seed: int = 0, validate: bool = False
+) -> np.ndarray:
+    """Posterior mean in-sample probabilities of the probit sum-of-trees fit,
+    by truncated-normal latent augmentation."""
+    params = params or BartParams()
+    total = np.zeros(len(x))
+    for probs in _binary_draws(x, z, params, seed, validate):
+        total += probs
+    return total / params.draws

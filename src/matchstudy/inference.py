@@ -106,8 +106,8 @@ def covariance_adjust(
     if method == ADJUST_BART:
         from . import bart
 
-        fit = bart.fit_bart_regression(aligned_x, aligned_r, seed=seed)
-        return aligned_r - fit.in_sample.mean(axis=0), {"method": method, "seed": seed}
+        fitted = bart.fit_bart_regression(aligned_x, aligned_r, seed=seed)
+        return aligned_r - fitted, {"method": method, "seed": seed}
     raise ValueError(f"unknown adjustment {method!r}")
 
 
@@ -214,7 +214,9 @@ def cohen_grid(outcome_sd: float, n_fill: int = 50) -> np.ndarray:
     outcome sd plus uniform fill-in points across the same span."""
     anchors = np.array([-0.8, -0.5, -0.2, 0.0, 0.2, 0.5, 0.8]) * outcome_sd
     fill = np.linspace(-0.8 * outcome_sd, 0.8 * outcome_sd, n_fill)
-    return np.unique(np.concatenate([anchors, fill]))
+    # np.unique's sort and first-of-run mask, without its numpy.ma import.
+    grid = np.sort(np.concatenate([anchors, fill]))
+    return grid[np.concatenate([[True], grid[1:] != grid[:-1]])]
 
 
 def invert_tests(

@@ -500,11 +500,10 @@ def fit_bayes(
     )
 
 
-def fit_bart_propensity(x: np.ndarray, z: np.ndarray, params=None, seed: int = 0) -> PropensityFit:
+def fit_bart_propensity(x: np.ndarray, z: np.ndarray, seed: int = 0) -> PropensityFit:
     """Sum-of-trees probit propensity fit; scores are posterior means."""
     from . import bart
 
     x, z = _check_inputs(x, z)
-    fit = bart.fit_bart_binary(x, z.astype(int), params=params, seed=seed)
-    scores = _clip_scores(fit.in_sample_probs.mean(axis=0))
+    scores = _clip_scores(bart.fit_bart_binary(x, z.astype(int), seed=seed))
     return PropensityFit(method=BART, scores=scores, diagnostics={"seed": seed})

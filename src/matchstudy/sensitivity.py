@@ -44,7 +44,8 @@ def _worst_case_moments(laid: np.ndarray, sets: SetLayout, gamma: float):
     toward the larger variance.
     """
     mu, nu = np.zeros(len(sets)), np.zeros(len(sets))
-    for n in np.unique(sets.sizes):
+    # The set sizes present, ascending (np.unique would import numpy.ma).
+    for n in np.flatnonzero(np.bincount(sets.sizes)):
         which = np.flatnonzero(sets.sizes == n)
         v = np.sort(laid[sets.starts[which, None] + np.arange(n)], axis=1)[:, ::-1]
         if n == 1:

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.stats import chi2
 
 from matchstudy import bart
 from matchstudy.bart import BartParams, fit_bart_binary, fit_bart_regression
+from matchstudy.inference import covariance_adjust
 
 
 @pytest.fixture
@@ -93,21 +95,20 @@ class TestRegression:
     def test_constant_response_reproduced_exactly(self):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(20, 2))
-        fit = fit_bart_regression(x, np.full(20, 3.25), seed=0)
-        assert fit.constant_response
-        np.testing.assert_allclose(fit.in_sample, 3.25, atol=1e-6)
+        mean = fit_bart_regression(x, np.full(20, 3.25), seed=0)
+        np.testing.assert_allclose(mean, 3.25, atol=1e-6)
 
     def test_step_function_beats_best_linear_fit(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(500, 2))
         f = 2.0 * (x[:, 0] > 0.0)
         y = f + 0.3 * rng.normal(size=500)
-        fit = fit_bart_regression(x, y, seed=0)
+        mean = fit_bart_regression(x, y, seed=0)
 
         design = np.column_stack([np.ones(500), x])
         coef, *_ = np.linalg.lstsq(design, y, rcond=None)
         rmse_linear = float(np.sqrt(np.mean((design @ coef - f) ** 2)))
-        rmse_bart = float(np.sqrt(np.mean((fit.in_sample.mean(axis=0) - f) ** 2)))
+        rmse_bart = float(np.sqrt(np.mean((mean - f) ** 2)))
         assert rmse_bart < rmse_linear
 
     def test_same_seed_bit_identical(self):
@@ -115,10 +116,10 @@ class TestRegression:
         x = rng.normal(size=(80, 2))
         y = x[:, 0] + rng.normal(size=80)
         params = BartParams(burn_in=50, draws=150)
-        a = fit_bart_regression(x, y, params=params, seed=7)
-        b = fit_bart_regression(x, y, params=params, seed=7)
-        np.testing.assert_array_equal(a.in_sample, b.in_sample)
-        np.testing.assert_array_equal(a.sigma_draws, b.sigma_draws)
+        a = list(bart._regression_draws(x, y, params, 7, False))
+        b = list(bart._regression_draws(x, y, params, 7, False))
+        np.testing.assert_array_equal(np.array([f for f, _ in a]), np.array([f for f, _ in b]))
+        assert [s for _, s in a] == [s for _, s in b]
 
     def test_backfitting_identity_holds_throughout(self):
         rng = np.random.default_rng(3)
@@ -132,10 +133,11 @@ class TestRegression:
         rng = np.random.default_rng(4)
         x = rng.normal(size=(50, 2))
         y = 13.0 - 7.0 * x[:, 0] + rng.normal(size=50)  # far from unit scale
-        fit = fit_bart_regression(x, y, params=BartParams(burn_in=40, draws=80), seed=0)
+        *_, (last, _) = bart._regression_draws(x, y, BartParams(burn_in=40, draws=80), 0, False)
         # the last draw, rebuilt from the final trees' leaf values
         totals = sum(tree.value[tree.leaf_of] for tree in samplers[-1].trees)
-        np.testing.assert_allclose((totals + 0.5) * fit.y_scale + fit.y_min, fit.in_sample[-1], atol=1e-10)
+        y_scale = y.max() - y.min()
+        np.testing.assert_allclose((totals + 0.5) * y_scale + y.min(), last, atol=1e-10)
 
     def test_fixed_stump_matches_conjugate_posterior_quadrature(self):
         # p_change=1 never alters a rootless tree, so the chain is exactly a
@@ -144,8 +146,8 @@ class TestRegression:
         y = rng.normal(5.0, 2.0, size=40)
         x = rng.normal(size=(40, 1))
         params = BartParams(num_trees=1, p_grow=0.0, p_prune=0.0, p_change=1.0, burn_in=500, draws=4000)
-        fit = fit_bart_regression(x, y, params=params, seed=0)
-        mu_draws = (fit.in_sample[:, 0] - fit.y_min) / fit.y_scale - 0.5
+        fitted = np.array([f[0] for f, _ in bart._regression_draws(x, y, params, 0, False)])
+        mu_draws = (fitted - y.min()) / (y.max() - y.min()) - 0.5
 
         y_std = (y - y.min()) / (y.max() - y.min()) - 0.5
         leaf_var = (0.5 / (params.leaf_prior_k * 1.0)) ** 2
@@ -175,16 +177,14 @@ class TestBinary:
         rng = np.random.default_rng(200)
         x = rng.integers(0, 2, size=(1200, 2)).astype(float)
         z = (rng.random(1200) < 0.45).astype(int)
-        fit = fit_bart_binary(x, z, seed=0)
-        probs = fit.in_sample_probs.mean(axis=0)
+        probs = fit_bart_binary(x, z, seed=0)
         assert np.max(np.abs(probs - z.mean())) < 0.1
 
     def test_learnable_split_classified_accurately(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(500, 2))
         z = (x[:, 0] > np.median(x[:, 0])).astype(int)
-        fit = fit_bart_binary(x, z, seed=0)
-        probs = fit.in_sample_probs.mean(axis=0)
+        probs = fit_bart_binary(x, z, seed=0)
         accuracy = np.mean((probs > 0.5) == z)
         assert accuracy > 0.85
 
@@ -195,8 +195,7 @@ class TestBinary:
         x = rng.normal(size=(200, 1))
         z = (x[:, 0] > 0).astype(int)
         params = BartParams(num_trees=1, draws=1, burn_in=0)
-        fit = fit_bart_binary(x, z, params=params, seed=0)
-        probs = fit.in_sample_probs[0]
+        (probs,) = bart._binary_draws(x, z, params, 0, False)
         values = np.unique(probs)
         assert len(values) == 2
         tree = samplers[-1].trees[0]
@@ -204,6 +203,26 @@ class TestBinary:
         side = x[:, 0] <= tree.threshold[0]
         assert len(np.unique(probs[side])) == 1
         assert len(np.unique(probs[~side])) == 1
+
+
+class TestMemory:
+    @pytest.mark.parametrize("binary", [True, False])
+    def test_fit_keeps_no_draws_array(self, binary):
+        # 400 draws of 2000 rows would take 6.4 MB as one float64 array; a fit
+        # that streams them into one sum peaks far below half of that
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(2000, 3))
+        y = (x[:, 0] > 0).astype(int) if binary else x[:, 0] + rng.normal(size=2000)
+        fit = fit_bart_binary if binary else fit_bart_regression
+        params = BartParams(num_trees=5, burn_in=10, draws=400)
+        tracemalloc.start()
+        try:
+            mean = fit(x, y, params=params, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.2e6
+        assert mean.shape == (2000,)
 
 
 def small_pinned_data():
@@ -216,12 +235,28 @@ def small_pinned_data():
 
 PINNED_PARAMS = BartParams(num_trees=5, burn_in=20, draws=20)
 
-# sha256 of the seed-3 fits' draws on small_pinned_data (float64 bytes).
+# sha256 of the seed-3 fits' draws on small_pinned_data (float64 bytes), as
+# (draws, n) arrays of the generators' rows.
 PINNED_DIGESTS = {
     "binary in_sample_probs": "7ac404141206c37d24e665ae4aad905df5c2aba942506e2ba21939908e028ce6",
     "regression in_sample": "bfe1296aeb9f0c92d7fcb48516a4540fa91912fccd35e392fd913c346a7f6f29",
     "regression sigma_draws": "13a83cbaadc1766ea708140693a8a6a7b42095aecb2fb4cb4ff9069a0ed59005",
 }
+
+# sha256 of the posterior means the seed-3 fits return on small_pinned_data,
+# and of the residuals of the bart adjustment on small_adjustment_data.
+PINNED_MEAN_DIGESTS = {
+    "binary": "9ba4f99121841675c17535ff9abb0603cce65de0bc0acee69facc74d024ef458",
+    "regression": "eee4288e6f5bea1d2364eba089172f001fe90046ac607815956339a07c98cc14",
+    "bart adjustment": "80e7110e6a8fafe93a6ca7db86ddb131d5c41018607434361ec20dc596155f2a",
+}
+
+
+def small_adjustment_data():
+    rng = np.random.default_rng(21)
+    aligned_x = np.round(rng.normal(size=(24, 2)), 2)
+    aligned_r = aligned_x[:, 0] - 0.5 * aligned_x[:, 1] ** 2 + 0.3 * rng.normal(size=24)
+    return aligned_r, aligned_x
 
 # Final node arrays (feature, threshold, left, right) of the samplers of
 # those fits, freed slots included. Thresholds are data values, so they
@@ -279,13 +314,23 @@ MIXES = [(0.4, 0.4, 0.2), (0.5, 0.5, 0.0), (0.25, 0.25, 0.5), (0.7, 0.3, 0.0), (
 class TestSamplerBookkeeping:
     def test_draws_pinned(self):
         x, z, y = small_pinned_data()
-        binary = fit_bart_binary(x, z, params=PINNED_PARAMS, seed=3)
-        regression = fit_bart_regression(x, y, params=PINNED_PARAMS, seed=3)
+        binary = list(bart._binary_draws(x, z, PINNED_PARAMS, 3, False))
+        regression = list(bart._regression_draws(x, y, PINNED_PARAMS, 3, False))
         assert {
-            "binary in_sample_probs": digest(binary.in_sample_probs),
-            "regression in_sample": digest(regression.in_sample),
-            "regression sigma_draws": digest(regression.sigma_draws),
+            "binary in_sample_probs": digest(np.array(binary)),
+            "regression in_sample": digest(np.array([f for f, _ in regression])),
+            "regression sigma_draws": digest(np.array([s for _, s in regression])),
         } == PINNED_DIGESTS
+
+    def test_posterior_means_pinned(self):
+        x, z, y = small_pinned_data()
+        aligned_r, aligned_x = small_adjustment_data()
+        resid, _ = covariance_adjust(aligned_r, aligned_x, "bart", seed=5)
+        assert {
+            "binary": digest(fit_bart_binary(x, z, params=PINNED_PARAMS, seed=3)),
+            "regression": digest(fit_bart_regression(x, y, params=PINNED_PARAMS, seed=3)),
+            "bart adjustment": digest(resid),
+        } == PINNED_MEAN_DIGESTS
 
     def test_binary_final_forest_pinned(self, samplers):
         x, z, _ = small_pinned_data()
@@ -315,9 +360,9 @@ class TestSamplerBookkeeping:
         monkeypatch.setattr(bart._Sampler, "backfit_iteration", recording)
         x, z, _ = small_pinned_data()
         params = BartParams(num_trees=8, burn_in=10, draws=60)
-        fit = fit_bart_binary(x, z, params=params, seed=4)
+        probs = np.array(list(bart._binary_draws(x, z, params, 4, False)))
         rebuilt = ndtr(np.array(totals[params.burn_in :]))
-        np.testing.assert_allclose(rebuilt, fit.in_sample_probs, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(rebuilt, probs, rtol=0, atol=1e-10)
 
     @given(
         seed=st.integers(0, 2**16),
@@ -333,15 +378,16 @@ class TestSamplerBookkeeping:
         rng = np.random.default_rng(seed)
         x = np.round(rng.normal(size=(n, p)), 1)
         y = (x[:, 0] > 0).astype(int) if binary else x[:, 0] + rng.normal(size=n)
-        fit = fit_bart_binary if binary else fit_bart_regression
+        draws = bart._binary_draws if binary else bart._regression_draws
         params = BartParams(
             num_trees=num_trees, burn_in=3, draws=5, p_grow=mix[0], p_prune=mix[1], p_change=mix[2]
         )
-        checked = fit(x, y, params=params, seed=seed, validate=True)
-        plain = fit(x, y, params=params, seed=seed)
+        checked = list(draws(x, y, params, seed, True))
+        plain = list(draws(x, y, params, seed, False))
         # the checks draw no random numbers
-        draws = "in_sample_probs" if binary else "in_sample"
-        np.testing.assert_array_equal(getattr(checked, draws), getattr(plain, draws))
+        if not binary:
+            checked, plain = [f for f, _ in checked], [f for f, _ in plain]
+        np.testing.assert_array_equal(np.array(checked), np.array(plain))
 
     @pytest.mark.parametrize(
         "corrupt, message",

@@ -767,6 +767,29 @@ print(json.dumps({"after_import": after_import, "after_run": after_run}))
 """
 
 
+# Runs every library site that reads distinct values with a plain np.unique
+# before: the grid, the sensitivity moments, and a validated BART fit (split
+# cuts and the tree check).
+_NUMPY_MA_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+import matchstudy
+from matchstudy.bart import BartParams, fit_bart_binary
+from matchstudy.inference import cohen_grid
+from matchstudy.matching import SetLayout
+from matchstudy.sensitivity import sensitivity_residual
+
+after_import = "numpy.ma" in sys.modules
+cohen_grid(1.3)
+sensitivity_residual(np.linspace(-1.0, 1.0, 12), SetLayout(np.array([2, 3, 3, 4])), 2.0)
+x = np.round(np.random.default_rng(0).normal(size=(12, 2)), 1)
+params = BartParams(num_trees=2, burn_in=2, draws=3)
+fit_bart_binary(x, (x[:, 0] > 0).astype(int), params=params, seed=0, validate=True)
+print(json.dumps({"after_import": after_import, "after_calls": "numpy.ma" in sys.modules}))
+"""
+
+
 class TestImports:
     def test_runtime_never_loads_scipy_stats(self, tmp_path):
         src = os.path.dirname(os.path.dirname(os.path.abspath(matchstudy.__file__)))
@@ -781,6 +804,16 @@ class TestImports:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == {"after_import": [], "after_run": []}
         assert os.path.exists(os.path.join(out_dir, "manifest.txt"))
+
+    def test_unique_value_sites_never_load_numpy_ma(self):
+        # numpy 2.4's plain np.unique imports numpy.ma (about 20 ms); the
+        # library sites that only want sorted distinct values avoid it
+        src = os.path.dirname(os.path.dirname(os.path.abspath(matchstudy.__file__)))
+        proc = subprocess.run(
+            [sys.executable, "-c", _NUMPY_MA_PROBE, src], capture_output=True, text=True, timeout=300
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == {"after_import": False, "after_calls": False}
 
 
 # Each run gets a fresh interpreter: OpenBLAS reads its thread count from the

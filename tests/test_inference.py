@@ -418,6 +418,14 @@ class TestInvertTests:
         assert np.all(np.diff(grid) > 0)
         assert grid[0] == -1.6 and grid[-1] == 1.6
 
+    def test_default_grid_equals_sorted_unique(self):
+        for sd in (0.3, 1.0, 2.0, 7.5):
+            for n_fill in (2, 5, 50):
+                anchors = np.array([-0.8, -0.5, -0.2, 0.0, 0.2, 0.5, 0.8]) * sd
+                fill = np.linspace(-0.8 * sd, 0.8 * sd, n_fill)
+                expected = np.unique(np.concatenate([anchors, fill]))
+                assert cohen_grid(sd, n_fill).tobytes() == expected.tobytes()
+
     def test_excluded_sets_propagate(self):
         r = np.array([4.0, 1.0, 7.0, np.nan])
         z = np.array([1, 0, 1, 0])
