@@ -66,12 +66,11 @@ def pooled_sd(values_treated: np.ndarray, values_control: np.ndarray) -> float:
 def balance_table(
     table: SubjectTable,
     result: MatchResult,
-    covariates: tuple[str, ...] | None = None,
     threshold: float = IMBALANCE_THRESHOLD,
     schema: CovariateSchema | None = None,
     codes: SubjectTable | None = None,
 ) -> tuple[BalanceRow, ...]:
-    """Pre/post balance rows for the given covariates.
+    """Pre/post balance rows, one per covariate of ``table``.
 
     Pre-match moments use every subject in ``table``; post-match moments use
     the match's member rows of ``table``, as its set layout gives them, with
@@ -81,8 +80,6 @@ def balance_table(
     level, counted on ``codes``: ``table``'s rows before scaling (by default
     ``table``), because a scaled column no longer holds its codes.
     """
-    if covariates is None:
-        covariates = table.covariate_names
     treated_pre = table.z == 1
     members, layout = member_rows(table, result)
     t_rows, c_rows = members[layout.starts], members[layout.z == 0]
@@ -110,7 +107,7 @@ def balance_table(
             )
         )
 
-    for name in covariates:
+    for name in table.covariate_names:
         add_row(name, table.covariate(name))
         if schema is not None and name in schema and schema.kind_of(name) == ORDINAL:
             values = (codes or table).covariate(name)

@@ -3,10 +3,11 @@
 The test statistic is the sum of treated members' aligned (set-mean-centered)
 adjusted responses. Under the sharp null with an additive shift tau0, the
 treated position is uniform within each set, which fixes the statistic's null
-distribution without any model for the outcomes. Exact enumeration, Monte
-Carlo, and a normal approximation are provided, plus confidence regions by
-test inversion, a conditional-logistic analysis for binary outcomes, and the
-Mantel-Haenszel test.
+distribution without any model for the outcomes; every test at one tau0 sees
+its ``adjusted_residuals``. Exact enumeration, Monte Carlo, and a normal
+approximation are provided, plus confidence regions by test inversion, a
+conditional-logistic analysis for binary outcomes, and the Mantel-Haenszel
+test.
 """
 from __future__ import annotations
 
@@ -31,7 +32,8 @@ ADJUST_BART = "bart"
 class InferenceData:
     """Matched outcomes and covariates laid out by ``sets``.
 
-    ``excluded_sets`` names treated ids of sets dropped for missing outcomes.
+    ``x`` is centred within its sets. ``excluded_sets`` names treated ids of
+    sets dropped for missing outcomes.
     """
 
     r: np.ndarray
@@ -55,32 +57,18 @@ def matched_arrays(table: SubjectTable, result: MatchResult, outcome: str) -> In
         raise ValueError(f"no matched sets with observed outcome {outcome!r}")
     keep = ~missing
     idx = rows[np.repeat(keep, layout.sizes)]
+    sets = SetLayout(layout.sizes[keep])
     return InferenceData(
         r=table.outcomes[idx, j],
-        x=table.covariates[idx],
-        sets=SetLayout(layout.sizes[keep]),
+        x=sets.centre(table.covariates[idx]),
+        sets=sets,
         excluded_sets=tuple(table.ids[t] for t in rows[layout.starts[missing]].tolist()),
     )
 
 
-def align_responses(
-    r: np.ndarray,
-    sets: SetLayout,
-    tau0: float,
-    x: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Remove the hypothesized effect and the set means.
-
-    ``r`` and ``x`` are laid out by ``sets``. Responses become
-    (r - tau0*z) minus the set mean of that quantity; covariate columns are
-    centered the same way. Both come back with set means that are exactly
-    zero up to rounding.
-    """
-
-    def centre(laid: np.ndarray) -> np.ndarray:
-        return laid - np.repeat(sets.means(laid), sets.sizes, axis=0)
-
-    return centre(sets.check(r) - tau0 * sets.z), (centre(sets.check(x)) if x is not None else None)
+def align_responses(r: np.ndarray, sets: SetLayout, tau0: float) -> np.ndarray:
+    """(r - tau0*z) less its set means, for responses ``r`` laid out by ``sets``."""
+    return sets.centre(sets.check(r) - tau0 * sets.z)
 
 
 def covariance_adjust(
@@ -109,6 +97,11 @@ def covariance_adjust(
         fitted = bart.fit_bart_regression(aligned_x, aligned_r, seed=seed)
         return aligned_r - fitted, {"method": method, "seed": seed}
     raise ValueError(f"unknown adjustment {method!r}")
+
+
+def adjusted_residuals(data: InferenceData, tau0: float, adjustment: str, seed: int) -> np.ndarray:
+    """``data``'s responses aligned at ``tau0``, residualized on its covariates."""
+    return covariance_adjust(align_responses(data.r, data.sets, tau0), data.x, adjustment, seed=seed)[0]
 
 
 @dataclass(frozen=True)
@@ -174,9 +167,8 @@ def permutational_t_test(
         p_lower = (1.0 + np.count_nonzero(acc <= t_obs + tol)) / (n_draws + 1.0)
         detail.update(n_draws=n_draws, seed=seed)
     elif mode == "normal-approx":
-        means = sets.means(laid)
-        mean = float(means.sum())
-        var = float(sets.means((laid - np.repeat(means, sets.sizes)) ** 2).sum())  # population variances
+        mean = float(sets.means(laid).sum())
+        var = float(sets.means(sets.centre(laid) ** 2).sum())  # population variances
         detail.update(null_mean=mean, null_var=var)
         if var <= 0.0:
             p_upper = p_lower = 1.0
@@ -231,18 +223,17 @@ def invert_tests(
     """Confidence region for an additive effect on ``data``'s outcome by
     inverting the test.
 
-    Each grid value is retested from scratch (alignment and covariance
-    adjustment depend on tau0). The default grid is ``cohen_grid`` of the
-    outcome's sd. The accepted hull is [min, max] of accepted grid values; a
-    non-contiguous accepted set raises the non-monotone flag.
+    Each grid value is retested on its ``adjusted_residuals`` (alignment and
+    covariance adjustment depend on tau0). The default grid is ``cohen_grid``
+    of the outcome's sd. The accepted hull is [min, max] of accepted grid
+    values; a non-contiguous accepted set raises the non-monotone flag.
     """
     if grid is None:
         grid = cohen_grid(float(np.std(data.r, ddof=1)))
     grid = np.sort(np.asarray(grid, dtype=float))
     p_values = np.empty(grid.size)
     for i, tau0 in enumerate(grid):
-        aligned_r, aligned_x = align_responses(data.r, data.sets, tau0, data.x)
-        resid, _ = covariance_adjust(aligned_r, aligned_x, adjustment, seed=seed)
+        resid = adjusted_residuals(data, tau0, adjustment, seed)
         test = permutational_t_test(resid, data.sets, mode=mode, n_draws=n_draws, seed=seed)
         p_values[i] = test.p_two_sided
     accepted = p_values > alpha

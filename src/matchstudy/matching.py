@@ -106,6 +106,11 @@ class SetLayout:
         """Per-set means of laid-out values (along axis 0)."""
         return np.add.reduceat(laid, self.starts, axis=0) / self.sizes.reshape((-1,) + (1,) * (laid.ndim - 1))
 
+    def centre(self, laid) -> np.ndarray:
+        """Laid-out values less their set means, after ``check``."""
+        laid = self.check(laid)
+        return laid - np.repeat(self.means(laid), self.sizes, axis=0)
+
 
 @dataclass(frozen=True)
 class MatchCounts:

@@ -192,10 +192,10 @@ def _comparison_tables(cfg: StudyConfig) -> dict[str, SubjectTable]:
 # ---------------------------------------------------------------------------
 
 
-def stage_simulate(cfg: StudyConfig, seed: int | None = None) -> str:
+def stage_simulate(cfg: StudyConfig) -> str:
     if cfg.simulate is None:
         raise ValidationError("config has no simulate block")
-    cohort = generate_synthetic(cfg.simulate, seed=cfg.seed if seed is None else seed)
+    cohort = generate_synthetic(cfg.simulate, seed=cfg.seed)
     path = _data_path(cfg)
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     save_subjects(cohort.table, path, cfg.load_options)
@@ -225,7 +225,7 @@ def _fit_one(cfg: StudyConfig, name: str, ct: SubjectTable, method: str):
 
 def _jsonable(value):
     if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
+        return value.tolist()
     if isinstance(value, (np.floating, np.integer, np.bool_)):
         return value.item()
     if isinstance(value, dict):
@@ -424,8 +424,7 @@ def _test_suite(cfg: StudyConfig, ct: SubjectTable, result, outcome, seed: int) 
         seed=seed,
         n_draws=cfg.inference.n_draws,
     )
-    aligned_r, aligned_x = inference_mod.align_responses(data.r, data.sets, 0.0, data.x)
-    resid, _ = inference_mod.covariance_adjust(aligned_r, aligned_x, adjustment, seed=seed)
+    resid = inference_mod.adjusted_residuals(data, 0.0, adjustment, seed)
     point = inference_mod.permutational_t_test(
         resid, data.sets, mode=cfg.inference.mode, n_draws=cfg.inference.n_draws, seed=seed
     )
@@ -520,19 +519,16 @@ def stage_sensitivity(cfg: StudyConfig) -> None:
             if outcome.kind == BINARY:
                 test = "mantel-haenszel"
 
-                def p_of(g, _d=data):
-                    return sensitivity_mod.sensitivity_mh(_d.r, _d.sets, g).p_one_sided
+                def p_of(g):
+                    return sensitivity_mod.sensitivity_mh(data.r, data.sets, g).p_one_sided
 
             else:
                 test = "residual"
                 seed = derive_seed(cfg.seed, comp.name, "sensitivity", outcome.name)
-                aligned_r, aligned_x = inference_mod.align_responses(data.r, data.sets, 0.0, data.x)
-                resid, _ = inference_mod.covariance_adjust(
-                    aligned_r, aligned_x, cfg.inference.adjustment, seed=seed
-                )
+                resid = inference_mod.adjusted_residuals(data, 0.0, cfg.inference.adjustment, seed)
 
-                def p_of(g, _r=resid, _d=data):
-                    return sensitivity_mod.sensitivity_residual(_r, _d.sets, g).p_one_sided
+                def p_of(g):
+                    return sensitivity_mod.sensitivity_residual(resid, data.sets, g).p_one_sided
 
             curve = sensitivity_mod.gamma_threshold(p_of, alpha=cfg.inference.alpha, gammas=grid)
             outcomes[outcome.name] = {
@@ -574,8 +570,8 @@ def format_match_row(comparison: str, method: str, counts: matching_mod.MatchCou
     )
 
 
-def _fmt(x: float, digits: int = 4) -> str:
-    return f"{x:.{digits}f}"
+def _fmt(x: float) -> str:
+    return f"{x:.4f}"
 
 
 def _match_summary_csv(cfg: StudyConfig, balances: dict) -> str:
@@ -715,6 +711,16 @@ def _sensitivity_csv(cfg: StudyConfig, sensitivities: dict) -> str:
     return "".join(lines)
 
 
+def _quartiles(values: np.ndarray) -> np.ndarray:
+    """``np.quantile(values, [0, .25, .5, .75, 1])`` bit for bit (scores have no
+    signed zeros to tie), without the ``numpy.ma`` import of its ``np.unique``."""
+    ordered = np.sort(values)
+    virtual = (ordered.size - 1) * np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    lo = np.floor(virtual).astype(np.intp)
+    t, a, b = virtual - lo, ordered[lo], ordered[np.minimum(lo + 1, ordered.size - 1)]
+    return np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)  # numpy's _lerp
+
+
 def _quantiles_csv(cfg: StudyConfig, tables: dict) -> str:
     lines = ["comparison,method,arm,n,min,q25,median,q75,max\n"]
     for comp in cfg.comparisons:
@@ -722,7 +728,7 @@ def _quantiles_csv(cfg: StudyConfig, tables: dict) -> str:
         for method in cfg.propensity_methods:
             scores, _ = _load_scores(cfg, comp.name, method, ct)
             for arm, mask in (("treated", ct.z == 1), ("control", ct.z == 0)):
-                qs = np.quantile(scores[mask], [0.0, 0.25, 0.5, 0.75, 1.0])
+                qs = _quartiles(scores[mask])
                 lines.append(
                     f"{comp.name},{method},{arm},{int(mask.sum())},"
                     + ",".join(repr(float(q)) for q in qs)

@@ -252,12 +252,12 @@ def _null_gradient(x: np.ndarray, z: np.ndarray) -> np.ndarray:
     return x.T @ (z - z.mean())
 
 
-def l1_lambda_grid(x: np.ndarray, z: np.ndarray, num: int = 50, ratio: float = 1e-3) -> np.ndarray:
-    """Log-spaced penalty grid from the smallest all-zero penalty downward."""
+def l1_lambda_grid(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """50 log-spaced penalties from the smallest all-zero penalty down to 1e-3 of it."""
     x, z = _check_inputs(x, z)
     lam_max = float(np.max(np.abs(_null_gradient(x, z))))
     lam_max = max(lam_max, 1e-10)
-    return np.geomspace(lam_max, lam_max * ratio, num)
+    return np.geomspace(lam_max, lam_max * 1e-3, 50)
 
 
 def _distinct_columns(design: np.ndarray) -> np.ndarray:

@@ -769,15 +769,18 @@ print(json.dumps({"after_import": after_import, "after_run": after_run}))
 
 # Runs every library site that reads distinct values with a plain np.unique
 # before: the grid, the sensitivity moments, and a validated BART fit (split
-# cuts and the tree check).
+# cuts and the tree check); then a whole MLE-only run, whose report stage
+# took score quartiles with np.quantile.
 _NUMPY_MA_PROBE = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 import numpy as np
 import matchstudy
 from matchstudy.bart import BartParams, fit_bart_binary
+from matchstudy.config import config_from_dict
 from matchstudy.inference import cohen_grid
 from matchstudy.matching import SetLayout
+from matchstudy.pipeline import run_pipeline
 from matchstudy.sensitivity import sensitivity_residual
 
 after_import = "numpy.ma" in sys.modules
@@ -786,7 +789,9 @@ sensitivity_residual(np.linspace(-1.0, 1.0, 12), SetLayout(np.array([2, 3, 3, 4]
 x = np.round(np.random.default_rng(0).normal(size=(12, 2)), 1)
 params = BartParams(num_trees=2, burn_in=2, draws=3)
 fit_bart_binary(x, (x[:, 0] > 0).astype(int), params=params, seed=0, validate=True)
-print(json.dumps({"after_import": after_import, "after_calls": "numpy.ma" in sys.modules}))
+after_calls = "numpy.ma" in sys.modules
+run_pipeline(config_from_dict(json.loads(sys.argv[2])))
+print(json.dumps({"after_import": after_import, "after_calls": after_calls, "after_run": "numpy.ma" in sys.modules}))
 """
 
 
@@ -805,15 +810,35 @@ class TestImports:
         assert json.loads(proc.stdout.splitlines()[-1]) == {"after_import": [], "after_run": []}
         assert os.path.exists(os.path.join(out_dir, "manifest.txt"))
 
-    def test_unique_value_sites_never_load_numpy_ma(self):
+    def test_unique_value_sites_never_load_numpy_ma(self, tmp_path):
         # numpy 2.4's plain np.unique imports numpy.ma (about 20 ms); the
         # library sites that only want sorted distinct values avoid it
         src = os.path.dirname(os.path.dirname(os.path.abspath(matchstudy.__file__)))
+        obj = reduced_config_dict(os.path.join(str(tmp_path), "out"))
+        obj.update(comparisons=obj["comparisons"][:1], propensity_methods=["mle"])
         proc = subprocess.run(
-            [sys.executable, "-c", _NUMPY_MA_PROBE, src], capture_output=True, text=True, timeout=300
+            [sys.executable, "-c", _NUMPY_MA_PROBE, src, json.dumps(obj)],
+            cwd=str(tmp_path),
+            capture_output=True,
+            text=True,
+            timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout.splitlines()[-1]) == {"after_import": False, "after_calls": False}
+        assert json.loads(proc.stdout.splitlines()[-1]) == {
+            "after_import": False,
+            "after_calls": False,
+            "after_run": False,
+        }
+        assert os.path.exists(os.path.join(str(tmp_path), "out", "propensity_quantiles.csv"))
+
+    def test_quartiles_equal_np_quantile(self):
+        # the report's score quartiles, without np.quantile; scores are
+        # probabilities, so rounding to two places makes ties but no -0.0
+        rng = np.random.default_rng(0)
+        for n in [1, 2, 3, 4, 5, *rng.integers(6, 200, size=200).tolist()]:
+            for values in (rng.random(n), np.round(rng.random(n), 2), rng.normal(size=n)):
+                want = np.quantile(values, [0.0, 0.25, 0.5, 0.75, 1.0])
+                assert pipeline._quartiles(values).tobytes() == want.tobytes(), n
 
 
 # Each run gets a fresh interpreter: OpenBLAS reads its thread count from the

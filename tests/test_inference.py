@@ -31,6 +31,7 @@ from util import (
     match_of,
     random_match,
     random_matched_instance,
+    reference_invert_tests,
     reference_matched_arrays,
     shuffled_matched_instance,
 )
@@ -43,25 +44,23 @@ def pair_result(table, n_pairs):
 
 class TestAlignResponses:
     def test_pair_centering(self):
-        aligned, _ = align_responses(np.array([5.0, 3.0]), SetLayout([2]), tau0=0.0)
+        aligned = align_responses(np.array([5.0, 3.0]), SetLayout([2]), tau0=0.0)
         assert aligned.tolist() == [1.0, -1.0]
 
     def test_shift_absorbs_pair_difference(self):
-        aligned, _ = align_responses(np.array([5.0, 3.0]), SetLayout([2]), tau0=2.0)
+        aligned = align_responses(np.array([5.0, 3.0]), SetLayout([2]), tau0=2.0)
         assert aligned.tolist() == [0.0, 0.0]
 
     def test_one_to_two_set(self):
-        aligned, _ = align_responses(np.array([4.0, 1.0, 1.0]), SetLayout([3]), tau0=3.0)
+        aligned = align_responses(np.array([4.0, 1.0, 1.0]), SetLayout([3]), tau0=3.0)
         assert aligned.tolist() == [0.0, 0.0, 0.0]
 
     def test_set_means_vanish(self):
         rng = np.random.default_rng(0)
         r, sets = random_matched_instance(rng, 8)
-        x = rng.normal(size=(r.size, 3))
-        aligned, aligned_x = align_responses(r, sets, tau0=0.7, x=x)
-        for a, ax in zip(sets.split(aligned), sets.split(aligned_x)):
+        aligned = align_responses(r, sets, tau0=0.7)
+        for a in sets.split(aligned):
             assert abs(a.mean()) < 1e-10
-            assert np.all(np.abs(ax.mean(axis=0)) < 1e-10)
 
     def test_per_set_constant_is_removed(self):
         rng = np.random.default_rng(1)
@@ -69,8 +68,8 @@ class TestAlignResponses:
         shifted = r.copy()
         for offset, members in zip((3.0, -1.0, 10.0, 0.5, -2.5), sets.split(shifted)):
             members += offset
-        a1, _ = align_responses(r, sets, tau0=0.0)
-        a2, _ = align_responses(shifted, sets, tau0=0.0)
+        a1 = align_responses(r, sets, tau0=0.0)
+        a2 = align_responses(shifted, sets, tau0=0.0)
         np.testing.assert_allclose(a1, a2, atol=1e-12)
         p1 = permutational_t_test(a1, sets, mode="exact").p_two_sided
         p2 = permutational_t_test(a2, sets, mode="exact").p_two_sided
@@ -80,8 +79,8 @@ class TestAlignResponses:
         # testing tau0 on r must equal testing 0 on r - tau0*z, exactly
         rng = np.random.default_rng(2)
         r, sets = random_matched_instance(rng, 6)
-        a1, _ = align_responses(r, sets, tau0=1.25)
-        a2, _ = align_responses(r - 1.25 * sets.z, sets, tau0=0.0)
+        a1 = align_responses(r, sets, tau0=1.25)
+        a2 = align_responses(r - 1.25 * sets.z, sets, tau0=0.0)
         np.testing.assert_array_equal(a1, a2)
 
     def test_signed_zeros_keep_their_bits(self):
@@ -89,7 +88,7 @@ class TestAlignResponses:
         # becomes -0.0 - (-0.0 * 0) = 0.0; subtracting tau0 at the treated
         # members alone would leave it -0.0.
         r = np.array([-0.0, -0.0, 1.0, -0.0])
-        aligned, _ = align_responses(r, SetLayout([2, 2]), tau0=-0.0)
+        aligned = align_responses(r, SetLayout([2, 2]), tau0=-0.0)
         shifted = r - -0.0 * np.array([1, 0, 1, 0])
         want = shifted - np.repeat([shifted[:2].mean(), shifted[2:].mean()], 2)
         assert aligned.tobytes() == want.tobytes()
@@ -106,7 +105,7 @@ class TestCovarianceAdjust:
         rng = np.random.default_rng(3)
         r, sets = random_matched_instance(rng, 6)
         x = rng.normal(size=(r.size, 2))
-        _, aligned_x = align_responses(r, sets, 0.0, x)
+        aligned_x = sets.centre(x)
         linear = aligned_x @ np.array([2.0, -0.5])
         resid, info = covariance_adjust(linear, aligned_x, ADJUST_OLS)
         assert np.all(np.abs(resid) < 1e-8)
@@ -116,7 +115,7 @@ class TestCovarianceAdjust:
         rng = np.random.default_rng(4)
         r, sets = random_matched_instance(rng, 10)
         x = rng.normal(size=(r.size, 4))
-        aligned_r, aligned_x = align_responses(r, sets, 0.0, x)
+        aligned_r, aligned_x = align_responses(r, sets, 0.0), sets.centre(x)
         resid, _ = covariance_adjust(aligned_r, aligned_x, ADJUST_OLS)
         scale = max(1.0, float(np.abs(aligned_x).max()) * float(np.abs(resid).max()))
         assert np.all(np.abs(aligned_x.T @ resid) < 1e-6 * scale)
@@ -126,7 +125,7 @@ class TestCovarianceAdjust:
         r, sets = random_matched_instance(rng, 6)
         col = rng.normal(size=r.size)
         x = np.column_stack([col, col])
-        aligned_r, aligned_x = align_responses(r, sets, 0.0, x)
+        aligned_r, aligned_x = align_responses(r, sets, 0.0), sets.centre(x)
         resid, info = covariance_adjust(aligned_r, aligned_x, ADJUST_OLS)
         assert info["rank_deficient"]
         assert np.all(np.isfinite(resid))
@@ -245,17 +244,14 @@ class TestScrambledSets:
         rng = np.random.default_rng(21)
         for _ in range(5):
             r, z, sets = shuffled_matched_instance(rng, 40)
-            x = np.round(rng.normal(size=(r.size, 3)), 1)
             laid_r, layout = lay_out(r, z, sets)
-            aligned, aligned_x = align_responses(laid_r, layout, tau0=0.3, x=lay_out(x, z, sets)[0])
-            ref, ref_x = np.empty_like(r), np.empty_like(x)
+            aligned = align_responses(laid_r, layout, tau0=0.3)
+            ref = np.empty_like(r)
             for s in sets:
                 adjusted = r[s] - 0.3 * z[s]
                 ref[s] = adjusted - adjusted.mean()
-                ref_x[s] = x[s] - x[s].mean(axis=0)
-            ref, ref_x = lay_out(ref, z, sets)[0], lay_out(ref_x, z, sets)[0]
+            ref = lay_out(ref, z, sets)[0]
             np.testing.assert_allclose(aligned, ref, rtol=1e-12, atol=1e-12 * np.abs(r).max())
-            np.testing.assert_allclose(aligned_x, ref_x, rtol=1e-12, atol=1e-12 * np.abs(x).max())
 
     def test_normal_approx_matches_per_set_loop(self):
         rng = np.random.default_rng(22)
@@ -299,6 +295,22 @@ class TestSetLayout:
         with pytest.raises(ValueError, match="set sizes"):
             SetLayout(sizes)
 
+    def test_centre_matches_per_set_loop(self):
+        # covariate rows of scrambled sets, laid out, less their set means
+        rng = np.random.default_rng(23)
+        for _ in range(5):
+            _, z, sets = shuffled_matched_instance(rng, 40)
+            x = np.round(rng.normal(size=(z.size, 3)), 1)
+            laid_x, layout = lay_out(x, z, sets)
+            centred = layout.centre(laid_x)
+            ref = np.empty_like(x)
+            for s in sets:
+                ref[s] = x[s] - x[s].mean(axis=0)
+            ref = lay_out(ref, z, sets)[0]
+            np.testing.assert_allclose(centred, ref, rtol=1e-12, atol=1e-12 * np.abs(x).max())
+            for members in layout.split(centred):
+                assert np.all(np.abs(members.mean(axis=0)) < 1e-10)
+
     def test_arrays_are_read_only(self):
         layout = SetLayout([2, 2])
         with pytest.raises(ValueError):
@@ -310,7 +322,9 @@ class TestSetLayout:
         with pytest.raises(ValueError, match="laid out"):
             permutational_t_test(np.zeros(n), layout, mode="normal-approx")
         with pytest.raises(ValueError, match="laid out"):
-            align_responses(np.zeros(4), layout, 0.0, np.zeros((n, 2)))
+            align_responses(np.zeros(n), layout, 0.0)
+        with pytest.raises(ValueError, match="laid out"):
+            layout.centre(np.zeros((n, 2)))
         with pytest.raises(ValueError, match="laid out"):
             mantel_haenszel(np.zeros(n), layout)
 
@@ -372,12 +386,17 @@ class TestMatchedArrays:
         assert data.excluded_sets == excluded
         assert len(data.sets) == len(sets)
         assert all(a.dtype == b.dtype and np.array_equal(a, b) for a, b in zip(index_sets(data.sets), sets))
+        x = table.covariates[rows]
         for got, want in (
             (data.r, table.outcomes[rows, 0]),
             (data.sets.z, table.z[rows]),
-            (data.x, table.covariates[rows]),
+            (data.x, data.sets.centre(x)),
         ):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        # the covariate rows come centred within their sets (numpy's per-set
+        # mean sums in another order, so the last bits may differ)
+        want_x = np.concatenate([x[s] - x[s].mean(axis=0) for s in sets])
+        np.testing.assert_allclose(data.x, want_x, rtol=1e-12, atol=1e-12 * np.abs(x).max())
 
 
 class TestInvertTests:
@@ -410,6 +429,21 @@ class TestInvertTests:
             assert region.hull == (float(inside.min()), float(inside.max()))
         else:
             assert region.hull is None
+
+    @pytest.mark.parametrize("mode", ["exact", "monte-carlo", "normal-approx"])
+    @pytest.mark.parametrize("adjustment", [ADJUST_NONE, ADJUST_OLS])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_a_per_set_reference(self, seed, adjustment, mode):
+        rng = np.random.default_rng(100 + seed)
+        # at most 4^6 assignments, so exact enumeration stays feasible
+        table, result = random_match(rng, n_sets=6, max_controls=3, missing_rate=0.05)
+        grid = np.linspace(-1.5, 1.5, 13)
+        options = dict(alpha=0.2, adjustment=adjustment, mode=mode, seed=seed, n_draws=400)
+        region = invert_tests(matched_arrays(table, result, "y"), grid=grid, **options)
+        p_values, accepted, hull = reference_invert_tests(table, result, "y", grid, **options)
+        np.testing.assert_allclose(region.p_values, p_values, rtol=1e-9, atol=0.0)
+        assert region.accepted.tolist() == accepted.tolist()
+        assert region.hull == hull
 
     def test_default_grid_uses_conventional_multiples(self):
         grid = cohen_grid(2.0)

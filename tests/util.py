@@ -10,6 +10,7 @@ import numpy as np
 
 import matchstudy
 from matchstudy.dataset import SubjectTable
+from matchstudy.inference import covariance_adjust, permutational_t_test
 from matchstudy.matching import MatchCounts, MatchResult, SetLayout
 
 
@@ -196,6 +197,26 @@ def reference_matched_arrays(table, result, outcome):
         rows.extend(members)
         sets.append(np.arange(start, start + len(members)))
     return np.array(rows, dtype=int), tuple(sets), tuple(excluded)
+
+
+def reference_invert_tests(table, result, outcome, grid, alpha, adjustment, mode, seed, n_draws):
+    """``inference.invert_tests`` on ``matched_arrays(table, result,
+    outcome)`` with each test's inputs built set by set in Python: at each
+    grid value, r - tau0*z and the covariate rows less their set means, then
+    ``covariance_adjust`` and ``permutational_t_test``. Returns the p-values,
+    the accepted flags and the hull."""
+    rows, sets, _ = reference_matched_arrays(table, result, outcome)
+    r, z, x = table.outcomes[rows, table.outcome_index(outcome)], table.z[rows], table.covariates[rows]
+    layout = SetLayout(np.array([len(s) for s in sets]))
+    aligned_x = np.concatenate([x[s] - x[s].mean(axis=0) for s in sets])
+    p_values = []
+    for tau0 in grid:
+        aligned_r = np.concatenate([(r[s] - tau0 * z[s]) - (r[s] - tau0 * z[s]).mean() for s in sets])
+        resid, _ = covariance_adjust(aligned_r, aligned_x, adjustment, seed=seed)
+        p_values.append(permutational_t_test(resid, layout, mode=mode, n_draws=n_draws, seed=seed).p_two_sided)
+    accepted = np.array(p_values) > alpha
+    inside = [float(g) for g, a in zip(grid, accepted) if a]
+    return np.array(p_values), accepted, (inside[0], inside[-1]) if inside else None
 
 
 # Stand-ins for the two packages make the loader's own module-level loads
