@@ -26,6 +26,7 @@ from .dataset import (
     finite_number,
     whole_number,
 )
+from .inference import ADJUSTMENTS, TEST_MODES
 from .matching import MatchingParams
 from .propensity import METHOD_ORDER
 
@@ -56,6 +57,9 @@ class ComparisonSpec:
 
 @dataclass(frozen=True)
 class InferenceParams:
+    """Inference settings. ``grid`` None means each outcome's ``cohen_grid``;
+    a configured grid must hold 0, whose test is the point test."""
+
     alpha: float = 0.05
     adjustment: str = "ols"
     mode: str = "normal-approx"
@@ -65,12 +69,17 @@ class InferenceParams:
     def __post_init__(self):
         if not (finite_number(self.alpha) and 0.0 < self.alpha < 1.0):
             raise ValidationError("alpha must be a number in (0, 1)")
-        if self.adjustment not in ("none", "ols", "bart"):
+        if self.adjustment not in ADJUSTMENTS:
             raise ValidationError(f"unknown adjustment {self.adjustment!r}")
-        if self.mode not in ("auto", "exact", "monte-carlo", "normal-approx"):
+        if self.mode not in TEST_MODES:
             raise ValidationError(f"unknown inference mode {self.mode!r}")
         if not (whole_number(self.n_draws) and self.n_draws >= 1):
             raise ValidationError("n_draws must be an integer >= 1")
+        if self.grid is not None:
+            if not (isinstance(self.grid, tuple) and self.grid and all(map(finite_number, self.grid))):
+                raise ValidationError("inference grid must be a non-empty list of finite numbers")
+            if 0.0 not in self.grid:
+                raise ValidationError("inference grid must hold 0, the point test's shift")
 
 
 @dataclass(frozen=True)
@@ -259,8 +268,10 @@ def config_from_dict(obj: dict) -> StudyConfig:
     )
 
 
-def _inference_params(n_draws, grid, **rest):
-    return InferenceParams(n_draws=n_draws, grid=None if grid is None else tuple(float(g) for g in grid), **rest)
+def _inference_params(grid, **rest):
+    if isinstance(grid, list):
+        grid = tuple(float(g) if finite_number(g) else g for g in grid)
+    return InferenceParams(grid=grid, **rest)
 
 
 def load_config(path: str) -> StudyConfig:

@@ -212,12 +212,21 @@ class LoadOptions:
     aux_columns: tuple[str, ...] = ()
 
 
+def _cell_problem(cell: str) -> str | None:
+    """Why a numeric cell is rejected, or None when it reads as a finite float."""
+    try:
+        return None if math.isfinite(float(cell)) else "non-finite"
+    except ValueError:
+        return "unparseable"
+
+
 def load_subjects(path: str, schema: CovariateSchema, options: LoadOptions) -> SubjectTable:
     """Read a delimited text file into a :class:`SubjectTable`.
 
     Cells equal to ``options.missing_token`` become missing flags. Any other
-    unparseable numeric cell, a non-binary treatment value, or a missing
-    declared column raises with the offending row/column named.
+    numeric cell that does not parse or parses to NaN or an infinity, a
+    non-binary treatment value, or a missing declared column raises with the
+    offending row/column named.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh, delimiter=options.delimiter)
@@ -252,22 +261,22 @@ def load_subjects(path: str, schema: CovariateSchema, options: LoadOptions) -> S
     stratum: list[str] = []
     cells: list[str] = []  # covariate then outcome cells, row after row
 
-    def parse_cells() -> list[float]:
-        """The cells collected so far as floats, NaN where missing; raises at
-        the first unparseable one."""
+    def parse_cells() -> tuple[np.ndarray, np.ndarray]:
+        """The cells collected so far as floats, NaN where missing, and their
+        missing flags; raises at the first cell that is unparseable or not
+        finite."""
+        flags = np.array([cell == missing for cell in cells], dtype=bool)
         try:
-            return [math.nan if cell == missing else float(cell) for cell in cells]
+            values = np.array([math.nan if cell == missing else float(cell) for cell in cells], dtype=float)
         except ValueError:
-            for k, cell in enumerate(cells):
-                if cell != missing:
-                    try:
-                        float(cell)
-                    except ValueError:
-                        name = value_names[k % width]
-                        raise ValidationError(
-                            f"{path}: row {k // width}: unparseable value {cell!r} in column {name!r}"
-                        ) from None
-            raise
+            values = np.full(flags.size, math.inf)  # check every cell below
+        for k in np.flatnonzero(~(flags | np.isfinite(values))).tolist():
+            problem = _cell_problem(cells[k])
+            if problem:
+                raise ValidationError(
+                    f"{path}: row {k // width}: {problem} value {cells[k]!r} in column {value_names[k % width]!r}"
+                )
+        return values, flags
 
     # Value cells are parsed after the row loop, in one pass. A row that fails
     # its own checks first parses the rows before it, so the error reported is
@@ -291,8 +300,8 @@ def load_subjects(path: str, schema: CovariateSchema, options: LoadOptions) -> S
         for j, column in aux_columns:
             column.append(row[j])
 
-    values = np.array(parse_cells(), dtype=float).reshape(n, width)
-    flags = np.array([cell == missing for cell in cells], dtype=bool).reshape(n, width)
+    values, flags = parse_cells()
+    values, flags = values.reshape(n, width), flags.reshape(n, width)
     p = len(schema.names)
     return SubjectTable(
         ids=tuple(ids),

@@ -7,7 +7,8 @@ distribution without any model for the outcomes; every test at one tau0 sees
 its ``adjusted_residuals``. Exact enumeration, Monte Carlo, and a normal
 approximation are provided, plus confidence regions by test inversion, a
 conditional-logistic analysis for binary outcomes, and the Mantel-Haenszel
-test.
+test. An inversion keeps the test of each grid value, so the point test at
+tau0 = 0 is read off the grid (``ConfidenceRegion.test_at``), not run again.
 """
 from __future__ import annotations
 
@@ -26,6 +27,10 @@ EXACT_LIMIT = 10**6
 ADJUST_NONE = "none"
 ADJUST_OLS = "ols"
 ADJUST_BART = "bart"
+ADJUSTMENTS = (ADJUST_NONE, ADJUST_OLS, ADJUST_BART)
+
+#: The modes of ``permutational_t_test``.
+TEST_MODES = ("auto", "exact", "monte-carlo", "normal-approx")
 
 
 @dataclass(frozen=True)
@@ -192,13 +197,23 @@ def permutational_t_test(
 
 @dataclass(frozen=True)
 class ConfidenceRegion:
-    """Accepted shift values from inverting the permutation test."""
+    """Accepted shift values from inverting the permutation test; ``tests``
+    holds each grid value's test, ``p_values`` their two-sided p-values."""
 
     grid: np.ndarray
+    tests: tuple[TestResult, ...]
     p_values: np.ndarray
     accepted: np.ndarray
     hull: tuple[float, float] | None
     non_monotone: bool
+
+    def test_at(self, tau0: float) -> TestResult:
+        """The test of the grid value ``tau0``; raises ``ValueError`` when
+        the grid does not hold it."""
+        hit = np.flatnonzero(self.grid == tau0)
+        if hit.size == 0:
+            raise ValueError(f"the inversion grid does not hold {tau0!r}")
+        return self.tests[hit[0]]
 
 
 def cohen_grid(outcome_sd: float, n_fill: int = 50) -> np.ndarray:
@@ -223,19 +238,22 @@ def invert_tests(
     """Confidence region for an additive effect on ``data``'s outcome by
     inverting the test.
 
-    Each grid value is retested on its ``adjusted_residuals`` (alignment and
-    covariance adjustment depend on tau0). The default grid is ``cohen_grid``
-    of the outcome's sd. The accepted hull is [min, max] of accepted grid
-    values; a non-contiguous accepted set raises the non-monotone flag.
+    Each grid value is tested once, on its ``adjusted_residuals`` (alignment
+    and covariance adjustment depend on tau0), with the same ``seed``. The
+    default grid is ``cohen_grid`` of the outcome's sd, which holds 0; any
+    grid is taken. The accepted hull is [min, max] of accepted grid values;
+    a non-contiguous accepted set raises the non-monotone flag.
     """
     if grid is None:
         grid = cohen_grid(float(np.std(data.r, ddof=1)))
     grid = np.sort(np.asarray(grid, dtype=float))
-    p_values = np.empty(grid.size)
-    for i, tau0 in enumerate(grid):
-        resid = adjusted_residuals(data, tau0, adjustment, seed)
-        test = permutational_t_test(resid, data.sets, mode=mode, n_draws=n_draws, seed=seed)
-        p_values[i] = test.p_two_sided
+    tests = tuple(
+        permutational_t_test(
+            adjusted_residuals(data, tau0, adjustment, seed), data.sets, mode=mode, n_draws=n_draws, seed=seed
+        )
+        for tau0 in grid
+    )
+    p_values = np.array([test.p_two_sided for test in tests], dtype=float)
     accepted = p_values > alpha
     hull = None
     non_monotone = False
@@ -245,6 +263,7 @@ def invert_tests(
         non_monotone = bool(np.any(~accepted[idx[0] : idx[-1] + 1]))
     return ConfidenceRegion(
         grid=grid,
+        tests=tests,
         p_values=p_values,
         accepted=accepted,
         hull=hull,

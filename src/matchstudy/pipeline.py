@@ -14,6 +14,10 @@ Artifacts, all under the configured output directory:
 * reports: ``match_summary.csv``, ``composition.csv``,
   ``balance_<comp>.csv`` / ``.md``, ``inference.csv``, ``sensitivity.csv``,
   ``propensity_quantiles.csv``, ``decisions.txt``, ``manifest.txt``.
+
+``infer`` and ``sensitivity`` share one front end and one seed per
+comparison x outcome: the point test is the inversion's test at tau0 = 0, and
+the sensitivity curve bounds that test's residuals.
 """
 from __future__ import annotations
 
@@ -411,10 +415,30 @@ def _outcomes_for(cfg: StudyConfig, comp_index: int):
     return (cfg.primary_outcome,)
 
 
-def _test_suite(cfg: StudyConfig, ct: SubjectTable, result, outcome, seed: int) -> dict:
-    """All inference artifacts for one comparison x outcome."""
+def _analysis_seed(cfg: StudyConfig, name: str, outcome: str) -> int:
+    """The seed of a comparison x outcome in ``infer``, ``sensitivity`` and the manifest."""
+    return derive_seed(cfg.seed, name, "inference", outcome)
+
+
+def _analyses(cfg: StudyConfig):
+    """Per comparison: ``(comp, comparison table, selected method, outcomes)``,
+    with a ``(spec, InferenceData, seed)`` per analysed outcome of the match."""
+    tables = _comparison_tables(cfg)
+    for idx, comp in enumerate(cfg.comparisons):
+        ct = tables[comp.name]
+        selected = load_balance(cfg, comp.name)["selected"]
+        result = load_match(cfg, comp.name, selected, ct)
+        outcomes = (
+            (o, inference_mod.matched_arrays(ct, result, o.name), _analysis_seed(cfg, comp.name, o.name))
+            for o in _outcomes_for(cfg, idx)
+        )
+        yield comp, ct, selected, outcomes
+
+
+def _test_suite(cfg: StudyConfig, outcome, data: inference_mod.InferenceData, seed: int) -> dict:
+    """All inference artifacts for one comparison x outcome. The point test
+    is the grid's tau0 = 0 test: ``cohen_grid`` and every configured grid hold 0."""
     adjustment = cfg.inference.adjustment if outcome.kind != BINARY else "none"
-    data = inference_mod.matched_arrays(ct, result, outcome.name)
     region = inference_mod.invert_tests(
         data,
         grid=None if cfg.inference.grid is None else np.asarray(cfg.inference.grid),
@@ -424,10 +448,7 @@ def _test_suite(cfg: StudyConfig, ct: SubjectTable, result, outcome, seed: int) 
         seed=seed,
         n_draws=cfg.inference.n_draws,
     )
-    resid = inference_mod.adjusted_residuals(data, 0.0, adjustment, seed)
-    point = inference_mod.permutational_t_test(
-        resid, data.sets, mode=cfg.inference.mode, n_draws=cfg.inference.n_draws, seed=seed
-    )
+    point = region.test_at(0.0)
     out = {
         "kind": outcome.kind,
         "adjustment": adjustment,
@@ -472,25 +493,13 @@ def _test_suite(cfg: StudyConfig, ct: SubjectTable, result, outcome, seed: int) 
 
 
 def stage_infer(cfg: StudyConfig) -> None:
-    tables = _comparison_tables(cfg)
-    for idx, comp in enumerate(cfg.comparisons):
-        ct = tables[comp.name]
-        selected = load_balance(cfg, comp.name)["selected"]
-        result = load_match(cfg, comp.name, selected, ct)
-        outcomes = {}
-        for outcome in _outcomes_for(cfg, idx):
-            seed = derive_seed(cfg.seed, comp.name, "inference", outcome.name)
-            outcomes[outcome.name] = _test_suite(cfg, ct, result, outcome, seed)
-        attrition = {}
-        for outcome in _outcomes_for(cfg, idx):
-            j = ct.outcome_index(outcome.name)
-            if ct.outcome_missing[:, j].any():
+    for comp, ct, selected, analyses in _analyses(cfg):
+        outcomes, attrition = {}, {}
+        for outcome, data, seed in analyses:
+            outcomes[outcome.name] = _test_suite(cfg, outcome, data, seed)
+            if ct.outcome_missing[:, ct.outcome_index(outcome.name)].any():
                 res = attrition_check(ct, outcome.name)
-                attrition[outcome.name] = {
-                    "coef": res.coef,
-                    "p": res.p,
-                    "separation": bool(res.separation),
-                }
+                attrition[outcome.name] = {"coef": res.coef, "p": res.p, "separation": bool(res.separation)}
         _write_json(
             _path(cfg, f"inference_{comp.name}.json"),
             {"comparison": comp.name, "selected": selected, "outcomes": outcomes, "attrition": attrition},
@@ -507,30 +516,19 @@ def load_inference(cfg: StudyConfig, name: str) -> dict:
 
 
 def stage_sensitivity(cfg: StudyConfig) -> None:
-    tables = _comparison_tables(cfg)
+    """Hidden-bias bounds; a continuous outcome's are of its point test's residuals."""
     grid = cfg.sensitivity.grid()
-    for idx, comp in enumerate(cfg.comparisons):
-        ct = tables[comp.name]
-        selected = load_balance(cfg, comp.name)["selected"]
-        result = load_match(cfg, comp.name, selected, ct)
+    for comp, _, selected, analyses in _analyses(cfg):
         outcomes = {}
-        for outcome in _outcomes_for(cfg, idx):
-            data = inference_mod.matched_arrays(ct, result, outcome.name)
+        for outcome, data, seed in analyses:
             if outcome.kind == BINARY:
-                test = "mantel-haenszel"
-
-                def p_of(g):
-                    return sensitivity_mod.sensitivity_mh(data.r, data.sets, g).p_one_sided
-
+                test, bound, values = "mantel-haenszel", sensitivity_mod.sensitivity_mh, data.r
             else:
-                test = "residual"
-                seed = derive_seed(cfg.seed, comp.name, "sensitivity", outcome.name)
-                resid = inference_mod.adjusted_residuals(data, 0.0, cfg.inference.adjustment, seed)
-
-                def p_of(g):
-                    return sensitivity_mod.sensitivity_residual(resid, data.sets, g).p_one_sided
-
-            curve = sensitivity_mod.gamma_threshold(p_of, alpha=cfg.inference.alpha, gammas=grid)
+                test, bound = "residual", sensitivity_mod.sensitivity_residual
+                values = inference_mod.adjusted_residuals(data, 0.0, cfg.inference.adjustment, seed)
+            curve = sensitivity_mod.gamma_threshold(
+                lambda g: bound(values, data.sets, g).p_one_sided, alpha=cfg.inference.alpha, gammas=grid
+            )
             outcomes[outcome.name] = {
                 "test": test,
                 "gammas": _jsonable(curve.gammas),
@@ -876,10 +874,7 @@ def _manifest_text(cfg: StudyConfig, files: list[str]) -> str:
             )
     for idx, comp in enumerate(cfg.comparisons):
         for outcome in _outcomes_for(cfg, idx):
-            out.append(
-                f"seed {comp.name} inference {outcome.name} "
-                f"{derive_seed(cfg.seed, comp.name, 'inference', outcome.name)}\n"
-            )
+            out.append(f"seed {comp.name} inference {outcome.name} {_analysis_seed(cfg, comp.name, outcome.name)}\n")
     for comp in cfg.comparisons:
         selected = load_balance(cfg, comp.name)["selected"]
         out.append(f"selected {comp.name} {selected}\n")

@@ -4,6 +4,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -267,6 +268,24 @@ class TestValidation:
         assert "Traceback" not in err
         assert not os.path.exists(out_dir)
 
+    @pytest.mark.parametrize(
+        "grid",
+        [[float("nan"), 0.0, 0.5], [], [True, 0.0], [-0.5, 0.5], [0.0, float("inf")], [0.0, "0.5"], 0.0],
+        ids=["nan", "empty", "bool", "no-zero", "inf", "string", "not-a-list"],
+    )
+    def test_bad_inference_grid_is_a_configuration_error(self, tmp_path, capsys, grid):
+        out_dir = os.path.join(str(tmp_path), "out")
+        obj = reduced_config_dict(out_dir)
+        obj["inference"] = {"grid": grid}
+        assert main(["run", "--config", write_config(tmp_path, obj)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid configuration: inference grid ")
+        assert not os.path.exists(out_dir)
+
+    def test_inference_grid_is_read_as_floats(self):
+        grid = config_from_dict({"inference": {"grid": [-1, 0, 0.5]}}).inference.grid
+        assert list(map(repr, grid)) == ["-1.0", "0.0", "0.5"]
+
     def test_simulate_edge_values_accepted(self):
         strata = [f"band-{i}" for i in range(10)]
         sim = config_from_dict(
@@ -410,6 +429,20 @@ class TestFullRun:
                 manifests.append([line for line in fh if not line.endswith("  cohort.csv\n")])
         assert manifests[0] == manifests[1]
 
+    @pytest.mark.parametrize("column", ["x1", "y"])
+    def test_non_finite_cohort_cell_is_rejected_at_load(self, completed_run, tmp_path, capsys, column):
+        _, out_dir, _ = completed_run
+        bad_dir = os.path.join(str(tmp_path), "out")
+        os.makedirs(bad_dir)
+        with open(os.path.join(out_dir, "cohort.csv"), newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        rows[3][header.index(column)] = "inf"
+        with open(os.path.join(bad_dir, "cohort.csv"), "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([header, *rows])
+        assert main(["run", "--config", write_config(tmp_path, reduced_config_dict(bad_dir))]) == 1
+        assert capsys.readouterr().err.endswith(f"row 3: non-finite value 'inf' in column '{column}'\n")
+        assert not os.path.exists(os.path.join(bad_dir, "failure_manifest.txt"))
+
     def test_seed_override_changes_cohort(self, completed_run, tmp_path):
         _, _, digests = completed_run
         out_dir = os.path.join(str(tmp_path), "out")
@@ -418,6 +451,52 @@ class TestFullRun:
         fresh = dir_digest(out_dir)
         assert fresh["cohort.csv"] != digests["cohort.csv"]
         assert fresh["manifest.txt"] != digests["manifest.txt"]
+
+    def _copy_with_inference(self, completed_run, tmp_path, **inference):
+        # The run's intermediates under a config that changes only the
+        # inference settings, which no stage before infer reads.
+        _, out_dir, _ = completed_run
+        out_copy = os.path.join(str(tmp_path), "out")
+        shutil.copytree(out_dir, out_copy)
+        obj = reduced_config_dict(out_copy)
+        obj["inference"] = {"grid": [-0.5, 0.0, 0.5], **inference}
+        return load_config(write_config(tmp_path, obj))
+
+    def test_infer_runs_one_test_per_grid_value(self, completed_run, tmp_path, monkeypatch):
+        # The point test is the grid's tau0 = 0 test, not another call.
+        cfg = self._copy_with_inference(completed_run, tmp_path)
+        calls = []
+        test = pipeline.inference_mod.permutational_t_test
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return test(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline.inference_mod, "permutational_t_test", counted)
+        pipeline.run_stage(cfg, "infer")
+        n_outcomes = len(cfg.outcome_specs) + len(cfg.comparisons) - 1
+        assert len(calls) == 3 * n_outcomes
+        with open(os.path.join(cfg.output_dir, "inference_comparison-1.json"), encoding="utf-8") as fh:
+            for o in json.load(fh)["outcomes"].values():
+                assert o["point"]["p_two_sided"] == o["grid_p"][o["grid"].index(0.0)]
+
+    def test_every_adjustment_seed_is_in_the_manifest(self, completed_run, tmp_path, monkeypatch):
+        # A recorder in place of the BART refit: it sees the seed of every
+        # adjustment that infer and sensitivity make.
+        cfg = self._copy_with_inference(completed_run, tmp_path, adjustment="bart")
+        seen = set()
+
+        def recorder(aligned_r, aligned_x, method="none", seed=0):
+            seen.add((method, seed))
+            return aligned_r.copy(), {"method": method}
+
+        monkeypatch.setattr(pipeline.inference_mod, "covariance_adjust", recorder)
+        for command in ("infer", "sensitivity", "report"):
+            pipeline.run_stage(cfg, command)
+        with open(os.path.join(cfg.output_dir, "manifest.txt"), encoding="utf-8") as fh:
+            listed = {int(line.split()[-1]) for line in fh if re.match(r"seed \S+ inference ", line)}
+        assert {method for method, _ in seen} == {"bart", "none"}
+        assert {seed for _, seed in seen} <= listed
 
     def test_load_match_round_trips_build_match(self, completed_run, tmp_path):
         # load_match reads the two match files alone: the score files are

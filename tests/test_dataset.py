@@ -55,9 +55,12 @@ def reference_load(path, schema, options):
         if cell == options.missing_token:
             return math.nan, True
         try:
-            return float(cell), False
+            value = float(cell)
         except ValueError:
             raise ValidationError(f"{path}: row {i}: unparseable value {cell!r} in column {name!r}") from None
+        if not math.isfinite(value):
+            raise ValidationError(f"{path}: row {i}: non-finite value {cell!r} in column {name!r}")
+        return value, False
 
     for i, row in enumerate(rows):
         if len(row) != len(header):
@@ -199,6 +202,16 @@ class TestLoadSubjects:
         path = write_csv(tmp_path / "t.csv", "id,treated,stratum,x1,x2\na,1,s1,0.5,1\nb,0,s1,0.5,?\nc,3,s1,0.5,1\n")
         with pytest.raises(ValidationError, match=r"row 1: unparseable value '\?' in column 'x2'"):
             load_subjects(path, SCHEMA2, OPTS)
+
+    @pytest.mark.parametrize("cell", ["nan", "-inf", "1e999", "Infinity"])
+    @pytest.mark.parametrize("column", ["x2", "y"])
+    def test_non_finite_cell_named_by_row_and_column(self, tmp_path, cell, column):
+        rows = ["id,treated,stratum,x1,x2,y", "a,1,s1,0.5,1,2", "b,0,s1,0.5,1,2", "c,3,s1,0.5,1,2"]
+        rows[2] = rows[2].replace(",1,2", f",{cell},2" if column == "x2" else f",1,{cell}")
+        path = write_csv(tmp_path / "t.csv", "\n".join(rows) + "\n")
+        opts = dataclasses.replace(OPTS, outcome_columns=("y",))
+        with pytest.raises(ValidationError, match=rf"row 1: non-finite value '{cell}' in column '{column}'"):
+            load_subjects(path, SCHEMA2, opts)
 
 
 class TestScaleCovariates:
