@@ -388,6 +388,14 @@ def event_tail_probabilities(probs: np.ndarray, t_obs: int, mode: str) -> tuple[
 MH_EXACT_LIMIT = 200
 
 
+def mh_tail_mode(mode: str, sets: SetLayout) -> str:
+    """The tail a Mantel-Haenszel path computes: ``auto`` is ``exact`` up to
+    ``MH_EXACT_LIMIT`` sets and ``normal`` above; other modes are kept."""
+    if mode == "auto":
+        return "exact" if len(sets) <= MH_EXACT_LIMIT else "normal"
+    return mode
+
+
 def mantel_haenszel(y: np.ndarray, sets: SetLayout, mode: str = "auto") -> TestResult:
     """Mantel-Haenszel test of treated event counts across matched sets, for
     a 0/1 outcome laid out by ``sets``.
@@ -400,8 +408,7 @@ def mantel_haenszel(y: np.ndarray, sets: SetLayout, mode: str = "auto") -> TestR
     t, d, n = _binary_set_margins(y, sets)
     t_obs = int(round(float(t.sum())))
     probs = d / n
-    if mode == "auto":
-        mode = "exact" if len(sets) <= MH_EXACT_LIMIT else "normal"
+    mode = mh_tail_mode(mode, sets)
     p_upper, p_lower = event_tail_probabilities(probs, t_obs, mode)
     return TestResult(
         statistic=float(t_obs),

@@ -5,19 +5,24 @@ single ``run`` and a chain of stage subcommands produce identical bytes.
 ``stage_report`` only renders: every table it writes is derived from
 intermediates, never recomputed from models.
 
-Artifacts, all under the configured output directory:
+Artifacts, all under the configured output directory, each name formatted
+in one place that its writer, its reader and the manifest share:
 
-* intermediates: ``cohort.csv``, ``propensity_<comp>_<method>.json``,
-  ``match_<comp>_<method>.sets.txt`` / ``.ledger.csv``,
+* intermediates: ``cohort.csv``, ``propensity_<comp>_<method>.json``
+  (``_propensity_name``), ``match_<comp>_<method>.sets.txt`` /
+  ``.ledger.csv`` (``_match_names``; the ledger opens with ``id,reason``),
   ``balance_<comp>.json``, ``inference_<comp>.json``,
-  ``sensitivity_<comp>.json``;
-* reports: ``match_summary.csv``, ``composition.csv``,
-  ``balance_<comp>.csv`` / ``.md``, ``inference.csv``, ``sensitivity.csv``,
-  ``propensity_quantiles.csv``, ``decisions.txt``, ``manifest.txt``.
+  ``sensitivity_<comp>.json`` (``_stage_name``);
+* reports: ``balance_<comp>.csv`` / ``.md`` (``_balance_report_names``),
+  ``match_summary.csv``, ``composition.csv``, ``inference.csv``,
+  ``sensitivity.csv``, ``propensity_quantiles.csv``, ``decisions.txt``
+  (``_REPORT_NAMES``), ``manifest.txt``.
 
-``infer`` and ``sensitivity`` share one front end and one seed per
-comparison x outcome: the point test is the inversion's test at tau0 = 0, and
-the sensitivity curve bounds that test's residuals.
+The first comparison analyses every outcome and the others the primary
+outcome (``_analysed_outcomes``). Seeds come from ``_propensity_seed`` and
+``_analysis_seed``; ``infer`` and ``sensitivity`` share one front end and one
+seed per comparison x outcome: the point test is the inversion's test at
+tau0 = 0, and the sensitivity curve bounds that test's residuals.
 """
 from __future__ import annotations
 
@@ -105,6 +110,36 @@ def derive_seed(base: int, *parts) -> int:
 
 def _path(cfg: StudyConfig, name: str) -> str:
     return os.path.join(cfg.output_dir, name)
+
+
+def _propensity_name(comp: str, method: str) -> str:
+    return f"propensity_{comp}_{method}.json"
+
+
+def _match_names(comp: str, method: str) -> tuple[str, str]:
+    """The set file and the ledger of a match."""
+    base = f"match_{comp}_{method}"
+    return base + ".sets.txt", base + ".ledger.csv"
+
+
+def _stage_name(stage: str, comp: str) -> str:
+    """The intermediate ``balance``, ``inference`` or ``sensitivity`` writes per comparison."""
+    return f"{stage}_{comp}.json"
+
+
+def _balance_report_names(comp: str) -> tuple[str, str]:
+    return f"balance_{comp}.csv", f"balance_{comp}.md"
+
+
+# The study-wide report files, in the order ``stage_report`` renders them.
+_REPORT_NAMES = (
+    "match_summary.csv",
+    "composition.csv",
+    "inference.csv",
+    "sensitivity.csv",
+    "propensity_quantiles.csv",
+    "decisions.txt",
+)
 
 
 def _data_path(cfg: StudyConfig) -> str:
@@ -211,8 +246,13 @@ def stage_simulate(cfg: StudyConfig) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _propensity_seed(cfg: StudyConfig, name: str, method: str) -> int:
+    """The seed of a comparison x score model in ``propensity`` and the manifest."""
+    return derive_seed(cfg.seed, name, "propensity", method)
+
+
 def _fit_one(cfg: StudyConfig, name: str, ct: SubjectTable, method: str):
-    seed = derive_seed(cfg.seed, name, "propensity", method)
+    seed = _propensity_seed(cfg, name, method)
     x, z = ct.covariates, ct.z
     if method == "mle":
         fit = propensity_mod.fit_mle(x, z)
@@ -245,7 +285,7 @@ def stage_propensity(cfg: StudyConfig) -> None:
     fits = [_fit_one(cfg, name, tables[name], method) for name, method in jobs]
     for (name, method), (fit, seed) in zip(jobs, fits):
         _write_json(
-            _path(cfg, f"propensity_{name}_{method}.json"),
+            _path(cfg, _propensity_name(name, method)),
             {
                 "comparison": name,
                 "method": method,
@@ -259,11 +299,11 @@ def stage_propensity(cfg: StudyConfig) -> None:
         )
 
 
-def _load_scores(cfg: StudyConfig, name: str, method: str, ct: SubjectTable) -> tuple[np.ndarray, dict]:
-    obj = _read_json(_path(cfg, f"propensity_{name}_{method}.json"), "propensity")
+def _load_scores(cfg: StudyConfig, name: str, method: str, ct: SubjectTable) -> np.ndarray:
+    obj = _read_json(_path(cfg, _propensity_name(name, method)), "propensity")
     if tuple(obj["ids"]) != ct.ids:
         raise ValidationError(f"propensity file for {name}/{method} does not align with the cohort")
-    return np.asarray(obj["scores"], dtype=float), obj
+    return np.asarray(obj["scores"], dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -276,18 +316,13 @@ def stage_match(cfg: StudyConfig) -> None:
     for comp in cfg.comparisons:
         ct = tables[comp.name]
         for method in cfg.propensity_methods:
-            scores, _ = _load_scores(cfg, comp.name, method, ct)
+            scores = _load_scores(cfg, comp.name, method, ct)
             try:
                 result = matching_mod.build_match(ct, scores, cfg.matching)
             except matching_mod.MatchingError as err:
                 raise matching_mod.MatchingError(f"{comp.name}: {err}") from None
-            for path, text in zip(_match_paths(cfg, comp.name, method), render_match(ct, result)):
-                _write_text(path, text)
-
-
-def _match_paths(cfg: StudyConfig, name: str, method: str) -> tuple[str, str]:
-    base = _path(cfg, f"match_{name}_{method}")
-    return base + ".sets.txt", base + ".ledger.csv"
+            for name, text in zip(_match_names(comp.name, method), render_match(ct, result)):
+                _write_text(_path(cfg, name), text)
 
 
 def render_match(ct: SubjectTable, result: matching_mod.MatchResult) -> tuple[str, str]:
@@ -313,12 +348,13 @@ def load_match(cfg: StudyConfig, name: str, method: str, ct: SubjectTable) -> ma
     from. The files are read alone; their ids are mapped to rows once, here,
     and the subject accounting is recounted on ``ct``.
 
-    Raises ``ValueError`` naming the file and the id when an id is not in
-    ``ct``, when a subject is listed twice across the two files, when a
-    subject of ``ct`` is in neither, or when a ledger line gives a reason
+    Raises ``ValueError`` naming the file when the ledger's first line is not
+    its ``id,reason`` header, and naming the file and the id when an id is
+    not in ``ct``, when a subject is listed twice across the two files, when
+    a subject of ``ct`` is in neither, or when a ledger line gives a reason
     that is not one of ``matching.REASONS``.
     """
-    paths = _match_paths(cfg, name, method)
+    paths = [_path(cfg, n) for n in _match_names(name, method)]
     for p in paths:
         if not os.path.exists(p):
             raise MissingIntermediateError(p, "match")
@@ -332,7 +368,8 @@ def load_match(cfg: StudyConfig, name: str, method: str, ct: SubjectTable) -> ma
                 listed += set_ids
                 sizes.append(len(set_ids))
     with open(paths[1], encoding="utf-8") as fh:
-        next(fh)
+        if fh.readline().strip() != "id,reason":
+            raise ValueError(f"{paths[1]}: the first line is not the header 'id,reason'")
         ledger = [line.strip().partition(",") for line in fh if line.strip()]
     for sid, _, reason in ledger:
         if reason not in matching_mod.REASONS:
@@ -389,7 +426,7 @@ def stage_balance(cfg: StudyConfig) -> None:
             candidates.append((n_imbalanced, result.n_dropped))
         chosen = balance_mod.select_match(candidates)
         _write_json(
-            _path(cfg, f"balance_{comp.name}.json"),
+            _path(cfg, _stage_name("balance", comp.name)),
             {
                 "comparison": comp.name,
                 "methods": list(cfg.propensity_methods),
@@ -401,7 +438,7 @@ def stage_balance(cfg: StudyConfig) -> None:
 
 
 def load_balance(cfg: StudyConfig, name: str) -> dict:
-    return _read_json(_path(cfg, f"balance_{name}.json"), "balance")
+    return _read_json(_path(cfg, _stage_name("balance", name)), "balance")
 
 
 # ---------------------------------------------------------------------------
@@ -409,10 +446,11 @@ def load_balance(cfg: StudyConfig, name: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _outcomes_for(cfg: StudyConfig, comp_index: int):
-    if comp_index == 0:
-        return cfg.outcome_specs
-    return (cfg.primary_outcome,)
+def _analysed_outcomes(cfg: StudyConfig):
+    """``(comp, outcome specs)`` per comparison: the first comparison analyses
+    every outcome, the others the primary outcome."""
+    for idx, comp in enumerate(cfg.comparisons):
+        yield comp, cfg.outcome_specs if idx == 0 else (cfg.primary_outcome,)
 
 
 def _analysis_seed(cfg: StudyConfig, name: str, outcome: str) -> int:
@@ -424,13 +462,13 @@ def _analyses(cfg: StudyConfig):
     """Per comparison: ``(comp, comparison table, selected method, outcomes)``,
     with a ``(spec, InferenceData, seed)`` per analysed outcome of the match."""
     tables = _comparison_tables(cfg)
-    for idx, comp in enumerate(cfg.comparisons):
+    for comp, specs in _analysed_outcomes(cfg):
         ct = tables[comp.name]
         selected = load_balance(cfg, comp.name)["selected"]
         result = load_match(cfg, comp.name, selected, ct)
         outcomes = (
             (o, inference_mod.matched_arrays(ct, result, o.name), _analysis_seed(cfg, comp.name, o.name))
-            for o in _outcomes_for(cfg, idx)
+            for o in specs
         )
         yield comp, ct, selected, outcomes
 
@@ -501,13 +539,13 @@ def stage_infer(cfg: StudyConfig) -> None:
                 res = attrition_check(ct, outcome.name)
                 attrition[outcome.name] = {"coef": res.coef, "p": res.p, "separation": bool(res.separation)}
         _write_json(
-            _path(cfg, f"inference_{comp.name}.json"),
+            _path(cfg, _stage_name("inference", comp.name)),
             {"comparison": comp.name, "selected": selected, "outcomes": outcomes, "attrition": attrition},
         )
 
 
 def load_inference(cfg: StudyConfig, name: str) -> dict:
-    return _read_json(_path(cfg, f"inference_{name}.json"), "infer")
+    return _read_json(_path(cfg, _stage_name("inference", name)), "infer")
 
 
 # ---------------------------------------------------------------------------
@@ -538,13 +576,13 @@ def stage_sensitivity(cfg: StudyConfig) -> None:
                 "beyond_grid": bool(curve.beyond_grid),
             }
         _write_json(
-            _path(cfg, f"sensitivity_{comp.name}.json"),
+            _path(cfg, _stage_name("sensitivity", comp.name)),
             {"comparison": comp.name, "selected": selected, "outcomes": outcomes},
         )
 
 
 def load_sensitivity(cfg: StudyConfig, name: str) -> dict:
-    return _read_json(_path(cfg, f"sensitivity_{name}.json"), "sensitivity")
+    return _read_json(_path(cfg, _stage_name("sensitivity", name)), "sensitivity")
 
 
 # ---------------------------------------------------------------------------
@@ -583,29 +621,15 @@ def _match_summary_csv(cfg: StudyConfig, balances: dict) -> str:
         info = balances[comp.name]
         for method in cfg.propensity_methods:
             entry = info["per_method"][method]
-            c = entry["counts"]
-            lines.append(
-                ",".join(
-                    str(v)
-                    for v in (
-                        comp.name,
-                        method,
-                        1 if method == info["selected"] else 0,
-                        c["n_miss_treated"] + c["n_miss_control"],
-                        c["n_miss_treated"],
-                        c["n_miss_control"],
-                        c["n_cs_treated"] + c["n_cs_control"],
-                        c["n_cs_treated"],
-                        c["n_cs_control"],
-                        c["n_matched_treated"] + c["n_matched_control"],
-                        c["n_matched_treated"],
-                        c["n_matched_control"],
-                        entry["n_sets"],
-                        entry["imbalanced"],
-                    )
-                )
-                + "\n"
+            c = matching_mod.MatchCounts(**entry["counts"])
+            values = (
+                comp.name, method, 1 if method == info["selected"] else 0,
+                c.n_miss, c.n_miss_treated, c.n_miss_control,
+                c.n_cs, c.n_cs_treated, c.n_cs_control,
+                c.n_matched, c.n_matched_treated, c.n_matched_control,
+                entry["n_sets"], entry["imbalanced"],
             )
+            lines.append(",".join(map(str, values)) + "\n")
     return "".join(lines)
 
 
@@ -625,27 +649,20 @@ def _composition_csv(cfg: StudyConfig, balances: dict) -> str:
     return "".join(lines)
 
 
+# The balance-row fields of the balance tables' numeric columns, in column order.
+_BALANCE_FIELDS = (
+    "treated_mean_pre", "control_mean_pre", "sd_diff_pre", "treated_mean_post", "control_mean_post", "sd_diff_post"
+)
+
+
 def _balance_csv(rows: list[dict]) -> str:
     lines = [
         "covariate,pre_treated_mean,pre_control_mean,pre_sd_diff,"
         "post_treated_mean,post_control_mean,post_sd_diff,imbalanced\n"
     ]
     for r in rows:
-        lines.append(
-            ",".join(
-                (
-                    r["name"],
-                    _fmt(r["treated_mean_pre"]),
-                    _fmt(r["control_mean_pre"]),
-                    _fmt(r["sd_diff_pre"]),
-                    _fmt(r["treated_mean_post"]),
-                    _fmt(r["control_mean_post"]),
-                    _fmt(r["sd_diff_post"]),
-                    "1" if r["imbalanced"] else "0",
-                )
-            )
-            + "\n"
-        )
+        values = [r["name"], *(_fmt(r[k]) for k in _BALANCE_FIELDS), "1" if r["imbalanced"] else "0"]
+        lines.append(",".join(values) + "\n")
     return "".join(lines)
 
 
@@ -658,20 +675,16 @@ def _balance_md(name: str, method: str, rows: list[dict]) -> str:
     ]
     for r in rows:
         star = " *" if r["imbalanced"] else ""
-        lines.append(
-            f"| {r['name']} | {_fmt(r['treated_mean_pre'])} | {_fmt(r['control_mean_pre'])} "
-            f"| {_fmt(r['sd_diff_pre'])} | {_fmt(r['treated_mean_post'])} "
-            f"| {_fmt(r['control_mean_post'])} | {_fmt(r['sd_diff_post'])}{star} |\n"
-        )
+        lines.append(f"| {r['name']} | " + " | ".join(_fmt(r[k]) for k in _BALANCE_FIELDS) + f"{star} |\n")
     lines.append("\n`*` marks a post-match standardized difference above 0.2 in absolute value.\n")
     return "".join(lines)
 
 
 def _inference_csv(cfg: StudyConfig, inferences: dict) -> str:
     lines = ["comparison,outcome,test,tau0,statistic,p_two_sided,method,adjustment,seed\n"]
-    for idx, comp in enumerate(cfg.comparisons):
+    for comp, specs in _analysed_outcomes(cfg):
         info = inferences[comp.name]
-        for outcome in _outcomes_for(cfg, idx):
+        for outcome in specs:
             o = info["outcomes"][outcome.name]
             point = o["point"]
             lines.append(
@@ -700,9 +713,9 @@ def _inference_csv(cfg: StudyConfig, inferences: dict) -> str:
 
 def _sensitivity_csv(cfg: StudyConfig, sensitivities: dict) -> str:
     lines = ["comparison,outcome,test,gamma,p_upper\n"]
-    for idx, comp in enumerate(cfg.comparisons):
+    for comp, specs in _analysed_outcomes(cfg):
         info = sensitivities[comp.name]
-        for outcome in _outcomes_for(cfg, idx):
+        for outcome in specs:
             o = info["outcomes"][outcome.name]
             for g, p in zip(o["gammas"], o["p_upper"]):
                 lines.append(f"{comp.name},{outcome.name},{o['test']},{g:.2f},{p!r}\n")
@@ -724,7 +737,7 @@ def _quantiles_csv(cfg: StudyConfig, tables: dict) -> str:
     for comp in cfg.comparisons:
         ct = tables[comp.name]
         for method in cfg.propensity_methods:
-            scores, _ = _load_scores(cfg, comp.name, method, ct)
+            scores = _load_scores(cfg, comp.name, method, ct)
             for arm, mask in (("treated", ct.z == 1), ("control", ct.z == 0)):
                 qs = _quartiles(scores[mask])
                 lines.append(
@@ -755,6 +768,19 @@ def _run_procedure(cfg: StudyConfig, inferences: dict):
     else:
         proc = multiplicity_mod.ordered_procedure(p[0], alpha=alpha, labels=labels)
     return proc, eq
+
+
+def _hull_text(hull) -> str:
+    return "empty" if hull is None else f"[{hull[0]!r}, {hull[1]!r}]"
+
+
+def _gamma_text(cfg: StudyConfig, curve: dict) -> str:
+    """The gamma* of a stored sensitivity curve, as ``decisions.txt`` prints it."""
+    if curve["beyond_grid"]:
+        return f"beyond grid (> {cfg.sensitivity.stop:.2f})"
+    if curve["insignificant_at_one"]:
+        return "1.00 (insignificant without hidden bias)"
+    return f"{curve['threshold']:.2f}"
 
 
 def _decisions_text(cfg: StudyConfig, balances, inferences, sensitivities) -> str:
@@ -798,24 +824,15 @@ def _decisions_text(cfg: StudyConfig, balances, inferences, sensitivities) -> st
     primary = cfg.primary_outcome.name
     for comp in cfg.comparisons:
         o = inferences[comp.name]["outcomes"][primary]
-        hull = o["hull"]
-        hull_text = "empty" if hull is None else f"[{hull[0]!r}, {hull[1]!r}]"
         flag = "  [non-monotone acceptance]" if o["non_monotone"] else ""
-        out.append(f"  {comp.name}  {primary}: {hull_text}{flag}\n")
+        out.append(f"  {comp.name}  {primary}: {_hull_text(o['hull'])}{flag}\n")
     out.append("\n")
 
     out.append(f"sensitivity thresholds (one-sided bound, alpha = {alpha})\n")
-    for idx, comp in enumerate(cfg.comparisons):
-        info = sensitivities[comp.name]
-        for outcome in _outcomes_for(cfg, idx):
-            o = info["outcomes"][outcome.name]
-            if o["beyond_grid"]:
-                text = f"beyond grid (> {cfg.sensitivity.stop:.2f})"
-            elif o["insignificant_at_one"]:
-                text = "1.00 (insignificant without hidden bias)"
-            else:
-                text = f"{o['threshold']:.2f}"
-            out.append(f"  {comp.name}  {outcome.name} ({o['test']}): gamma* = {text}\n")
+    for comp, specs in _analysed_outcomes(cfg):
+        for outcome in specs:
+            o = sensitivities[comp.name]["outcomes"][outcome.name]
+            out.append(f"  {comp.name}  {outcome.name} ({o['test']}): gamma* = {_gamma_text(cfg, o)}\n")
     out.append("\n")
 
     if cfg.secondary_outcomes:
@@ -826,16 +843,11 @@ def _decisions_text(cfg: StudyConfig, balances, inferences, sensitivities) -> st
         adjusted, applied = multiplicity_mod.secondary_adjustment(np.asarray(raw), threshold=alpha)
         out.append(f"secondary outcomes ({first}; confidence intervals are marginal)\n")
         for j, o in enumerate(cfg.secondary_outcomes):
-            entry = inf0[o.name]
-            hull = entry["hull"]
-            hull_text = "empty" if hull is None else f"[{hull[0]!r}, {hull[1]!r}]"
             bh = f"{float(adjusted[j])!r}" if applied else "-"
-            so = sens0[o.name]
-            if so["beyond_grid"]:
-                gtext = f"beyond grid (> {cfg.sensitivity.stop:.2f})"
-            else:
-                gtext = f"{so['threshold']:.2f}"
-            out.append(f"  {o.name}: raw p = {raw[j]!r}, bh p = {bh}, ci {hull_text}, gamma* = {gtext}\n")
+            out.append(
+                f"  {o.name}: raw p = {raw[j]!r}, bh p = {bh}, ci {_hull_text(inf0[o.name]['hull'])}, "
+                f"gamma* = {_gamma_text(cfg, sens0[o.name])}\n"
+            )
         out.append(f"  bh adjustment applied: {'yes' if applied else 'no'}\n")
         out.append("\n")
 
@@ -854,8 +866,8 @@ def _decisions_text(cfg: StudyConfig, balances, inferences, sensitivities) -> st
 
     out.append("excluded matched sets (missing outcome)\n")
     any_excluded = False
-    for idx, comp in enumerate(cfg.comparisons):
-        for outcome in _outcomes_for(cfg, idx):
+    for comp, specs in _analysed_outcomes(cfg):
+        for outcome in specs:
             excluded = inferences[comp.name]["outcomes"][outcome.name]["excluded_sets"]
             if excluded:
                 any_excluded = True
@@ -865,19 +877,16 @@ def _decisions_text(cfg: StudyConfig, balances, inferences, sensitivities) -> st
     return "".join(out)
 
 
-def _manifest_text(cfg: StudyConfig, files: list[str]) -> str:
+def _manifest_text(cfg: StudyConfig, balances: dict, files: list[str]) -> str:
     out = [f"base seed {cfg.seed}\n"]
     for comp in cfg.comparisons:
         for method in cfg.propensity_methods:
-            out.append(
-                f"seed {comp.name} propensity {method} {derive_seed(cfg.seed, comp.name, 'propensity', method)}\n"
-            )
-    for idx, comp in enumerate(cfg.comparisons):
-        for outcome in _outcomes_for(cfg, idx):
+            out.append(f"seed {comp.name} propensity {method} {_propensity_seed(cfg, comp.name, method)}\n")
+    for comp, specs in _analysed_outcomes(cfg):
+        for outcome in specs:
             out.append(f"seed {comp.name} inference {outcome.name} {_analysis_seed(cfg, comp.name, outcome.name)}\n")
     for comp in cfg.comparisons:
-        selected = load_balance(cfg, comp.name)["selected"]
-        out.append(f"selected {comp.name} {selected}\n")
+        out.append(f"selected {comp.name} {balances[comp.name]['selected']}\n")
     out.append(f"numpy {np.__version__}\nscipy {scipy.__version__}\n")
     for name in sorted(files):
         out.append(f"sha256 {_sha256(os.path.join(cfg.output_dir, name))}  {name}\n")
@@ -891,25 +900,10 @@ def _artifact_names(cfg: StudyConfig) -> list[str]:
         names.append(os.path.basename(data))
     for comp in cfg.comparisons:
         for method in cfg.propensity_methods:
-            names.append(f"propensity_{comp.name}_{method}.json")
-            names.append(f"match_{comp.name}_{method}.sets.txt")
-            names.append(f"match_{comp.name}_{method}.ledger.csv")
-        names += [
-            f"balance_{comp.name}.json",
-            f"inference_{comp.name}.json",
-            f"sensitivity_{comp.name}.json",
-            f"balance_{comp.name}.csv",
-            f"balance_{comp.name}.md",
-        ]
-    names += [
-        "match_summary.csv",
-        "composition.csv",
-        "inference.csv",
-        "sensitivity.csv",
-        "propensity_quantiles.csv",
-        "decisions.txt",
-    ]
-    return names
+            names += [_propensity_name(comp.name, method), *_match_names(comp.name, method)]
+        names += [_stage_name(stage, comp.name) for stage in ("balance", "inference", "sensitivity")]
+        names += _balance_report_names(comp.name)
+    return names + list(_REPORT_NAMES)
 
 
 def stage_report(cfg: StudyConfig) -> None:
@@ -918,20 +912,25 @@ def stage_report(cfg: StudyConfig) -> None:
     inferences = {comp.name: load_inference(cfg, comp.name) for comp in cfg.comparisons}
     sensitivities = {comp.name: load_sensitivity(cfg, comp.name) for comp in cfg.comparisons}
 
-    _write_text(_path(cfg, "match_summary.csv"), _match_summary_csv(cfg, balances))
-    _write_text(_path(cfg, "composition.csv"), _composition_csv(cfg, balances))
     for comp in cfg.comparisons:
         info = balances[comp.name]
         rows = info["per_method"][info["selected"]]["rows"]
-        _write_text(_path(cfg, f"balance_{comp.name}.csv"), _balance_csv(rows))
-        _write_text(_path(cfg, f"balance_{comp.name}.md"), _balance_md(comp.name, info["selected"], rows))
-    _write_text(_path(cfg, "inference.csv"), _inference_csv(cfg, inferences))
-    _write_text(_path(cfg, "sensitivity.csv"), _sensitivity_csv(cfg, sensitivities))
-    _write_text(_path(cfg, "propensity_quantiles.csv"), _quantiles_csv(cfg, tables))
-    _write_text(_path(cfg, "decisions.txt"), _decisions_text(cfg, balances, inferences, sensitivities))
+        csv_name, md_name = _balance_report_names(comp.name)
+        _write_text(_path(cfg, csv_name), _balance_csv(rows))
+        _write_text(_path(cfg, md_name), _balance_md(comp.name, info["selected"], rows))
+    texts = (
+        _match_summary_csv(cfg, balances),
+        _composition_csv(cfg, balances),
+        _inference_csv(cfg, inferences),
+        _sensitivity_csv(cfg, sensitivities),
+        _quantiles_csv(cfg, tables),
+        _decisions_text(cfg, balances, inferences, sensitivities),
+    )
+    for name, text in zip(_REPORT_NAMES, texts, strict=True):
+        _write_text(_path(cfg, name), text)
 
     present = [n for n in _artifact_names(cfg) if os.path.exists(_path(cfg, n))]
-    _write_text(_path(cfg, "manifest.txt"), _manifest_text(cfg, present))
+    _write_text(_path(cfg, "manifest.txt"), _manifest_text(cfg, balances, present))
 
 
 # ---------------------------------------------------------------------------

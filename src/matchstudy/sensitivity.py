@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._scipy import ndtr
-from .inference import MH_EXACT_LIMIT, SetLayout, _binary_set_margins, event_tail_probabilities
+from .inference import SetLayout, _binary_set_margins, event_tail_probabilities, mh_tail_mode
 
 #: Default Gamma grid: 1.0 through 3.0 in steps of 0.05.
 DEFAULT_GAMMA_GRID = np.linspace(1.0, 3.0, 41)
@@ -131,8 +131,7 @@ def sensitivity_mh(
     t, d, n = _binary_set_margins(y, sets)
     t_obs = int(round(float(t.sum())))
     side = _resolve_direction(direction, float(t_obs), float(np.sum(d / n)))
-    if mode == "auto":
-        mode = "exact" if len(sets) <= MH_EXACT_LIMIT else "normal"
+    mode = mh_tail_mode(mode, sets)
     if side == "greater":
         probs = gamma * d / (gamma * d + (n - d))
         p_one = event_tail_probabilities(probs, t_obs, mode)[0]

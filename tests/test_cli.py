@@ -367,6 +367,19 @@ class TestFullRun:
         assert lines[at - 1].startswith("selected ")
         assert lines[at + 2].startswith("sha256 ")
 
+    def test_propensity_seed_is_the_manifest_seed(self, completed_run):
+        # The seed a score file records is the one its manifest line names.
+        _, out_dir, _ = completed_run
+        with open(os.path.join(out_dir, "manifest.txt"), encoding="utf-8") as fh:
+            seeds = {tuple(f[1:4]): int(f[4]) for f in map(str.split, fh) if f[0] == "seed" and f[2] == "propensity"}
+        cfg = config_from_dict(reduced_config_dict(out_dir))
+        for comp in cfg.comparisons:
+            for method in cfg.propensity_methods:
+                with open(os.path.join(out_dir, f"propensity_{comp.name}_{method}.json"), encoding="utf-8") as fh:
+                    recorded = json.load(fh)["seed"]
+                assert recorded == seeds.pop((comp.name, "propensity", method)), (comp.name, method)
+        assert not seeds
+
     def test_composition_counts_match_set_files(self, completed_run):
         cfg_path, out_dir, _ = completed_run
         with open(os.path.join(out_dir, "composition.csv"), encoding="utf-8") as fh:
@@ -510,7 +523,7 @@ class TestFullRun:
         built = {}
         for comp in cfg.comparisons:
             for method in cfg.propensity_methods:
-                scores, _ = pipeline._load_scores(cfg, comp.name, method, tables[comp.name])
+                scores = pipeline._load_scores(cfg, comp.name, method, tables[comp.name])
                 built[comp.name, method] = build_match(tables[comp.name], scores, cfg.matching)
         for name in os.listdir(out_copy):
             if name.startswith("propensity_"):
@@ -652,6 +665,20 @@ class TestFullRun:
         self._assert_rejected(capsys, command, cfg_path, path, f"{sid!r} has the unknown reason {reason!r}")
         assert os.path.exists(os.path.join(out_copy, "failure_manifest.txt"))
 
+    @pytest.mark.parametrize("command", ["balance", "infer"])
+    @pytest.mark.parametrize("ledger", ["empty", "headless"])
+    def test_ledger_without_its_header_is_rejected(self, completed_run, tmp_path, capsys, command, ledger):
+        # An empty ledger, or one whose first line is a subject's: neither
+        # may be read as a ledger whose header is that first line.
+        cfg_path, sets_path, _ = self._selected_sets(completed_run, tmp_path)
+        path = sets_path.replace(".sets.txt", ".ledger.csv")
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines(keepends=True)
+        assert lines[0] == "id,reason\n" and len(lines) > 1
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines([] if ledger == "empty" else lines[1:])
+        self._assert_rejected(capsys, command, cfg_path, path, "the first line is not the header 'id,reason'")
+
     def test_match_stage_rerun_reproduces_run_output(self, completed_run):
         cfg_path, out_dir, digests = completed_run
         assert main(["match", "--config", cfg_path]) == 0
@@ -688,6 +715,20 @@ class TestFullRun:
             text = fh.read()
         assert "bh p = -" not in text
         assert "np." not in text
+
+    def test_secondary_gamma_text_is_the_thresholds_text(self, completed_run):
+        # A secondary outcome's gamma* reads the same in both blocks; in this
+        # run y_aux is insignificant at gamma = 1 and y_bin is not.
+        _, out_dir, _ = completed_run
+        with open(os.path.join(out_dir, "decisions.txt"), encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        with open(os.path.join(out_dir, "sensitivity_comparison-1.json"), encoding="utf-8") as fh:
+            curves = json.load(fh)["outcomes"]
+        assert curves["y_aux"]["insignificant_at_one"] and not curves["y_bin"]["insignificant_at_one"]
+        for name in ("y_bin", "y_aux"):
+            (threshold,) = [line for line in lines if line.startswith(f"  comparison-1  {name} (")]
+            (secondary,) = [line for line in lines if line.startswith(f"  {name}: raw p = ")]
+            assert secondary.partition(", gamma* = ")[2] == threshold.partition(": gamma* = ")[2], name
 
 
 class TestFailureManifest:
