@@ -126,6 +126,18 @@ def _comparison_tolerance(values: np.ndarray) -> float:
     return 1e-9 * max(1.0, float(np.max(np.abs(values), initial=0.0)))
 
 
+def assignment_count(sets: SetLayout) -> int:
+    """The number of equiprobable treatment assignments of ``sets``: the
+    product of the set sizes, which ``exact`` mode enumerates."""
+    return math.prod(sets.sizes.tolist())
+
+
+def order_of_magnitude(count: int) -> str:
+    """``count``'s order of magnitude as ``10^k``, for messages (a count of
+    assignments can have more digits than ``str`` converts)."""
+    return f"10^{math.floor(math.log10(count))}"
+
+
 def permutational_t_test(
     resid: np.ndarray,
     sets: SetLayout,
@@ -140,19 +152,23 @@ def permutational_t_test(
     sizes at most 1e6); ``monte-carlo`` samples assignments with an add-one
     estimate; ``normal-approx`` uses the exact null mean and variance.
     ``auto`` picks exact when feasible, otherwise Monte Carlo. Two-sided p is
-    twice the smaller tail, capped at 1. Monte Carlo raises ``ValueError``
-    unless ``n_draws`` is an integer >= 1.
+    twice the smaller tail, capped at 1. ``exact`` raises ``ValueError``
+    beyond ``EXACT_LIMIT`` assignments, and Monte Carlo unless ``n_draws`` is
+    an integer >= 1.
     """
     laid = sets.check(resid, float)
     t_obs = float(laid[sets.starts].sum())
-    n_assign = math.prod(sets.sizes.tolist())
+    n_assign = assignment_count(sets)
     if mode == "auto":
         mode = "exact" if n_assign <= EXACT_LIMIT else "monte-carlo"
     detail: dict = {}
 
     if mode == "exact":
         if n_assign > EXACT_LIMIT:
-            raise ValueError(f"exact enumeration needs at most {EXACT_LIMIT} assignments, have > {EXACT_LIMIT}")
+            raise ValueError(
+                f"exact enumeration takes at most {EXACT_LIMIT} assignments; "
+                f"these sets have about {order_of_magnitude(n_assign)}"
+            )
         sums = np.zeros(1)
         for values in sets.split(laid):
             sums = (sums[:, None] + values[None, :]).ravel()

@@ -23,6 +23,12 @@ outcome (``_analysed_outcomes``). Seeds come from ``_propensity_seed`` and
 ``_analysis_seed``; ``infer`` and ``sensitivity`` share one front end and one
 seed per comparison x outcome: the point test is the inversion's test at
 tau0 = 0, and the sensitivity curve bounds that test's residuals.
+
+``propensity`` runs its sampled fits (L1, Bayes, BART) on a pool of forked
+workers, one per core, and the MLE fits itself meanwhile; on one core every
+fit runs in the stage's process (``_fit_all``). The fits' warnings are issued
+again in job order, so stderr and every byte are the same for any core
+count, and a worker's error reaches ``run_stage`` as its own class.
 """
 from __future__ import annotations
 
@@ -32,6 +38,9 @@ import json
 import math
 import os
 import re
+import sys
+import threading
+import warnings
 
 import numpy as np
 import scipy
@@ -267,6 +276,66 @@ def _fit_one(cfg: StudyConfig, name: str, ct: SubjectTable, method: str):
     return fit, seed
 
 
+def _fit_recorded(cfg: StudyConfig, name: str, ct: SubjectTable, method: str):
+    """``_fit_one`` with every warning it issues recorded instead of shown,
+    as ``(message, category, filename, lineno)``; ``_warn_again`` issues them."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fit, seed = _fit_one(cfg, name, ct, method)
+    return fit, seed, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+
+
+def _warn_again(caught) -> None:
+    """Issue recorded warnings as ``warnings.warn`` issued them: from their
+    line, under their module's name and through its once-per-line registry,
+    so they meet the caller's filters."""
+    if not caught:
+        return
+    by_file = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
+    for message, category, filename, lineno in caught:
+        module = by_file.get(filename)
+        if module is None:
+            warnings.warn_explicit(message, category, filename, lineno)
+        else:
+            registry = vars(module).setdefault("__warningregistry__", {})
+            warnings.warn_explicit(message, category, filename, lineno, module.__name__, registry)
+
+
+def _fit_all(cfg: StudyConfig, tables: dict[str, SubjectTable], jobs: list[tuple[str, str]]) -> list:
+    """``_fit_recorded`` of every ``(comparison, method)`` job, in job order.
+
+    The sampled fits (every method but ``mle``) run on a pool of forked
+    worker processes, BART first and then in job order, while this process
+    runs the MLE fits, which take milliseconds. The pool has one worker per
+    core (``matching._worker_count``) up to the number of sampled fits. With
+    fewer than two workers, without ``fork``, or while this process runs
+    other threads (a lock one of them holds would stay held in a forked
+    child), every fit runs here in job order. Each fit has its own seed, so
+    neither the order nor the worker count moves a byte. No worker outlives
+    the call: on a failure the queued fits are cancelled and the running
+    ones awaited.
+    """
+    sampled = sorted((job for job in jobs if job[1] != "mle"), key=lambda job: job[1] != "bart")
+    workers = min(matching_mod._worker_count(), len(sampled))
+    pool = None
+    if workers >= 2 and threading.active_count() == 1:
+        import multiprocessing
+        from concurrent.futures.process import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    futures = {}
+    try:
+        if pool is not None:
+            # The workers inherit the module state (patched functions too).
+            futures = {job: pool.submit(_fit_recorded, cfg, job[0], tables[job[0]], job[1]) for job in sampled}
+        here = {job: _fit_recorded(cfg, job[0], tables[job[0]], job[1]) for job in jobs if job not in futures}
+        return [futures[job].result() if job in futures else here[job] for job in jobs]
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+
+
 def _jsonable(value):
     if isinstance(value, np.ndarray):
         return value.tolist()
@@ -282,8 +351,9 @@ def _jsonable(value):
 def stage_propensity(cfg: StudyConfig) -> None:
     tables = _comparison_tables(cfg)
     jobs = [(comp.name, method) for comp in cfg.comparisons for method in cfg.propensity_methods]
-    fits = [_fit_one(cfg, name, tables[name], method) for name, method in jobs]
-    for (name, method), (fit, seed) in zip(jobs, fits):
+    fits = _fit_all(cfg, tables, jobs)
+    _warn_again([w for _, _, caught in fits for w in caught])
+    for (name, method), (fit, seed, _) in zip(jobs, fits):
         _write_json(
             _path(cfg, _propensity_name(name, method)),
             {
@@ -530,10 +600,25 @@ def _test_suite(cfg: StudyConfig, outcome, data: inference_mod.InferenceData, se
     return out
 
 
+def _check_exact_mode(cfg: StudyConfig, name: str, outcome: str, sets: matching_mod.SetLayout) -> None:
+    """Raise ``ValidationError`` when ``inference.mode`` is ``exact`` and the
+    matched sets have more assignments than exact enumeration takes."""
+    if cfg.inference.mode != "exact":
+        return
+    count = inference_mod.assignment_count(sets)
+    if count > inference_mod.EXACT_LIMIT:
+        raise ValidationError(
+            f"{name}, outcome {outcome!r}: inference.mode 'exact' enumerates at most "
+            f"{inference_mod.EXACT_LIMIT} assignments, and the matched sets have about "
+            f"{inference_mod.order_of_magnitude(count)}; use 'auto' or 'monte-carlo'"
+        )
+
+
 def stage_infer(cfg: StudyConfig) -> None:
     for comp, ct, selected, analyses in _analyses(cfg):
         outcomes, attrition = {}, {}
         for outcome, data, seed in analyses:
+            _check_exact_mode(cfg, comp.name, outcome.name, data.sets)
             outcomes[outcome.name] = _test_suite(cfg, outcome, data, seed)
             if ct.outcome_missing[:, ct.outcome_index(outcome.name)].any():
                 res = attrition_check(ct, outcome.name)

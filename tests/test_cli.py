@@ -1,20 +1,25 @@
 import argparse
+import concurrent.futures.process
 import copy
 import csv
 import hashlib
 import json
+import math
+import multiprocessing
 import os
 import re
 import shutil
 import subprocess
 import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
 import scipy
 
 import matchstudy
-from matchstudy import pipeline
+from matchstudy import pipeline, propensity
 from matchstudy.cli import build_parser, main
 from matchstudy.config import config_from_dict, default_config, default_config_dict, load_config
 from matchstudy.matching import build_match
@@ -511,6 +516,22 @@ class TestFullRun:
         assert {method for method, _ in seen} == {"bart", "none"}
         assert {seed for _, seed in seen} <= listed
 
+    def test_exact_mode_beyond_the_enumeration_limit_is_a_configuration_error(self, completed_run, tmp_path, capsys):
+        # The matched sets fix the number of assignments, so only infer can
+        # tell; it names the comparison, the outcome and the count's order.
+        cfg = self._copy_with_inference(completed_run, tmp_path, mode="exact")
+        selected = pipeline.load_balance(cfg, "comparison-1")["selected"]
+        with open(os.path.join(cfg.output_dir, f"match_comparison-1_{selected}.sets.txt"), encoding="utf-8") as fh:
+            sizes = [2 + line.count(",") for line in fh]
+        assert math.prod(sizes) > pipeline.inference_mod.EXACT_LIMIT
+        assert main(["infer", "--config", os.path.join(str(tmp_path), "study.json")]) == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: comparison-1, outcome 'y': inference.mode 'exact' enumerates at most 1000000 assignments, "
+            f"and the matched sets have about 10^{math.floor(math.log10(math.prod(sizes)))}; "
+            "use 'auto' or 'monte-carlo'"
+        )
+        assert not os.path.exists(os.path.join(cfg.output_dir, "failure_manifest.txt"))
+
     def test_load_match_round_trips_build_match(self, completed_run, tmp_path):
         # load_match reads the two match files alone: the score files are
         # moved away before it runs.
@@ -750,6 +771,102 @@ class TestFailureManifest:
         assert "propensity_comparison-1_mle.json" in text
 
 
+def _cores(monkeypatch, cores):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cores: set(range(n)), raising=False)
+
+
+def _simulated(tmp_path, methods, comparisons=1):
+    """A simulated cohort under the reduced config cut to ``comparisons``
+    comparisons and the score models ``methods``; returns the config path."""
+    obj = reduced_config_dict(os.path.join(str(tmp_path), "out"))
+    obj.update(comparisons=obj["comparisons"][:comparisons], propensity_methods=methods)
+    os.makedirs(tmp_path, exist_ok=True)
+    path = write_config(tmp_path, obj)
+    assert main(["simulate", "--config", path]) == 0
+    return path
+
+
+class TestScorePool:
+    """The sampled score fits run on a pool of forked workers, one per core
+    up to the number of sampled fits; on one core they run in the stage's
+    process. The tests that patch a fit rely on the workers inheriting it."""
+
+    def test_core_count_changes_no_byte(self, tmp_path, monkeypatch):
+        # One core, two cores, and two cores while another thread runs, where
+        # a fork could copy a lock that thread holds: only the plain two-core
+        # case starts a pool, and all three write the same files and warnings.
+        pools = []
+
+        class SpyPool(concurrent.futures.process.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                pools.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", SpyPool)
+        digests, warned = [], []
+        for cores, threaded in ((1, False), (2, False), (2, True)):
+            _cores(monkeypatch, cores)
+            cfg = load_config(_simulated(tmp_path / f"{cores}-{threaded}", ["mle", "l1", "bayes", "bart"], comparisons=2))
+            stop = threading.Event()
+            other = threading.Thread(target=stop.wait)
+            if threaded:
+                other.start()
+            try:
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    pipeline.stage_propensity(cfg)
+            finally:
+                stop.set()
+                if threaded:
+                    other.join(timeout=10)
+            assert not other.is_alive()
+            warned.append([(w.category, str(w.message), w.filename, w.lineno) for w in caught])
+            digests.append({k: v for k, v in dir_digest(cfg.output_dir).items() if k.startswith("propensity_")})
+        assert pools == [2]
+        assert len(digests[0]) == 8
+        assert digests[0] == digests[1] == digests[2]
+        assert warned[0] == warned[1] == warned[2]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_worker_warnings_reach_the_caller(self, tmp_path, monkeypatch, cores):
+        def warning_fit(x, z, seed):
+            warnings.warn(f"fitted in process {os.getpid()}", UserWarning)
+            return propensity.fit_mle(x, z)
+
+        monkeypatch.setattr(pipeline.propensity_mod, "fit_bart_propensity", warning_fit)
+        _cores(monkeypatch, cores)
+        cfg = load_config(_simulated(tmp_path, ["mle", "l1", "bart"]))
+        with pytest.warns(UserWarning, match="fitted in process") as record:
+            pipeline.stage_propensity(cfg)
+        (pid,) = [int(str(w.message).split()[-1]) for w in record if "fitted in process" in str(w.message)]
+        assert (pid != os.getpid()) == (cores == 2)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("error, code", [(ValidationError, 1), (RuntimeError, 2)])
+    def test_worker_failure_fails_the_stage(self, tmp_path, monkeypatch, capsys, error, code):
+        # A validation error from a worker exits 1 with no failure manifest,
+        # any other error exits 2 with one; either way no worker is left.
+        def failing_fit(x, z, seed):
+            raise error(f"failed in process {os.getpid()}")
+
+        monkeypatch.setattr(pipeline.propensity_mod, "fit_bart_propensity", failing_fit)
+        _cores(monkeypatch, 2)
+        path = _simulated(tmp_path, ["mle", "l1", "bart"])
+        assert main(["propensity", "--config", path]) == code
+        message = capsys.readouterr().err.splitlines()[-1]
+        assert message.startswith("error: " + ("stage propensity: " if code == 2 else "") + "failed in process")
+        pid = int(message.split()[-1])
+        assert pid != os.getpid()
+        manifest = os.path.join(str(tmp_path), "out", "failure_manifest.txt")
+        if code == 1:
+            assert not os.path.exists(manifest)
+        else:
+            with open(manifest, encoding="utf-8") as fh:
+                assert fh.read().startswith(f"FAILED at stage propensity\nerror: RuntimeError: failed in process {pid}\n")
+        assert multiprocessing.active_children() == []
+
+
 class TestStages:
     def test_ordinal_level_rows_count_the_unscaled_codes(self, tmp_path):
         # With nothing missing, each arm's pre-match level means are its
@@ -915,6 +1032,26 @@ print(json.dumps({"after_import": after_import, "after_calls": after_calls, "aft
 """
 
 
+# The score pool is imported when it starts: importing the CLI loads no
+# multiprocessing, and an MLE-only run, with no sampled fit, forks nothing.
+_POOL_PROBE = """
+import json, os, sys
+sys.path.insert(0, sys.argv[1])
+import matchstudy.cli
+from matchstudy.config import config_from_dict
+from matchstudy.pipeline import run_pipeline
+
+after_import = "multiprocessing" in sys.modules
+
+def no_child(*args, **kwargs):
+    raise AssertionError("the run started a child process")
+
+os.fork = os.posix_spawn = os.posix_spawnp = no_child
+run_pipeline(config_from_dict(json.loads(sys.argv[2])))
+print(json.dumps({"after_import": after_import, "after_run": "multiprocessing" in sys.modules}))
+"""
+
+
 class TestImports:
     def test_runtime_never_loads_scipy_stats(self, tmp_path):
         src = os.path.dirname(os.path.dirname(os.path.abspath(matchstudy.__file__)))
@@ -950,6 +1087,21 @@ class TestImports:
             "after_run": False,
         }
         assert os.path.exists(os.path.join(str(tmp_path), "out", "propensity_quantiles.csv"))
+
+    def test_mle_only_run_starts_no_process(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(matchstudy.__file__)))
+        obj = reduced_config_dict(os.path.join(str(tmp_path), "out"))
+        obj.update(propensity_methods=["mle"])
+        proc = subprocess.run(
+            [sys.executable, "-c", _POOL_PROBE, src, json.dumps(obj)],
+            cwd=str(tmp_path),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == {"after_import": False, "after_run": False}
+        assert os.path.exists(os.path.join(str(tmp_path), "out", "manifest.txt"))
 
     def test_quartiles_equal_np_quantile(self):
         # the report's score quartiles, without np.quantile; scores are
