@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
+from array import array
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -212,21 +213,22 @@ class LoadOptions:
     aux_columns: tuple[str, ...] = ()
 
 
-def _cell_problem(cell: str) -> str | None:
-    """Why a numeric cell is rejected, or None when it reads as a finite float."""
-    try:
-        return None if math.isfinite(float(cell)) else "non-finite"
-    except ValueError:
-        return "unparseable"
-
-
 def load_subjects(path: str, schema: CovariateSchema, options: LoadOptions) -> SubjectTable:
     """Read a delimited text file into a :class:`SubjectTable`.
 
-    Cells equal to ``options.missing_token`` become missing flags. Any other
-    numeric cell that does not parse or parses to NaN or an infinity, a
-    non-binary treatment value, or a missing declared column raises with the
-    offending row/column named.
+    The file is streamed: each row is checked and parsed as it is read, and
+    only what the table keeps outlives it. That is the id, the treatment flag,
+    the stratum and aux labels (each distinct label one shared string), and
+    the covariate then outcome values in one packed float64 buffer with a
+    byte of missing flag per value.
+
+    Cells equal to ``options.missing_token`` become missing flags. A header
+    that lacks a declared column or names a column twice, a row with the
+    wrong number of fields, a repeated id, a non-binary treatment value, or
+    any other numeric cell that does not parse or parses to NaN or an
+    infinity raises with the offending row/column named. Rows are checked in
+    file order and each row in the order above, so the error raised is the
+    first one in the file.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh, delimiter=options.delimiter)
@@ -234,85 +236,80 @@ def load_subjects(path: str, schema: CovariateSchema, options: LoadOptions) -> S
             header = next(reader)
         except StopIteration:
             raise ValidationError(f"{path}: empty file") from None
-        rows = list(reader)
+        col: dict[str, int] = {}
+        for i, name in enumerate(header):
+            if col.setdefault(name, i) != i:
+                raise SchemaError(f"{path}: column {name!r} appears more than once in the header")
+        required = (
+            [options.id_column, options.treatment_column, options.stratum_column]
+            + list(schema.names)
+            + list(options.outcome_columns)
+            + list(options.aux_columns)
+        )
+        for name in required:
+            if name not in col:
+                raise SchemaError(f"{path}: missing required column {name!r}")
 
-    col = {name: i for i, name in enumerate(header)}
-    required = (
-        [options.id_column, options.treatment_column, options.stratum_column]
-        + list(schema.names)
-        + list(options.outcome_columns)
-        + list(options.aux_columns)
-    )
-    for name in required:
-        if name not in col:
-            raise SchemaError(f"{path}: missing required column {name!r}")
+        n_fields = len(header)
+        id_at, z_at, stratum_at = col[options.id_column], col[options.treatment_column], col[options.stratum_column]
+        value_names = schema.names + tuple(options.outcome_columns)
+        value_columns = [(col[name], name) for name in value_names]
+        missing = options.missing_token
+        labels: dict[str, str] = {}  # one shared string per distinct stratum or aux label
+        aux: dict[str, list[str]] = {name: [] for name in options.aux_columns}
+        aux_columns = [(col[name], aux[name]) for name in options.aux_columns]
+        first_row: dict[str, int] = {}  # id -> the row it is on
+        z = bytearray()
+        stratum: list[str] = []
+        values = array("d")  # covariate then outcome values, row after row
+        flags = bytearray()  # 1 where the value is missing
 
-    n = len(rows)
-    n_fields = len(header)
-    id_at, z_at, stratum_at = col[options.id_column], col[options.treatment_column], col[options.stratum_column]
-    value_names = schema.names + tuple(options.outcome_columns)
-    value_at = [col[name] for name in value_names]
-    width = len(value_names)
-    missing = options.missing_token
-    aux: dict[str, list[str]] = {name: [] for name in options.aux_columns}
-    aux_columns = [(col[name], aux[name]) for name in options.aux_columns]
-    ids: list[str] = []
-    z: list[int] = []
-    stratum: list[str] = []
-    cells: list[str] = []  # covariate then outcome cells, row after row
+        for i, row in enumerate(reader):
+            if len(row) != n_fields:
+                raise ValidationError(f"{path}: row {i}: expected {n_fields} fields, got {len(row)}")
+            subject = row[id_at]
+            first = first_row.setdefault(subject, i)
+            if first != i:
+                raise ValidationError(f"{path}: row {i}: id {subject!r} repeats the id of row {first}")
+            z_cell = row[z_at]
+            try:
+                z_val = float(z_cell)
+            except ValueError:
+                z_val = -1.0
+            if z_val not in (0.0, 1.0):
+                raise ValidationError(f"{path}: row {i}: non-binary treatment value {z_cell!r}")
+            for j, name in value_columns:
+                cell = row[j]
+                if cell == missing:
+                    values.append(math.nan)
+                    flags.append(1)
+                    continue
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise ValidationError(f"{path}: row {i}: unparseable value {cell!r} in column {name!r}") from None
+                if not math.isfinite(value):
+                    raise ValidationError(f"{path}: row {i}: non-finite value {cell!r} in column {name!r}")
+                values.append(value)
+                flags.append(0)
+            z.append(int(z_val))
+            stratum.append(labels.setdefault(row[stratum_at], row[stratum_at]))
+            for j, column in aux_columns:
+                column.append(labels.setdefault(row[j], row[j]))
 
-    def parse_cells() -> tuple[np.ndarray, np.ndarray]:
-        """The cells collected so far as floats, NaN where missing, and their
-        missing flags; raises at the first cell that is unparseable or not
-        finite."""
-        flags = np.array([cell == missing for cell in cells], dtype=bool)
-        try:
-            values = np.array([math.nan if cell == missing else float(cell) for cell in cells], dtype=float)
-        except ValueError:
-            values = np.full(flags.size, math.inf)  # check every cell below
-        for k in np.flatnonzero(~(flags | np.isfinite(values))).tolist():
-            problem = _cell_problem(cells[k])
-            if problem:
-                raise ValidationError(
-                    f"{path}: row {k // width}: {problem} value {cells[k]!r} in column {value_names[k % width]!r}"
-                )
-        return values, flags
-
-    # Value cells are parsed after the row loop, in one pass. A row that fails
-    # its own checks first parses the rows before it, so the error reported is
-    # still the first one in row order.
-    for i, row in enumerate(rows):
-        if len(row) != n_fields:
-            parse_cells()
-            raise ValidationError(f"{path}: row {i}: expected {n_fields} fields, got {len(row)}")
-        z_cell = row[z_at]
-        try:
-            z_val = float(z_cell)
-        except ValueError:
-            z_val = -1.0
-        if z_val not in (0.0, 1.0):
-            parse_cells()
-            raise ValidationError(f"{path}: row {i}: non-binary treatment value {z_cell!r}")
-        ids.append(row[id_at])
-        z.append(int(z_val))
-        stratum.append(row[stratum_at])
-        cells.extend([row[j] for j in value_at])
-        for j, column in aux_columns:
-            column.append(row[j])
-
-    values, flags = parse_cells()
-    values, flags = values.reshape(n, width), flags.reshape(n, width)
-    p = len(schema.names)
+    n, p = len(first_row), len(schema.names)
+    packed = np.frombuffer(values, dtype=np.float64).reshape(n, len(value_names))
+    missing_flags = np.frombuffer(flags, dtype=np.bool_).reshape(n, len(value_names))
     return SubjectTable(
-        ids=tuple(ids),
-        z=np.array(z, dtype=np.int64),
+        ids=tuple(first_row),
+        z=np.frombuffer(z, dtype=np.uint8).astype(np.int64),
         stratum=tuple(stratum),
         covariate_names=schema.names,
-        covariates=values[:, :p].copy(),
-        covariate_missing=flags[:, :p].copy(),
+        covariates=packed[:, :p].copy(),
+        covariate_missing=missing_flags[:, :p].copy(),
         outcome_names=tuple(options.outcome_columns),
-        outcomes=values[:, p:].copy(),
-        outcome_missing=flags[:, p:].copy(),
+        outcomes=packed[:, p:].copy(),
+        outcome_missing=missing_flags[:, p:].copy(),
         aux={k: tuple(v) for k, v in aux.items()},
     )
 

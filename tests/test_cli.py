@@ -461,6 +461,19 @@ class TestFullRun:
         assert capsys.readouterr().err.endswith(f"row 3: non-finite value 'inf' in column '{column}'\n")
         assert not os.path.exists(os.path.join(bad_dir, "failure_manifest.txt"))
 
+    def test_duplicated_cohort_column_is_rejected_at_load(self, completed_run, tmp_path, capsys):
+        _, out_dir, _ = completed_run
+        bad_dir = os.path.join(str(tmp_path), "out")
+        os.makedirs(bad_dir)
+        with open(os.path.join(out_dir, "cohort.csv"), newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        x1 = header.index("x1")
+        with open(os.path.join(bad_dir, "cohort.csv"), "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([header + ["x1"], *(row + [row[x1]] for row in rows)])
+        assert main(["run", "--config", write_config(tmp_path, reduced_config_dict(bad_dir))]) == 1
+        assert capsys.readouterr().err.endswith("column 'x1' appears more than once in the header\n")
+        assert not os.path.exists(os.path.join(bad_dir, "failure_manifest.txt"))
+
     def test_seed_override_changes_cohort(self, completed_run, tmp_path):
         _, _, digests = completed_run
         out_dir = os.path.join(str(tmp_path), "out")

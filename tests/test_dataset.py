@@ -1,12 +1,15 @@
 import csv
 import dataclasses
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from matchstudy.config import default_config
 from matchstudy.dataset import (
     BINARY,
     CONTINUOUS,
@@ -39,7 +42,8 @@ def write_csv(path, text):
 
 def reference_load(path, schema, options):
     """Row-by-row reading with a check per cell, in the order the loader
-    reports errors: field count, treatment, covariates, outcomes."""
+    reports errors: field count, repeated id, treatment, covariates,
+    outcomes."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh, delimiter=options.delimiter)
         header = next(reader)
@@ -65,7 +69,11 @@ def reference_load(path, schema, options):
     for i, row in enumerate(rows):
         if len(row) != len(header):
             raise ValidationError(f"{path}: row {i}: expected {len(header)} fields, got {len(row)}")
-        ids.append(row[col[options.id_column]])
+        subject = row[col[options.id_column]]
+        if subject in ids:
+            first = ids.index(subject)
+            raise ValidationError(f"{path}: row {i}: id {subject!r} repeats the id of row {first}")
+        ids.append(subject)
         z_cell = row[col[options.treatment_column]]
         try:
             z_val = float(z_cell)
@@ -120,7 +128,8 @@ TREATMENT_CELLS = ("0", "1", "1.0", "0", "1", "2", "yes", "nan")
 def cohort_files(draw):
     rows = []
     for i in range(draw(st.integers(0, 6))):
-        row = [f"s{i}", draw(st.sampled_from(TREATMENT_CELLS)), draw(st.sampled_from(("a", "b")))]
+        subject = draw(st.sampled_from((i,) * 9 + (0,)))  # now and then the id of row 0 again
+        row = [f"s{subject}", draw(st.sampled_from(TREATMENT_CELLS)), draw(st.sampled_from(("a", "b")))]
         row += draw(st.lists(st.sampled_from(VALUE_CELLS), min_size=4, max_size=4))
         row.append(draw(st.sampled_from(("g", "h"))))
         cut = draw(st.sampled_from((None,) * 8 + (-1, 1)))
@@ -160,6 +169,16 @@ class TestLoadSubjects:
         with pytest.raises(SchemaError, match="treated"):
             load_subjects(path, SCHEMA2, OPTS)
 
+    def test_duplicate_header_name_is_a_schema_error(self, tmp_path):
+        path = write_csv(tmp_path / "t.csv", "id,treated,stratum,x1,x2,x1\na,1,s1,0.5,1,7\n")
+        with pytest.raises(SchemaError, match=r"column 'x1' appears more than once in the header"):
+            load_subjects(path, SCHEMA2, OPTS)
+
+    def test_repeated_id_names_both_rows(self, tmp_path):
+        path = write_csv(tmp_path / "t.csv", "id,treated,stratum,x1,x2\na,1,s1,0.5,1\nb,0,s1,1,0\na,7,s1,?,0\n")
+        with pytest.raises(ValidationError, match=r"row 2: id 'a' repeats the id of row 0"):
+            load_subjects(path, SCHEMA2, OPTS)
+
     def test_non_binary_treatment_reports_row(self, tmp_path):
         path = write_csv(
             tmp_path / "t.csv",
@@ -192,6 +211,7 @@ class TestLoadSubjects:
     @example(text="id,treated,stratum,x1,x2,y,y2,group\ns0,1,a,0.5,2,2,2,g\ns1,2,a,x,2,2,2,g\n")
     @example(text="id,treated,stratum,x1,x2,y,y2,group\ns0,1,a,0.5,2,x,2,g\ns1,1,a,2,2,2\n")
     @example(text="id,treated,stratum,x1,x2,y,y2,group\ns0,1,a,NA,nan,NA,-inf,g\ns1,0,b,2,NA,2,2,h\n")
+    @example(text="id,treated,stratum,x1,x2,y,y2,group\ns0,1,a,0.5,2,2,2,g\ns1,0,a,1,2,2,2,g\ns0,2,a,x,2,2,2,g\n")
     @settings(max_examples=300, deadline=None)
     def test_same_table_or_error_as_the_row_by_row_reference(self, tmp_path_factory, text):
         path = write_csv(tmp_path_factory.getbasetemp() / "load_subjects_examples.csv", text)
@@ -212,6 +232,25 @@ class TestLoadSubjects:
         opts = dataclasses.replace(OPTS, outcome_columns=("y",))
         with pytest.raises(ValidationError, match=rf"row 1: non-finite value '{cell}' in column '{column}'"):
             load_subjects(path, SCHEMA2, opts)
+
+
+class TestLoadMemory:
+    def test_traced_peak_is_at_most_four_times_the_file(self, tmp_path):
+        # Rows are parsed as they are read, so the load holds the table and
+        # little else: no list of every row or of every cell.
+        cfg = default_config()
+        cohort = generate_synthetic(dataclasses.replace(cfg.simulate, n=2000), seed=7)
+        path = str(tmp_path / "cohort.csv")
+        save_subjects(cohort.table, path, cfg.load_options)
+        size = os.path.getsize(path)
+        tracemalloc.start()
+        try:
+            table = load_subjects(path, cfg.schema, cfg.load_options)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tables_equal(table, cohort.table)
+        assert peak <= 4 * size, f"traced peak {peak} bytes for a {size}-byte file"
 
 
 class TestScaleCovariates:
