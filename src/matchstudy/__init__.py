@@ -71,7 +71,6 @@ from .multiplicity import (
 from .pipeline import (
     MissingIntermediateError,
     PipelineError,
-    comparison_table,
     derive_seed,
     format_match_row,
     run_pipeline,

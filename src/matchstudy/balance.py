@@ -68,7 +68,7 @@ def balance_table(
     result: MatchResult,
     threshold: float = IMBALANCE_THRESHOLD,
     schema: CovariateSchema | None = None,
-    codes: SubjectTable | None = None,
+    codes: dict[str, np.ndarray] | None = None,
 ) -> tuple[BalanceRow, ...]:
     """Pre/post balance rows, one per covariate of ``table``.
 
@@ -77,8 +77,9 @@ def balance_table(
     1/(n_i - 1) control weights. The standardized
     difference denominator is the pre-match pooled sd for both columns. Each
     ordinal covariate of ``schema`` also gets a row ``<name>=<level>`` per
-    level, counted on ``codes``: ``table``'s rows before scaling (by default
-    ``table``), because a scaled column no longer holds its codes.
+    level, counted on ``codes[name]``: its values on ``table``'s rows before
+    scaling (by default ``table``'s column), because a scaled column no
+    longer holds its codes.
     """
     treated_pre = table.z == 1
     members, layout = member_rows(table, result)
@@ -110,7 +111,7 @@ def balance_table(
     for name in table.covariate_names:
         add_row(name, table.covariate(name))
         if schema is not None and name in schema and schema.kind_of(name) == ORDINAL:
-            values = (codes or table).covariate(name)
+            values = table.covariate(name) if codes is None else codes[name]
             for level in next(c.levels for c in schema.covariates if c.name == name):
                 add_row(f"{name}={level:g}", (values == level).astype(float))
     return tuple(rows)

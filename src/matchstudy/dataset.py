@@ -213,14 +213,25 @@ class LoadOptions:
     aux_columns: tuple[str, ...] = ()
 
 
-def load_subjects(path: str, schema: CovariateSchema, options: LoadOptions) -> SubjectTable:
-    """Read a delimited text file into a :class:`SubjectTable`.
+def _utf8_lines(fh, path: str):
+    """The lines of ``fh``, a file opened as UTF-8; bytes that are not UTF-8
+    raise ``ValidationError`` naming the file."""
+    try:
+        yield from fh
+    except UnicodeDecodeError as err:
+        raise ValidationError(f"{path}: the file is not UTF-8 text ({err.reason})") from None
 
-    The file is streamed: each row is checked and parsed as it is read, and
-    only what the table keeps outlives it. That is the id, the treatment flag,
-    the stratum and aux labels (each distinct label one shared string), and
-    the covariate then outcome values in one packed float64 buffer with a
-    byte of missing flag per value.
+
+def load_subjects(path: str, schema: CovariateSchema, options: LoadOptions) -> SubjectTable:
+    """Read a delimited UTF-8 text file into a :class:`SubjectTable`.
+
+    The file is decoded as UTF-8 whatever the locale, so the same bytes give
+    the same ids everywhere; bytes that are not UTF-8 raise
+    ``ValidationError`` naming the file. The file is streamed: each row is
+    checked and parsed as it is read, and only what the table keeps outlives
+    it. That is the id, the treatment flag, the stratum and aux labels (each
+    distinct label one shared string), and the covariate then outcome values
+    in one packed float64 buffer with a byte of missing flag per value.
 
     Cells equal to ``options.missing_token`` become missing flags. A header
     that lacks a declared column or names a column twice, a row with the
@@ -230,8 +241,8 @@ def load_subjects(path: str, schema: CovariateSchema, options: LoadOptions) -> S
     file order and each row in the order above, so the error raised is the
     first one in the file.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh, delimiter=options.delimiter)
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(_utf8_lines(fh, path), delimiter=options.delimiter)
         try:
             header = next(reader)
         except StopIteration:
@@ -315,7 +326,7 @@ def load_subjects(path: str, schema: CovariateSchema, options: LoadOptions) -> S
 
 
 def save_subjects(table: SubjectTable, path: str, options: LoadOptions) -> None:
-    """Write a table back to delimited text; inverse of :func:`load_subjects`.
+    """Write a table back to delimited UTF-8 text; inverse of :func:`load_subjects`.
 
     Finite values are written with ``repr`` so a load/save/load cycle
     round-trips bit-identically; missing entries become the missing token.
@@ -326,7 +337,7 @@ def save_subjects(table: SubjectTable, path: str, options: LoadOptions) -> None:
         + list(table.outcome_names)
         + list(table.aux.keys())
     )
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, delimiter=options.delimiter, lineterminator="\n")
         writer.writerow(header)
         for i in range(table.n):

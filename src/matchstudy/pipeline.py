@@ -1,7 +1,9 @@
 """Pipeline stages and report rendering.
 
-Each stage reads its inputs from disk and writes text intermediates, so a
-single ``run`` and a chain of stage subcommands produce identical bytes.
+Each stage writes text intermediates and reads those of earlier stages from
+disk, so a single ``run`` and a chain of stage subcommands produce identical
+bytes. The cohort file is read and prepared once per ``run`` or subcommand:
+a ``Cohort``, which ``run_pipeline`` shares among its stages.
 ``stage_report`` only renders: every table it writes is derived from
 intermediates, never recomputed from models.
 
@@ -33,6 +35,7 @@ count, and a worker's error reaches ``run_stage`` as its own class.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -54,6 +57,7 @@ from . import sensitivity as sensitivity_mod
 from .config import ComparisonSpec, StudyConfig
 from .dataset import (
     BINARY,
+    ORDINAL,
     SchemaError,
     SubjectTable,
     ValidationError,
@@ -194,23 +198,15 @@ def load_cohort(cfg: StudyConfig) -> SubjectTable:
     path = _data_path(cfg)
     if not os.path.exists(path):
         raise MissingIntermediateError(path, "simulate")
+    if not os.path.isfile(path):
+        raise ValidationError(f"{path}: the data path is not a file")
     table = load_subjects(path, cfg.schema, cfg.load_options)
     order = id_order(table.ids)
     return table if np.array_equal(order, np.arange(table.n)) else table.subset(order)
 
 
-def prepare(cfg: StudyConfig, table: SubjectTable) -> SubjectTable:
-    """Impute missing covariates in raw units, then recenter/rescale.
-
-    Imputation runs first so fill values are natural-unit means and the
-    appended indicators stay binary. Runs on the full cohort once so every
-    comparison sees the same prepared values.
-    """
-    return scale_covariates(augment_missingness(table), cfg.schema)
-
-
-def comparison_table(cfg: StudyConfig, table: SubjectTable, comp: ComparisonSpec) -> SubjectTable:
-    """Select this comparison's subjects and define its treatment indicator."""
+def _comparison_rows(cfg: StudyConfig, table: SubjectTable, comp: ComparisonSpec) -> tuple[np.ndarray, np.ndarray]:
+    """This comparison's rows of ``table`` and its treatment indicator on them."""
     groups = np.asarray(table.aux.get(cfg.group_column, ("",) * table.n))
     if comp.treated_groups is None:
         treated_mask = table.z == 1
@@ -225,14 +221,42 @@ def comparison_table(cfg: StudyConfig, table: SubjectTable, comp: ComparisonSpec
     if not control_mask.any():
         raise ValidationError(f"{comp.name}: empty control arm")
     keep = treated_mask | control_mask
-    sub = table.subset(keep)
-    new_z = treated_mask[keep].astype(np.int64)
-    return dataclasses.replace(sub, z=new_z)
+    return np.flatnonzero(keep), treated_mask[keep].astype(np.int64)
 
 
-def _comparison_tables(cfg: StudyConfig) -> dict[str, SubjectTable]:
-    full = prepare(cfg, load_cohort(cfg))
-    return {comp.name: comparison_table(cfg, full, comp) for comp in cfg.comparisons}
+def prepare(cfg: StudyConfig, table: SubjectTable) -> tuple[dict[str, SubjectTable], dict[str, dict]]:
+    """The cohort ``table`` imputed in raw units (so fill values are natural-unit
+    means and the indicators stay binary), then rescaled as a whole, then
+    split: by comparison name, its table, and its ordinal covariates' imputed,
+    unscaled values by name, the codes balance counts level rows on."""
+    # Rebinding drops the imputed table once it is scaled: of the unscaled
+    # values only the ordinal columns outlive this call, as the codes.
+    table = augment_missingness(table)
+    unscaled = {c.name: table.covariate(c.name).copy() for c in cfg.schema.covariates if c.kind == ORDINAL}
+    table = scale_covariates(table, cfg.schema)
+    tables, codes = {}, {}
+    for comp in cfg.comparisons:
+        rows, z = _comparison_rows(cfg, table, comp)
+        tables[comp.name] = dataclasses.replace(table.subset(rows), z=z)
+        codes[comp.name] = {name: values[rows] for name, values in unscaled.items()}
+    return tables, codes
+
+
+class Cohort:
+    """``cfg.data`` read by ``load_cohort`` and ``prepare``d when a stage first
+    asks for its ``tables`` or ``codes``, then kept. ``run_pipeline`` hands
+    one Cohort to every stage after ``simulate``; a stage called alone makes
+    its own. Either way the file is read once."""
+
+    def __init__(self, cfg: StudyConfig):
+        self.cfg = cfg
+
+    @functools.cached_property
+    def _prepared(self):
+        return prepare(self.cfg, load_cohort(self.cfg))
+
+    tables = property(lambda self: self._prepared[0])
+    codes = property(lambda self: self._prepared[1])
 
 
 # ---------------------------------------------------------------------------
@@ -348,8 +372,8 @@ def _jsonable(value):
     return value
 
 
-def stage_propensity(cfg: StudyConfig) -> None:
-    tables = _comparison_tables(cfg)
+def stage_propensity(cfg: StudyConfig, cohort: Cohort | None = None) -> None:
+    tables = (cohort or Cohort(cfg)).tables
     jobs = [(comp.name, method) for comp in cfg.comparisons for method in cfg.propensity_methods]
     fits = _fit_all(cfg, tables, jobs)
     _warn_again([w for _, _, caught in fits for w in caught])
@@ -381,8 +405,8 @@ def _load_scores(cfg: StudyConfig, name: str, method: str, ct: SubjectTable) -> 
 # ---------------------------------------------------------------------------
 
 
-def stage_match(cfg: StudyConfig) -> None:
-    tables = _comparison_tables(cfg)
+def stage_match(cfg: StudyConfig, cohort: Cohort | None = None) -> None:
+    tables = (cohort or Cohort(cfg)).tables
     for comp in cfg.comparisons:
         ct = tables[comp.name]
         for method in cfg.propensity_methods:
@@ -474,11 +498,10 @@ def load_match(cfg: StudyConfig, name: str, method: str, ct: SubjectTable) -> ma
 # ---------------------------------------------------------------------------
 
 
-def stage_balance(cfg: StudyConfig) -> None:
-    imputed = augment_missingness(load_cohort(cfg))
-    scaled = scale_covariates(imputed, cfg.schema)
+def stage_balance(cfg: StudyConfig, cohort: Cohort | None = None) -> None:
+    cohort = cohort or Cohort(cfg)
     for comp in cfg.comparisons:
-        ct, codes = comparison_table(cfg, scaled, comp), comparison_table(cfg, imputed, comp)
+        ct, codes = cohort.tables[comp.name], cohort.codes[comp.name]
         per_method = {}
         candidates = []
         for method in cfg.propensity_methods:
@@ -528,10 +551,10 @@ def _analysis_seed(cfg: StudyConfig, name: str, outcome: str) -> int:
     return derive_seed(cfg.seed, name, "inference", outcome)
 
 
-def _analyses(cfg: StudyConfig):
+def _analyses(cfg: StudyConfig, cohort: Cohort | None):
     """Per comparison: ``(comp, comparison table, selected method, outcomes)``,
     with a ``(spec, InferenceData, seed)`` per analysed outcome of the match."""
-    tables = _comparison_tables(cfg)
+    tables = (cohort or Cohort(cfg)).tables
     for comp, specs in _analysed_outcomes(cfg):
         ct = tables[comp.name]
         selected = load_balance(cfg, comp.name)["selected"]
@@ -541,6 +564,10 @@ def _analyses(cfg: StudyConfig):
             for o in specs
         )
         yield comp, ct, selected, outcomes
+
+
+def _fields(result, *names: str) -> dict:
+    return {name: getattr(result, name) for name in names}
 
 
 def _test_suite(cfg: StudyConfig, outcome, data: inference_mod.InferenceData, seed: int) -> dict:
@@ -569,31 +596,13 @@ def _test_suite(cfg: StudyConfig, outcome, data: inference_mod.InferenceData, se
         "accepted": _jsonable(region.accepted),
         "hull": None if region.hull is None else [region.hull[0], region.hull[1]],
         "non_monotone": bool(region.non_monotone),
-        "point": {
-            "statistic": point.statistic,
-            "p_two_sided": point.p_two_sided,
-            "p_upper": point.p_upper,
-            "p_lower": point.p_lower,
-            "method": point.method,
-        },
+        "point": _fields(point, "statistic", "p_two_sided", "p_upper", "p_lower", "method"),
     }
     if outcome.kind == BINARY:
         mh = inference_mod.mantel_haenszel(data.r, data.sets)
         clog = inference_mod.conditional_logistic(data.r, data.sets)
-        out["mantel_haenszel"] = {
-            "statistic": mh.statistic,
-            "p_two_sided": mh.p_two_sided,
-            "p_upper": mh.p_upper,
-            "method": mh.method,
-        }
-        out["conditional_logistic"] = {
-            "theta": clog.theta,
-            "se": clog.se,
-            "p": clog.p,
-            "statistic": clog.statistic,
-            "identified": clog.identified,
-            "n_informative": clog.n_informative,
-        }
+        out["mantel_haenszel"] = _fields(mh, "statistic", "p_two_sided", "p_upper", "method")
+        out["conditional_logistic"] = _fields(clog, "theta", "se", "p", "statistic", "identified", "n_informative")
         out["p_primary"] = mh.p_two_sided
     else:
         out["p_primary"] = point.p_two_sided
@@ -614,8 +623,8 @@ def _check_exact_mode(cfg: StudyConfig, name: str, outcome: str, sets: matching_
         )
 
 
-def stage_infer(cfg: StudyConfig) -> None:
-    for comp, ct, selected, analyses in _analyses(cfg):
+def stage_infer(cfg: StudyConfig, cohort: Cohort | None = None) -> None:
+    for comp, ct, selected, analyses in _analyses(cfg, cohort):
         outcomes, attrition = {}, {}
         for outcome, data, seed in analyses:
             _check_exact_mode(cfg, comp.name, outcome.name, data.sets)
@@ -629,19 +638,15 @@ def stage_infer(cfg: StudyConfig) -> None:
         )
 
 
-def load_inference(cfg: StudyConfig, name: str) -> dict:
-    return _read_json(_path(cfg, _stage_name("inference", name)), "infer")
-
-
 # ---------------------------------------------------------------------------
 # Stage: sensitivity
 # ---------------------------------------------------------------------------
 
 
-def stage_sensitivity(cfg: StudyConfig) -> None:
+def stage_sensitivity(cfg: StudyConfig, cohort: Cohort | None = None) -> None:
     """Hidden-bias bounds; a continuous outcome's are of its point test's residuals."""
     grid = cfg.sensitivity.grid()
-    for comp, _, selected, analyses in _analyses(cfg):
+    for comp, _, selected, analyses in _analyses(cfg, cohort):
         outcomes = {}
         for outcome, data, seed in analyses:
             if outcome.kind == BINARY:
@@ -664,10 +669,6 @@ def stage_sensitivity(cfg: StudyConfig) -> None:
             _path(cfg, _stage_name("sensitivity", comp.name)),
             {"comparison": comp.name, "selected": selected, "outcomes": outcomes},
         )
-
-
-def load_sensitivity(cfg: StudyConfig, name: str) -> dict:
-    return _read_json(_path(cfg, _stage_name("sensitivity", name)), "sensitivity")
 
 
 # ---------------------------------------------------------------------------
@@ -962,7 +963,12 @@ def _decisions_text(cfg: StudyConfig, balances, inferences, sensitivities) -> st
     return "".join(out)
 
 
-def _manifest_text(cfg: StudyConfig, balances: dict, files: list[str]) -> str:
+def _digest_lines(cfg: StudyConfig, names) -> str:
+    """A ``sha256 <digest>  <name>`` line per name present in the output directory."""
+    return "".join(f"sha256 {_sha256(_path(cfg, n))}  {n}\n" for n in names if os.path.exists(_path(cfg, n)))
+
+
+def _manifest_text(cfg: StudyConfig, balances: dict) -> str:
     out = [f"base seed {cfg.seed}\n"]
     for comp in cfg.comparisons:
         for method in cfg.propensity_methods:
@@ -973,15 +979,13 @@ def _manifest_text(cfg: StudyConfig, balances: dict, files: list[str]) -> str:
     for comp in cfg.comparisons:
         out.append(f"selected {comp.name} {balances[comp.name]['selected']}\n")
     out.append(f"numpy {np.__version__}\nscipy {scipy.__version__}\n")
-    for name in sorted(files):
-        out.append(f"sha256 {_sha256(os.path.join(cfg.output_dir, name))}  {name}\n")
-    return "".join(out)
+    return "".join(out) + _digest_lines(cfg, sorted(_artifact_names(cfg)))
 
 
 def _artifact_names(cfg: StudyConfig) -> list[str]:
     names = []
     data = _data_path(cfg)
-    if os.path.dirname(data) == cfg.output_dir.rstrip("/"):
+    if os.path.realpath(os.path.dirname(data)) == os.path.realpath(cfg.output_dir):
         names.append(os.path.basename(data))
     for comp in cfg.comparisons:
         for method in cfg.propensity_methods:
@@ -991,11 +995,12 @@ def _artifact_names(cfg: StudyConfig) -> list[str]:
     return names + list(_REPORT_NAMES)
 
 
-def stage_report(cfg: StudyConfig) -> None:
-    tables = _comparison_tables(cfg)
-    balances = {comp.name: load_balance(cfg, comp.name) for comp in cfg.comparisons}
-    inferences = {comp.name: load_inference(cfg, comp.name) for comp in cfg.comparisons}
-    sensitivities = {comp.name: load_sensitivity(cfg, comp.name) for comp in cfg.comparisons}
+def stage_report(cfg: StudyConfig, cohort: Cohort | None = None) -> None:
+    tables = (cohort or Cohort(cfg)).tables
+    balances, inferences, sensitivities = (
+        {comp.name: _read_json(_path(cfg, _stage_name(stage, comp.name)), producer) for comp in cfg.comparisons}
+        for stage, producer in (("balance", "balance"), ("inference", "infer"), ("sensitivity", "sensitivity"))
+    )
 
     for comp in cfg.comparisons:
         info = balances[comp.name]
@@ -1013,9 +1018,7 @@ def stage_report(cfg: StudyConfig) -> None:
     )
     for name, text in zip(_REPORT_NAMES, texts, strict=True):
         _write_text(_path(cfg, name), text)
-
-    present = [n for n in _artifact_names(cfg) if os.path.exists(_path(cfg, n))]
-    _write_text(_path(cfg, "manifest.txt"), _manifest_text(cfg, balances, present))
+    _write_text(_path(cfg, "manifest.txt"), _manifest_text(cfg, balances))
 
 
 # ---------------------------------------------------------------------------
@@ -1025,22 +1028,15 @@ def stage_report(cfg: StudyConfig) -> None:
 
 def _write_failure_manifest(cfg: StudyConfig, stage: str, error: Exception) -> None:
     try:
-        lines = [
-            f"FAILED at stage {stage}\n",
-            f"error: {type(error).__name__}: {error}\n",
-            "files written so far:\n",
-        ]
-        for name in _artifact_names(cfg):
-            path = _path(cfg, name)
-            if os.path.exists(path):
-                lines.append(f"sha256 {_sha256(path)}  {name}\n")
-        _write_text(_path(cfg, "failure_manifest.txt"), "".join(lines))
+        head = f"FAILED at stage {stage}\nerror: {type(error).__name__}: {error}\nfiles written so far:\n"
+        _write_text(_path(cfg, "failure_manifest.txt"), head + _digest_lines(cfg, _artifact_names(cfg)))
     except OSError:
         pass  # reporting the original failure matters more
 
 
-def run_stage(cfg: StudyConfig, command: str) -> None:
-    """Run ``stage_<command>(cfg)`` for a subcommand of ``STAGES``.
+def run_stage(cfg: StudyConfig, command: str, cohort: Cohort | None = None) -> None:
+    """Run ``stage_<command>(cfg)`` for a subcommand of ``STAGES``, or
+    ``stage_<command>(cfg, cohort)`` when given a cohort.
 
     A ``VALIDATION_ERRORS`` exception propagates unchanged. Any other
     failure writes ``failure_manifest.txt`` naming the stage and raises
@@ -1048,7 +1044,7 @@ def run_stage(cfg: StudyConfig, command: str) -> None:
     """
     stage = {cmd: name for cmd, name, _ in STAGES}[command]
     try:
-        globals()[f"stage_{command}"](cfg)
+        globals()[f"stage_{command}"](cfg, *([] if cohort is None else [cohort]))
     except VALIDATION_ERRORS:
         raise
     except Exception as exc:
@@ -1062,13 +1058,15 @@ def run_pipeline(cfg: StudyConfig) -> str:
 
     Synthesizes the cohort first when the data file does not exist yet, and
     raises ``MissingIntermediateError`` when there is no simulate block to
-    synthesize it from.
+    synthesize it from. The later stages share one ``Cohort``, so the file
+    is read once, by the first of them.
     """
     os.makedirs(cfg.output_dir, exist_ok=True)
     if not os.path.exists(_data_path(cfg)):
         if cfg.simulate is None:
             raise MissingIntermediateError(_data_path(cfg), "simulate")
         run_stage(cfg, "simulate")
+    cohort = Cohort(cfg)
     for command, _, _ in STAGES[1:]:
-        run_stage(cfg, command)
+        run_stage(cfg, command, cohort)
     return cfg.output_dir

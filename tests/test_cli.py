@@ -553,7 +553,7 @@ class TestFullRun:
         shutil.copytree(out_dir, out_copy)
         cfg = load_config(write_config(tmp_path, reduced_config_dict(out_copy)))
         pipeline.stage_match(cfg)
-        tables = pipeline._comparison_tables(cfg)
+        tables = pipeline.Cohort(cfg).tables
         built = {}
         for comp in cfg.comparisons:
             for method in cfg.propensity_methods:
@@ -579,7 +579,7 @@ class TestFullRun:
         out_copy = os.path.join(str(tmp_path), "out")
         shutil.copytree(out_dir, out_copy)
         cfg_path = write_config(tmp_path, reduced_config_dict(out_copy))
-        ct = pipeline._comparison_tables(load_config(cfg_path))["comparison-3"]
+        ct = pipeline.Cohort(load_config(cfg_path)).tables["comparison-3"]
         path = os.path.join(out_copy, "propensity_comparison-3_l1.json")
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -598,7 +598,7 @@ class TestFullRun:
         out_copy = os.path.join(str(tmp_path), "out")
         shutil.copytree(out_dir, out_copy)
         cfg_path = write_config(tmp_path, reduced_config_dict(out_copy))
-        ct = pipeline._comparison_tables(load_config(cfg_path))["comparison-2"]
+        ct = pipeline.Cohort(load_config(cfg_path)).tables["comparison-2"]
         path = os.path.join(out_copy, "propensity_comparison-2_mle.json")
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
@@ -629,7 +629,7 @@ class TestFullRun:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("".join(lines))
         cfg = load_config(cfg_path)
-        ct = pipeline._comparison_tables(cfg)["comparison-1"]
+        ct = pipeline.Cohort(cfg).tables["comparison-1"]
         result = pipeline.load_match(cfg, "comparison-1", selected, ct)
         with pytest.raises(ValueError, match=f"{controls[0]!r} must list exactly one treated subject, first"):
             matchstudy.matched_arrays(ct, result, cfg.primary_outcome.name)
@@ -784,6 +784,132 @@ class TestFailureManifest:
         assert "propensity_comparison-1_mle.json" in text
 
 
+def _rename_first_id(cohort, new_id, encoding="utf-8"):
+    """Give the first subject of a cohort file the id ``new_id``, written in ``encoding``."""
+    with open(cohort, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    rows[1][0] = new_id
+    with open(cohort, "w", newline="", encoding=encoding) as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+class TestCohortRead:
+    """A run reads and prepares the cohort file once, in its propensity
+    stage, and shares it with every later stage; a stage command reads it
+    once. The file is UTF-8 whatever the locale."""
+
+    def test_one_load_per_run_and_per_stage_command(self, tmp_path, monkeypatch):
+        loads = []
+        for name in ("load_cohort", "load_subjects"):
+            real = getattr(pipeline, name)
+            monkeypatch.setattr(pipeline, name, lambda *a, name=name, real=real: loads.append(name) or real(*a))
+        cfg_path = write_config(tmp_path, reduced_config_dict(os.path.join(str(tmp_path), "out")))
+        assert main(["run", "--config", cfg_path]) == 0
+        assert loads == ["load_cohort", "load_subjects"]
+        for command, _, _ in pipeline.STAGES:
+            loads.clear()
+            assert main([command, "--config", cfg_path]) == 0
+            assert loads == ([] if command == "simulate" else ["load_cohort", "load_subjects"]), command
+
+    @pytest.mark.parametrize("error, code", [(ValidationError, 1), (RuntimeError, 2)])
+    def test_cohort_fault_in_run_fails_at_propensity(self, tmp_path, monkeypatch, capsys, error, code):
+        # As before the cohort was shared: a validation error exits 1 with no
+        # failure manifest, any other error exits 2 with one naming propensity.
+        def failing_load(path, schema, options):
+            raise error(f"{path}: cannot be read")
+
+        monkeypatch.setattr(pipeline, "load_subjects", failing_load)
+        out_dir = os.path.join(str(tmp_path), "out")
+        assert main(["run", "--config", write_config(tmp_path, reduced_config_dict(out_dir))]) == code
+        cohort = os.path.join(out_dir, "cohort.csv")
+        stage = "stage propensity: " if code == 2 else ""
+        assert capsys.readouterr().err.splitlines()[-1] == f"error: {stage}{cohort}: cannot be read"
+        manifest = os.path.join(out_dir, "failure_manifest.txt")
+        if code == 1:
+            assert not os.path.exists(manifest)
+        else:
+            with open(manifest, encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+            assert lines[:3] == [
+                "FAILED at stage propensity",
+                f"error: RuntimeError: {cohort}: cannot be read",
+                "files written so far:",
+            ]
+            assert [line.split()[-1] for line in lines[3:]] == ["cohort.csv"]
+
+    def test_data_path_that_is_a_directory_is_a_validation_error(self, tmp_path, capsys):
+        out_dir = os.path.join(str(tmp_path), "out")
+        obj = dict(reduced_config_dict(out_dir), data="cohort")
+        os.makedirs(os.path.join(out_dir, "cohort"))
+        cfg_path = write_config(tmp_path, obj)
+        for command in ("run", "propensity"):
+            assert main([command, "--config", cfg_path]) == 1, command
+            message = capsys.readouterr().err.splitlines()[-1]
+            assert message == f"error: {os.path.join(out_dir, 'cohort')}: the data path is not a file"
+        assert os.listdir(out_dir) == ["cohort"]
+
+    def test_bytes_that_are_not_utf8_are_a_validation_error(self, tmp_path, capsys):
+        out_dir = os.path.join(str(tmp_path), "out")
+        cfg_path = write_config(tmp_path, reduced_config_dict(out_dir))
+        assert main(["simulate", "--config", cfg_path]) == 0
+        cohort = os.path.join(out_dir, "cohort.csv")
+        _rename_first_id(cohort, "s\u00e9001", encoding="latin-1")
+        assert main(["run", "--config", cfg_path]) == 1
+        message = capsys.readouterr().err.splitlines()[-1]
+        assert message.startswith(f"error: {cohort}: the file is not UTF-8 text (")
+        assert not os.path.exists(os.path.join(out_dir, "failure_manifest.txt"))
+
+    def test_cohort_is_read_as_utf8_in_any_locale(self, tmp_path):
+        # The same cohort, with a non-ASCII id, under UTF-8 mode and under the
+        # C locale, whose preferred encoding is ASCII: both runs succeed, and
+        # write the same bytes.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(matchstudy.__file__)))
+        locales = {
+            "utf8": {"PYTHONUTF8": "1"},
+            "C": {"LC_ALL": "C", "LANG": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"},
+        }
+        digests = []
+        for name, env in locales.items():
+            out_dir = os.path.join(str(tmp_path), name)
+            cfg_path = write_config(tmp_path, reduced_config_dict(out_dir), f"{name}.json")
+            assert main(["simulate", "--config", cfg_path]) == 0
+            _rename_first_id(os.path.join(out_dir, "cohort.csv"), "s\u00e9001")
+            proc = subprocess.run(
+                [sys.executable, "-m", "matchstudy.cli", "run", "--config", cfg_path],
+                env=dict(os.environ, PYTHONPATH=src, **env),
+                capture_output=True,
+                text=True,
+                timeout=600,
+            )
+            assert proc.returncode == 0, proc.stderr
+            digests.append(dir_digest(out_dir))
+        assert digests[0] == digests[1]
+        with open(os.path.join(str(tmp_path), "C", "propensity_comparison-1_mle.json"), encoding="utf-8") as fh:
+            assert "s\u00e9001" in json.load(fh)["ids"]
+
+    @pytest.mark.parametrize("layout", ["dot-relative data", "relative output_dir"])
+    def test_manifests_list_the_cohort_inside_the_output_directory(self, tmp_path, monkeypatch, layout):
+        monkeypatch.chdir(tmp_path)
+        out_dir = os.path.join(str(tmp_path), "out")
+        if layout == "dot-relative data":
+            obj = dict(reduced_config_dict(out_dir), data="./cohort.csv")
+        else:
+            obj = dict(reduced_config_dict("out"), data=os.path.join(out_dir, "cohort.csv"))
+        cfg_path = write_config(tmp_path, obj)
+        assert main(["run", "--config", cfg_path]) == 0
+        line = f"sha256 {dir_digest(out_dir)['cohort.csv']}  cohort.csv\n"
+        with open(os.path.join(out_dir, "manifest.txt"), encoding="utf-8") as fh:
+            assert line in fh.read()
+
+        def failing_render(cfg, tables):
+            raise RuntimeError("render failed")
+
+        monkeypatch.setattr(pipeline, "_quantiles_csv", failing_render)
+        assert main(["report", "--config", cfg_path]) == 2
+        with open(os.path.join(out_dir, "failure_manifest.txt"), encoding="utf-8") as fh:
+            assert line in fh.read()
+
+
 def _cores(monkeypatch, cores):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cores: set(range(n)), raising=False)
 
@@ -920,7 +1046,7 @@ class TestStages:
         # sets one, sees the calls of run_pipeline and of every subcommand.
         calls = []
         for command, _, _ in pipeline.STAGES:
-            monkeypatch.setattr(pipeline, f"stage_{command}", lambda cfg, command=command: calls.append(command))
+            monkeypatch.setattr(pipeline, f"stage_{command}", lambda cfg, cohort=None, command=command: calls.append(command))
         cfg_path = write_config(tmp_path, reduced_config_dict(os.path.join(str(tmp_path), "out")))
         pipeline.run_pipeline(load_config(cfg_path))
         assert calls == [command for command, _, _ in pipeline.STAGES]

@@ -34,8 +34,8 @@ def default_comparison_one(seed, n=200):
     raw = default_config_dict()
     raw["simulate"]["n"] = n
     cfg = config_from_dict(raw)
-    table = pipeline.prepare(cfg, generate_synthetic(cfg.simulate, seed=seed).table)
-    ct = pipeline.comparison_table(cfg, table, cfg.comparisons[0])
+    tables, _ = pipeline.prepare(cfg, generate_synthetic(cfg.simulate, seed=seed).table)
+    ct = tables[cfg.comparisons[0].name]
     return ct.covariates, ct.z
 
 
