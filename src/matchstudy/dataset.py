@@ -1,8 +1,8 @@
 """Cohort ingestion, preprocessing, and synthetic-cohort generation.
 
 Subjects live in an immutable :class:`SubjectTable`: one row per subject with a
-binary treatment flag, a stratum label, a covariate matrix with an explicit
-missingness mask, and one or more outcome columns (also masked). All
+binary treatment flag, a stratum label, a covariate matrix and one or more
+outcome columns, where NaN, and only NaN, marks a missing value. All
 preprocessing steps are pure functions returning new tables, so a pipeline run
 can be replayed step by step.
 """
@@ -13,6 +13,7 @@ import math
 import warnings
 from array import array
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -96,17 +97,19 @@ class CovariateSchema:
 class SubjectTable:
     """Immutable subject-level study table.
 
+    NaN marks a missing value and nothing else: the loader rejects cells that
+    parse to NaN, and the generator writes NaN only where it draws a missing
+    cell.
+
     Attributes:
         ids: Unique subject identifiers, one per row.
         z: Treatment indicator per row (0/1).
         stratum: Stratum label per row (e.g. a grade band).
         covariate_names: Column names for ``covariates``.
-        covariates: Float matrix, shape (n, p). Entries under the missing
-            mask hold NaN until imputation.
-        covariate_missing: Boolean mask, True where the value was missing.
+        covariates: Float matrix, shape (n, p), NaN where the value is
+            missing until imputation.
         outcome_names: Column names for ``outcomes``.
-        outcomes: Float matrix, shape (n, q), NaN under the missing mask.
-        outcome_missing: Boolean mask for outcomes.
+        outcomes: Float matrix, shape (n, q), NaN where the value is missing.
         aux: Extra categorical columns (e.g. control-subgroup labels) kept
             out of the covariate set; name -> array of string labels.
     """
@@ -116,10 +119,8 @@ class SubjectTable:
     stratum: tuple[str, ...]
     covariate_names: tuple[str, ...]
     covariates: np.ndarray
-    covariate_missing: np.ndarray
     outcome_names: tuple[str, ...] = ()
     outcomes: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
-    outcome_missing: np.ndarray = field(default_factory=lambda: np.empty((0, 0), dtype=bool))
     aux: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -134,10 +135,10 @@ class SubjectTable:
         if len(self.stratum) != n:
             raise ValidationError("stratum vector length mismatch")
         p = len(self.covariate_names)
-        if self.covariates.shape != (n, p) or self.covariate_missing.shape != (n, p):
+        if self.covariates.shape != (n, p):
             raise ValidationError("covariate matrix shape mismatch")
         q = len(self.outcome_names)
-        if q and (self.outcomes.shape != (n, q) or self.outcome_missing.shape != (n, q)):
+        if q and self.outcomes.shape != (n, q):
             raise ValidationError("outcome matrix shape mismatch")
         for name, values in self.aux.items():
             if len(values) != n:
@@ -162,13 +163,12 @@ class SubjectTable:
         except ValueError:
             raise SchemaError(f"outcome {name!r} not in table") from None
 
+    @cached_property
+    def _row_lookup(self) -> dict[str, int]:
+        return {s: i for i, s in enumerate(self.ids)}
+
     def row_of(self, subject_id: str) -> int:
-        # Lazily built id -> row lookup; the dataclass is frozen so cache on dict.
-        lookup = self.__dict__.get("_row_lookup")
-        if lookup is None:
-            lookup = {s: i for i, s in enumerate(self.ids)}
-            self.__dict__["_row_lookup"] = lookup
-        return lookup[subject_id]
+        return self._row_lookup[subject_id]
 
     def subset(self, rows: np.ndarray) -> "SubjectTable":
         """New table with the given rows (boolean mask or index array)."""
@@ -181,10 +181,8 @@ class SubjectTable:
             stratum=tuple(self.stratum[i] for i in rows),
             covariate_names=self.covariate_names,
             covariates=self.covariates[rows].copy(),
-            covariate_missing=self.covariate_missing[rows].copy(),
             outcome_names=self.outcome_names,
             outcomes=self.outcomes[rows].copy() if self.outcome_names else self.outcomes,
-            outcome_missing=self.outcome_missing[rows].copy() if self.outcome_names else self.outcome_missing,
             aux={k: tuple(v[i] for i in rows) for k, v in self.aux.items()},
         )
 
@@ -231,15 +229,15 @@ def load_subjects(path: str, schema: CovariateSchema, options: LoadOptions) -> S
     checked and parsed as it is read, and only what the table keeps outlives
     it. That is the id, the treatment flag, the stratum and aux labels (each
     distinct label one shared string), and the covariate then outcome values
-    in one packed float64 buffer with a byte of missing flag per value.
+    in one packed float64 buffer.
 
-    Cells equal to ``options.missing_token`` become missing flags. A header
-    that lacks a declared column or names a column twice, a row with the
-    wrong number of fields, a repeated id, a non-binary treatment value, or
-    any other numeric cell that does not parse or parses to NaN or an
-    infinity raises with the offending row/column named. Rows are checked in
-    file order and each row in the order above, so the error raised is the
-    first one in the file.
+    Cells equal to ``options.missing_token`` become NaN, the table's one mark
+    of a missing value. A header that lacks a declared column or names a
+    column twice, a row with the wrong number of fields, a repeated id, a
+    non-binary treatment value, or any other numeric cell that does not
+    parse or parses to NaN or an infinity raises with the offending
+    row/column named. Rows are checked in file order and each row in the
+    order above, so the error raised is the first one in the file.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(_utf8_lines(fh, path), delimiter=options.delimiter)
@@ -273,7 +271,6 @@ def load_subjects(path: str, schema: CovariateSchema, options: LoadOptions) -> S
         z = bytearray()
         stratum: list[str] = []
         values = array("d")  # covariate then outcome values, row after row
-        flags = bytearray()  # 1 where the value is missing
 
         for i, row in enumerate(reader):
             if len(row) != n_fields:
@@ -293,7 +290,6 @@ def load_subjects(path: str, schema: CovariateSchema, options: LoadOptions) -> S
                 cell = row[j]
                 if cell == missing:
                     values.append(math.nan)
-                    flags.append(1)
                     continue
                 try:
                     value = float(cell)
@@ -302,7 +298,6 @@ def load_subjects(path: str, schema: CovariateSchema, options: LoadOptions) -> S
                 if not math.isfinite(value):
                     raise ValidationError(f"{path}: row {i}: non-finite value {cell!r} in column {name!r}")
                 values.append(value)
-                flags.append(0)
             z.append(int(z_val))
             stratum.append(labels.setdefault(row[stratum_at], row[stratum_at]))
             for j, column in aux_columns:
@@ -310,17 +305,14 @@ def load_subjects(path: str, schema: CovariateSchema, options: LoadOptions) -> S
 
     n, p = len(first_row), len(schema.names)
     packed = np.frombuffer(values, dtype=np.float64).reshape(n, len(value_names))
-    missing_flags = np.frombuffer(flags, dtype=np.bool_).reshape(n, len(value_names))
     return SubjectTable(
         ids=tuple(first_row),
         z=np.frombuffer(z, dtype=np.uint8).astype(np.int64),
         stratum=tuple(stratum),
         covariate_names=schema.names,
         covariates=packed[:, :p].copy(),
-        covariate_missing=missing_flags[:, :p].copy(),
         outcome_names=tuple(options.outcome_columns),
         outcomes=packed[:, p:].copy(),
-        outcome_missing=missing_flags[:, p:].copy(),
         aux={k: tuple(v) for k, v in aux.items()},
     )
 
@@ -329,7 +321,7 @@ def save_subjects(table: SubjectTable, path: str, options: LoadOptions) -> None:
     """Write a table back to delimited UTF-8 text; inverse of :func:`load_subjects`.
 
     Finite values are written with ``repr`` so a load/save/load cycle
-    round-trips bit-identically; missing entries become the missing token.
+    round-trips bit-identically; NaN entries become the missing token.
     """
     header = (
         [options.id_column, options.treatment_column, options.stratum_column]
@@ -340,12 +332,11 @@ def save_subjects(table: SubjectTable, path: str, options: LoadOptions) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, delimiter=options.delimiter, lineterminator="\n")
         writer.writerow(header)
+        outcomes = table.outcomes if table.outcome_names else np.empty((table.n, 0))
         for i in range(table.n):
             row = [table.ids[i], str(int(table.z[i])), table.stratum[i]]
-            for j in range(len(table.covariate_names)):
-                row.append(options.missing_token if table.covariate_missing[i, j] else repr(float(table.covariates[i, j])))
-            for j in range(len(table.outcome_names)):
-                row.append(options.missing_token if table.outcome_missing[i, j] else repr(float(table.outcomes[i, j])))
+            for value in table.covariates[i].tolist() + outcomes[i].tolist():
+                row.append(options.missing_token if math.isnan(value) else repr(value))
             for values in table.aux.values():
                 row.append(values[i])
             writer.writerow(row)
@@ -368,7 +359,7 @@ def scale_covariates(table: SubjectTable, schema: CovariateSchema) -> SubjectTab
     for j, name in enumerate(table.covariate_names):
         if name not in schema or schema.kind_of(name) == BINARY:
             continue
-        observed = ~table.covariate_missing[:, j]
+        observed = ~np.isnan(covs[:, j])
         values = covs[observed, j]
         if values.size == 0:
             raise ValidationError(f"covariate {name!r} has no observed values")
@@ -381,19 +372,21 @@ def scale_covariates(table: SubjectTable, schema: CovariateSchema) -> SubjectTab
 def augment_missingness(table: SubjectTable) -> SubjectTable:
     """Impute missing covariates and append per-covariate missingness indicators.
 
-    For each covariate with at least one missing entry, a binary column named
+    For each covariate with at least one NaN entry, a binary column named
     ``<name>__missing`` is appended and missing values are imputed with the
     pooled mean of the observed values (mode for binary columns, ties broken
     toward 0; a column is binary when every observed value is 0 or 1).
-    Idempotent: a table with no missing covariates is returned unchanged.
+    The result holds no NaN covariate. Idempotent: a table with no missing
+    covariates is returned unchanged.
     """
-    if not table.covariate_missing.any():
+    missing = np.isnan(table.covariates)
+    if not missing.any():
         return table
     covs = table.covariates.copy()
     new_names: list[str] = []
     new_cols: list[np.ndarray] = []
     for j, name in enumerate(table.covariate_names):
-        miss = table.covariate_missing[:, j]
+        miss = missing[:, j]
         if not miss.any():
             continue
         observed = covs[~miss, j]
@@ -407,15 +400,10 @@ def augment_missingness(table: SubjectTable) -> SubjectTable:
         covs[miss, j] = fill
         new_names.append(name + MISSING_SUFFIX)
         new_cols.append(miss.astype(float))
-    covariates = np.column_stack([covs] + new_cols)
-    covariate_missing = np.column_stack(
-        [np.zeros_like(table.covariate_missing)] + [np.zeros(table.n, dtype=bool) for _ in new_cols]
-    )
     return replace(
         table,
         covariate_names=table.covariate_names + tuple(new_names),
-        covariates=covariates,
-        covariate_missing=covariate_missing,
+        covariates=np.column_stack([covs] + new_cols),
     )
 
 
@@ -448,7 +436,7 @@ def attrition_check(table: SubjectTable, outcome: str) -> AttritionResult:
     from . import propensity  # matrix-level fitter; no circular import at module load
 
     j = table.outcome_index(outcome)
-    available = (~table.outcome_missing[:, j]).astype(np.int64)
+    available = (~np.isnan(table.outcomes[:, j])).astype(np.int64)
     if available.all() or not available.any():
         raise ValidationError(f"outcome {outcome!r} is entirely observed or entirely missing")
     x = np.column_stack([table.covariates, table.z.astype(float)])
@@ -587,7 +575,6 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> SyntheticCohort:
 
     q = len(config.outcomes)
     outs = np.empty((n, q))
-    out_miss = np.zeros((n, q), dtype=bool)
     effects: dict[str, float] = {}
     baseline: dict[str, np.ndarray] = {}
     for j, model in enumerate(config.outcomes):
@@ -608,14 +595,11 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> SyntheticCohort:
             baseline[model.name] = control_value
         effects[model.name] = model.effect
         if model.missing_rate > 0.0:
-            out_miss[:, j] = rng.random(n) < model.missing_rate
-            outs[out_miss[:, j], j] = np.nan
+            outs[rng.random(n) < model.missing_rate, j] = np.nan
 
-    cov_miss = np.zeros((n, p), dtype=bool)
-    if config.covariate_missing_rate > 0.0:
-        cov_miss = rng.random((n, p)) < config.covariate_missing_rate
     covs = x.copy()
-    covs[cov_miss] = np.nan
+    if config.covariate_missing_rate > 0.0:
+        covs[rng.random((n, p)) < config.covariate_missing_rate] = np.nan
 
     aux: dict[str, tuple[str, ...]] = {}
     if config.control_groups:
@@ -635,10 +619,8 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> SyntheticCohort:
         stratum=stratum,
         covariate_names=names,
         covariates=covs,
-        covariate_missing=cov_miss,
         outcome_names=tuple(m.name for m in config.outcomes),
         outcomes=outs,
-        outcome_missing=out_miss,
         aux=aux,
     )
     return SyntheticCohort(

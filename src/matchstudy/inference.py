@@ -57,7 +57,7 @@ def matched_arrays(table: SubjectTable, result: MatchResult, outcome: str) -> In
     """
     j = table.outcome_index(outcome)
     rows, layout = member_rows(table, result)
-    missing = np.logical_or.reduceat(table.outcome_missing[rows, j], layout.starts)
+    missing = np.logical_or.reduceat(np.isnan(table.outcomes[rows, j]), layout.starts)
     if missing.all():
         raise ValueError(f"no matched sets with observed outcome {outcome!r}")
     keep = ~missing

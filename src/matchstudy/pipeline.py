@@ -629,7 +629,7 @@ def stage_infer(cfg: StudyConfig, cohort: Cohort | None = None) -> None:
         for outcome, data, seed in analyses:
             _check_exact_mode(cfg, comp.name, outcome.name, data.sets)
             outcomes[outcome.name] = _test_suite(cfg, outcome, data, seed)
-            if ct.outcome_missing[:, ct.outcome_index(outcome.name)].any():
+            if np.isnan(ct.outcomes[:, ct.outcome_index(outcome.name)]).any():
                 res = attrition_check(ct, outcome.name)
                 attrition[outcome.name] = {"coef": res.coef, "p": res.p, "separation": bool(res.separation)}
         _write_json(
@@ -655,7 +655,7 @@ def stage_sensitivity(cfg: StudyConfig, cohort: Cohort | None = None) -> None:
                 test, bound = "residual", sensitivity_mod.sensitivity_residual
                 values = inference_mod.adjusted_residuals(data, 0.0, cfg.inference.adjustment, seed)
             curve = sensitivity_mod.gamma_threshold(
-                lambda g: bound(values, data.sets, g).p_one_sided, alpha=cfg.inference.alpha, gammas=grid
+                lambda g: bound(values, data.sets, g).p_one_sided, grid, alpha=cfg.inference.alpha
             )
             outcomes[outcome.name] = {
                 "test": test,
@@ -696,43 +696,40 @@ def _fmt(x: float) -> str:
     return f"{x:.4f}"
 
 
+def _csv(header: str, rows) -> str:
+    """CSV text: the header line, then one line per row of fields, each
+    field through ``str`` (which is ``repr`` for a Python float)."""
+    return "".join([header + "\n", *(",".join(map(str, row)) + "\n" for row in rows)])
+
+
 def _match_summary_csv(cfg: StudyConfig, balances: dict) -> str:
-    header = (
-        "comparison,method,selected,n_miss,n_miss_treated,n_miss_control,"
-        "n_cs,n_cs_treated,n_cs_control,n_matched,n_matched_treated,n_matched_control,"
-        "n_sets,imbalanced\n"
-    )
-    lines = [header]
+    rows = []
     for comp in cfg.comparisons:
         info = balances[comp.name]
         for method in cfg.propensity_methods:
             entry = info["per_method"][method]
             c = matching_mod.MatchCounts(**entry["counts"])
-            values = (
+            rows.append((
                 comp.name, method, 1 if method == info["selected"] else 0,
                 c.n_miss, c.n_miss_treated, c.n_miss_control,
                 c.n_cs, c.n_cs_treated, c.n_cs_control,
                 c.n_matched, c.n_matched_treated, c.n_matched_control,
                 entry["n_sets"], entry["imbalanced"],
-            )
-            lines.append(",".join(map(str, values)) + "\n")
-    return "".join(lines)
+            ))
+    header = (
+        "comparison,method,selected,n_miss,n_miss_treated,n_miss_control,"
+        "n_cs,n_cs_treated,n_cs_control,n_matched,n_matched_treated,n_matched_control,"
+        "n_sets,imbalanced"
+    )
+    return _csv(header, rows)
 
 
 def _composition_csv(cfg: StudyConfig, balances: dict) -> str:
     names = [comp.name for comp in cfg.comparisons]
-    lines = ["ratio," + ",".join(names) + "\n"]
-    totals = {name: 0 for name in names}
-    for k in range(1, matching_mod.MAX_CONTROLS + 1):
-        row = [f"1:{k}"]
-        for name in names:
-            info = balances[name]
-            count = info["per_method"][info["selected"]]["composition"].get(str(k), 0)
-            totals[name] += count
-            row.append(str(count))
-        lines.append(",".join(row) + "\n")
-    lines.append("sets," + ",".join(str(totals[name]) for name in names) + "\n")
-    return "".join(lines)
+    counts = [balances[name]["per_method"][balances[name]["selected"]]["composition"] for name in names]
+    rows = [[f"1:{k}", *(c.get(str(k), 0) for c in counts)] for k in range(1, matching_mod.MAX_CONTROLS + 1)]
+    rows.append(["sets", *(sum(column) for column in list(zip(*rows))[1:])])
+    return _csv(",".join(["ratio", *names]), rows)
 
 
 # The balance-row fields of the balance tables' numeric columns, in column order.
@@ -742,14 +739,11 @@ _BALANCE_FIELDS = (
 
 
 def _balance_csv(rows: list[dict]) -> str:
-    lines = [
+    return _csv(
         "covariate,pre_treated_mean,pre_control_mean,pre_sd_diff,"
-        "post_treated_mean,post_control_mean,post_sd_diff,imbalanced\n"
-    ]
-    for r in rows:
-        values = [r["name"], *(_fmt(r[k]) for k in _BALANCE_FIELDS), "1" if r["imbalanced"] else "0"]
-        lines.append(",".join(values) + "\n")
-    return "".join(lines)
+        "post_treated_mean,post_control_mean,post_sd_diff,imbalanced",
+        ([r["name"], *(_fmt(r[k]) for k in _BALANCE_FIELDS), int(r["imbalanced"])] for r in rows),
+    )
 
 
 def _balance_md(name: str, method: str, rows: list[dict]) -> str:
@@ -762,50 +756,37 @@ def _balance_md(name: str, method: str, rows: list[dict]) -> str:
     for r in rows:
         star = " *" if r["imbalanced"] else ""
         lines.append(f"| {r['name']} | " + " | ".join(_fmt(r[k]) for k in _BALANCE_FIELDS) + f"{star} |\n")
-    lines.append("\n`*` marks a post-match standardized difference above 0.2 in absolute value.\n")
+    threshold = balance_mod.IMBALANCE_THRESHOLD
+    lines.append(f"\n`*` marks a post-match standardized difference above {threshold:g} in absolute value.\n")
     return "".join(lines)
 
 
 def _inference_csv(cfg: StudyConfig, inferences: dict) -> str:
-    lines = ["comparison,outcome,test,tau0,statistic,p_two_sided,method,adjustment,seed\n"]
+    rows = []
     for comp, specs in _analysed_outcomes(cfg):
-        info = inferences[comp.name]
         for outcome in specs:
-            o = info["outcomes"][outcome.name]
-            point = o["point"]
-            lines.append(
-                f"{comp.name},{outcome.name},point,0.0,{point['statistic']!r},"
-                f"{point['p_two_sided']!r},{point['method']},{o['adjustment']},{o['seed']}\n"
-            )
-            for tau0, p in zip(o["grid"], o["grid_p"]):
-                lines.append(
-                    f"{comp.name},{outcome.name},shift-grid,{tau0!r},,{p!r},"
-                    f"{cfg.inference.mode},{o['adjustment']},{o['seed']}\n"
-                )
+            o = inferences[comp.name]["outcomes"][outcome.name]
+            point, key, tail = o["point"], (comp.name, outcome.name), (o["adjustment"], o["seed"])
+            rows.append((*key, "point", 0.0, point["statistic"], point["p_two_sided"], point["method"], *tail))
+            rows += [
+                (*key, "shift-grid", tau0, "", p, cfg.inference.mode, *tail) for tau0, p in zip(o["grid"], o["grid_p"])
+            ]
             if "mantel_haenszel" in o:
                 mh = o["mantel_haenszel"]
-                lines.append(
-                    f"{comp.name},{outcome.name},mantel-haenszel,,{mh['statistic']!r},"
-                    f"{mh['p_two_sided']!r},{mh['method']},none,\n"
-                )
+                rows.append((*key, "mantel-haenszel", "", mh["statistic"], mh["p_two_sided"], mh["method"], "none", ""))
             if "conditional_logistic" in o:
                 cl = o["conditional_logistic"]
-                lines.append(
-                    f"{comp.name},{outcome.name},conditional-logistic,,{cl['theta']!r},"
-                    f"{cl['p']!r},score-test,none,\n"
-                )
-    return "".join(lines)
+                rows.append((*key, "conditional-logistic", "", cl["theta"], cl["p"], "score-test", "none", ""))
+    return _csv("comparison,outcome,test,tau0,statistic,p_two_sided,method,adjustment,seed", rows)
 
 
 def _sensitivity_csv(cfg: StudyConfig, sensitivities: dict) -> str:
-    lines = ["comparison,outcome,test,gamma,p_upper\n"]
+    rows = []
     for comp, specs in _analysed_outcomes(cfg):
-        info = sensitivities[comp.name]
         for outcome in specs:
-            o = info["outcomes"][outcome.name]
-            for g, p in zip(o["gammas"], o["p_upper"]):
-                lines.append(f"{comp.name},{outcome.name},{o['test']},{g:.2f},{p!r}\n")
-    return "".join(lines)
+            o = sensitivities[comp.name]["outcomes"][outcome.name]
+            rows += [(comp.name, outcome.name, o["test"], f"{g:.2f}", p) for g, p in zip(o["gammas"], o["p_upper"])]
+    return _csv("comparison,outcome,test,gamma,p_upper", rows)
 
 
 def _quartiles(values: np.ndarray) -> np.ndarray:
@@ -819,19 +800,14 @@ def _quartiles(values: np.ndarray) -> np.ndarray:
 
 
 def _quantiles_csv(cfg: StudyConfig, tables: dict) -> str:
-    lines = ["comparison,method,arm,n,min,q25,median,q75,max\n"]
+    rows = []
     for comp in cfg.comparisons:
         ct = tables[comp.name]
         for method in cfg.propensity_methods:
             scores = _load_scores(cfg, comp.name, method, ct)
             for arm, mask in (("treated", ct.z == 1), ("control", ct.z == 0)):
-                qs = _quartiles(scores[mask])
-                lines.append(
-                    f"{comp.name},{method},{arm},{int(mask.sum())},"
-                    + ",".join(repr(float(q)) for q in qs)
-                    + "\n"
-                )
-    return "".join(lines)
+                rows.append((comp.name, method, arm, int(mask.sum()), *(float(q) for q in _quartiles(scores[mask]))))
+    return _csv("comparison,method,arm,n,min,q25,median,q75,max", rows)
 
 
 def _run_procedure(cfg: StudyConfig, inferences: dict):

@@ -17,9 +17,6 @@ import numpy as np
 from ._scipy import ndtr
 from .inference import SetLayout, _binary_set_margins, event_tail_probabilities, mh_tail_mode
 
-#: Default Gamma grid: 1.0 through 3.0 in steps of 0.05.
-DEFAULT_GAMMA_GRID = np.linspace(1.0, 3.0, 41)
-
 
 @dataclass(frozen=True)
 class SensitivityBound:
@@ -167,10 +164,8 @@ class GammaCurve:
     beyond_grid: bool
 
 
-def gamma_threshold(compute_p, alpha: float = 0.05, gammas: np.ndarray | None = None) -> GammaCurve:
-    """Locate the gamma at which ``compute_p`` first reaches alpha."""
-    if gammas is None:
-        gammas = DEFAULT_GAMMA_GRID
+def gamma_threshold(compute_p, gammas: np.ndarray, alpha: float = 0.05) -> GammaCurve:
+    """Locate the gamma at which ``compute_p`` first reaches alpha along ``gammas``."""
     gammas = np.asarray(gammas, dtype=float)
     if gammas.size == 0 or gammas[0] != 1.0 or np.any(np.diff(gammas) <= 0):
         raise ValueError("gamma grid must start at 1 and increase")

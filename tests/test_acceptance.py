@@ -20,6 +20,7 @@ from scipy.stats import norm
 from matchstudy.balance import balance_table, count_imbalanced, select_match
 from matchstudy.bart import fit_bart_regression
 from matchstudy.cli import main
+from matchstudy.config import SensitivityParams
 from matchstudy.inference import (
     SetLayout,
     conditional_logistic,
@@ -47,7 +48,6 @@ from matchstudy.oracles import (
 )
 from matchstudy.propensity import fit_bayes, fit_l1, fit_mle
 from matchstudy.sensitivity import (
-    DEFAULT_GAMMA_GRID,
     sensitivity_mh,
     sensitivity_residual,
 )
@@ -289,13 +289,13 @@ def test_bound_curves_are_nondecreasing():
     resid = resid + z * 0.8  # a real effect so the curve starts low
     p_res = [
         sensitivity_residual(resid, sets, g, direction="greater").p_one_sided
-        for g in DEFAULT_GAMMA_GRID
+        for g in SensitivityParams().grid()
     ]
     assert np.all(np.diff(p_res) >= -1e-12)
     y = (rng.random(z.size) < np.where(z == 1, 0.6, 0.3)).astype(float)
     p_mh = [
         sensitivity_mh(y, sets, g, direction="greater").p_one_sided
-        for g in DEFAULT_GAMMA_GRID
+        for g in SensitivityParams().grid()
     ]
     assert np.all(np.diff(p_mh) >= -1e-12)
 

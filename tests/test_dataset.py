@@ -51,20 +51,19 @@ def reference_load(path, schema, options):
     col = {name: i for i, name in enumerate(header)}
     n, p, q = len(rows), len(schema.names), len(options.outcome_columns)
     z = np.zeros(n, dtype=np.int64)
-    covs, cov_miss = np.full((n, p), np.nan), np.zeros((n, p), dtype=bool)
-    outs, out_miss = np.full((n, q), np.nan), np.zeros((n, q), dtype=bool)
+    covs, outs = np.full((n, p), np.nan), np.full((n, q), np.nan)
     ids, stratum, aux = [], [], {name: [] for name in options.aux_columns}
 
     def parse(cell, i, name):
         if cell == options.missing_token:
-            return math.nan, True
+            return math.nan
         try:
             value = float(cell)
         except ValueError:
             raise ValidationError(f"{path}: row {i}: unparseable value {cell!r} in column {name!r}") from None
         if not math.isfinite(value):
             raise ValidationError(f"{path}: row {i}: non-finite value {cell!r} in column {name!r}")
-        return value, False
+        return value
 
     for i, row in enumerate(rows):
         if len(row) != len(header):
@@ -84,9 +83,9 @@ def reference_load(path, schema, options):
         z[i] = int(z_val)
         stratum.append(row[col[options.stratum_column]])
         for j, name in enumerate(schema.names):
-            covs[i, j], cov_miss[i, j] = parse(row[col[name]], i, name)
+            covs[i, j] = parse(row[col[name]], i, name)
         for j, name in enumerate(options.outcome_columns):
-            outs[i, j], out_miss[i, j] = parse(row[col[name]], i, name)
+            outs[i, j] = parse(row[col[name]], i, name)
         for name in options.aux_columns:
             aux[name].append(row[col[name]])
     return SubjectTable(
@@ -95,16 +94,14 @@ def reference_load(path, schema, options):
         stratum=tuple(stratum),
         covariate_names=schema.names,
         covariates=covs,
-        covariate_missing=cov_miss,
         outcome_names=tuple(options.outcome_columns),
         outcomes=outs,
-        outcome_missing=out_miss,
         aux={k: tuple(v) for k, v in aux.items()},
     )
 
 
 def table_bytes(table):
-    arrays = (table.z, table.covariates, table.covariate_missing, table.outcomes, table.outcome_missing)
+    arrays = (table.z, table.covariates, table.outcomes)
     return (
         (table.ids, table.stratum, table.covariate_names, table.outcome_names, table.aux),
         [(a.dtype.str, a.shape, a.strides, a.tobytes()) for a in arrays],
@@ -150,7 +147,7 @@ class TestLoadSubjects:
         table = load_subjects(path, SCHEMA2, OPTS)
         assert table.n == 3
         assert table.ids == ("a", "b", "c")
-        assert not table.covariate_missing.any()
+        assert not np.isnan(table.covariates).any()
         np.testing.assert_array_equal(table.z, [1, 0, 0])
         assert table.covariates[1, 0] == -0.25
 
@@ -160,9 +157,8 @@ class TestLoadSubjects:
             "id,treated,stratum,x1,x2\na,1,s1,NA,1\nb,0,s1,2.0,0\n",
         )
         table = load_subjects(path, SCHEMA2, OPTS)
-        assert table.covariate_missing[0, 0]
-        assert not table.covariate_missing[1, 0]
         assert np.isnan(table.covariates[0, 0])
+        assert not np.isnan(table.covariates[1, 0])
 
     def test_absent_treatment_column_names_it(self, tmp_path):
         path = write_csv(tmp_path / "t.csv", "id,stratum,x1,x2\na,s1,0.5,1\n")
@@ -305,7 +301,7 @@ class TestAugmentMissingness:
         assert out.covariate_names == ("x1", "x1__missing")
         np.testing.assert_array_equal(out.covariates[:, 0], [1.0, 2.0, 3.0])
         np.testing.assert_array_equal(out.covariates[:, 1], [0.0, 1.0, 0.0])
-        assert not out.covariate_missing.any()
+        assert not np.isnan(out.covariates).any()
 
     def test_no_missing_is_identity(self):
         table = make_table(z=[0, 1], covariates=[[1.0], [2.0]])
@@ -344,12 +340,7 @@ class TestAugmentMissingness:
 class TestDropMissingnessDetermined:
     def _table(self, z, indicator_cols, names):
         covs = np.column_stack([np.asarray(c, dtype=float) for c in indicator_cols])
-        return make_table(
-            z=z,
-            covariates=covs,
-            covariate_names=names,
-            covariate_missing=np.zeros_like(covs, dtype=bool),
-        )
+        return make_table(z=z, covariates=covs, covariate_names=names)
 
     @staticmethod
     def _flagged(table):
@@ -490,3 +481,10 @@ class TestSubjectTable:
         assert sub.ids == ("s000", "s002")
         assert sub.aux["group"] == ("g", "g")
         np.testing.assert_array_equal(sub.outcomes[:, 0], [5.0, 7.0])
+
+    def test_row_of_follows_the_ids_of_a_replaced_table(self):
+        table = make_table(z=[0, 1], covariates=[[0.0], [1.0]], ids=("a", "b"))
+        assert table.row_of("b") == 1
+        swapped = dataclasses.replace(table, ids=("b", "a"))
+        assert swapped.row_of("b") == 0
+        assert table.row_of("b") == 1

@@ -333,17 +333,9 @@ class TestMatchedArrays:
     def make_outcome_table(self, r, missing_rows=()):
         n = len(r)
         z = np.array([1, 0] * (n // 2))
-        outcomes = np.asarray(r, dtype=float)[:, None]
-        missing = np.zeros((n, 1), dtype=bool)
-        for i in missing_rows:
-            missing[i, 0] = True
-        return make_table(
-            z,
-            np.zeros((n, 1)),
-            outcomes=outcomes,
-            outcome_names=("dep",),
-            outcome_missing=missing,
-        )
+        outcomes = np.array(r, dtype=float)[:, None]
+        outcomes[list(missing_rows), 0] = np.nan
+        return make_table(z, np.zeros((n, 1)), outcomes=outcomes, outcome_names=("dep",))
 
     def test_layout_treated_first(self):
         table = self.make_outcome_table([4.0, 1.0, 7.0, 2.0])

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from matchstudy.config import SensitivityParams
 from matchstudy.inference import SetLayout, mantel_haenszel, matched_arrays, permutational_t_test
 from matchstudy.oracles import sensitivity_grid_max_p, sensitivity_instance
 from matchstudy.sensitivity import (
-    DEFAULT_GAMMA_GRID,
     gamma_threshold,
     sensitivity_mh,
     sensitivity_residual,
@@ -55,7 +55,7 @@ class TestResidualBound:
         resid, sets = random_matched_instance(rng, 10)
         p = [
             sensitivity_residual(resid, sets, g, direction="greater").p_one_sided
-            for g in DEFAULT_GAMMA_GRID
+            for g in SensitivityParams().grid()
         ]
         assert all(b >= a - 1e-12 for a, b in zip(p, p[1:]))
 
@@ -177,7 +177,7 @@ class TestMhBound:
         y, sets = self.binary_instance(rng, 15)
         p = [
             sensitivity_mh(y, sets, g, direction="greater", mode="exact").p_one_sided
-            for g in DEFAULT_GAMMA_GRID
+            for g in SensitivityParams().grid()
         ]
         assert all(b >= a - 1e-12 for a, b in zip(p, p[1:]))
 
@@ -194,19 +194,19 @@ class TestMhBound:
 
 class TestGammaThreshold:
     def test_monotone_curve_crossing(self):
-        curve = gamma_threshold(lambda g: 0.01 if g < 1.38 else 0.2, alpha=0.05)
+        curve = gamma_threshold(lambda g: 0.01 if g < 1.38 else 0.2, SensitivityParams().grid(), alpha=0.05)
         assert curve.threshold == pytest.approx(1.4)
         assert not curve.insignificant_at_one
         assert not curve.beyond_grid
 
     def test_insignificant_at_gamma_one(self):
-        curve = gamma_threshold(lambda g: 0.2, alpha=0.05)
+        curve = gamma_threshold(lambda g: 0.2, SensitivityParams().grid(), alpha=0.05)
         assert curve.threshold == 1.0
         assert curve.insignificant_at_one
         assert not curve.beyond_grid
 
     def test_robust_beyond_grid(self):
-        curve = gamma_threshold(lambda g: 0.001, alpha=0.05)
+        curve = gamma_threshold(lambda g: 0.001, SensitivityParams().grid(), alpha=0.05)
         assert math.isnan(curve.threshold)
         assert curve.beyond_grid
 
@@ -222,7 +222,8 @@ class TestGammaThreshold:
         # strong effect: every treated residual tops its set
         laid, layout = lay_out(*sensitivity_instance())
         curve = gamma_threshold(
-            lambda g: sensitivity_residual(laid, layout, g, direction="greater").p_one_sided
+            lambda g: sensitivity_residual(laid, layout, g, direction="greater").p_one_sided,
+            SensitivityParams().grid(),
         )
         assert not curve.insignificant_at_one
         assert curve.beyond_grid or curve.threshold > 1.0

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -20,10 +21,8 @@ def make_table(
     covariate_names=None,
     stratum=None,
     ids=None,
-    covariate_missing=None,
     outcomes=None,
     outcome_names=(),
-    outcome_missing=None,
     aux=None,
 ) -> SubjectTable:
     z = np.asarray(z, dtype=np.int64)
@@ -37,28 +36,20 @@ def make_table(
         ids = tuple(f"s{i:03d}" for i in range(n))
     if stratum is None:
         stratum = ("a",) * n
-    if covariate_missing is None:
-        covariate_missing = np.isnan(covariates)
     if outcomes is None:
         outcomes = np.empty((0, 0)) if not outcome_names else np.zeros((n, len(outcome_names)))
     else:
         outcomes = np.asarray(outcomes, dtype=float)
         if outcomes.ndim == 1:
             outcomes = outcomes[:, None]
-    if outcome_missing is None:
-        outcome_missing = (
-            np.empty((0, 0), dtype=bool) if not outcome_names else np.isnan(outcomes)
-        )
     return SubjectTable(
         ids=tuple(ids),
         z=z,
         stratum=tuple(stratum),
         covariate_names=tuple(covariate_names),
         covariates=covariates,
-        covariate_missing=np.asarray(covariate_missing, dtype=bool),
         outcome_names=tuple(outcome_names),
         outcomes=outcomes,
-        outcome_missing=np.asarray(outcome_missing, dtype=bool),
         aux=aux or {},
     )
 
@@ -130,7 +121,7 @@ def shuffled_matched_instance(rng, n_sets, max_size=16):
 
 
 def tables_equal(a: SubjectTable, b: SubjectTable) -> bool:
-    """Exact equality of two tables (NaN == NaN under matching masks)."""
+    """Exact equality of two tables (NaN == NaN: both mark a missing value)."""
     if (a.ids, a.stratum, a.covariate_names, a.outcome_names) != (
         b.ids,
         b.stratum,
@@ -140,11 +131,7 @@ def tables_equal(a: SubjectTable, b: SubjectTable) -> bool:
         return False
     if not np.array_equal(a.z, b.z):
         return False
-    if not np.array_equal(a.covariate_missing, b.covariate_missing):
-        return False
     if not np.array_equal(a.covariates, b.covariates, equal_nan=True):
-        return False
-    if not np.array_equal(a.outcome_missing, b.outcome_missing):
         return False
     if not np.array_equal(a.outcomes, b.outcomes, equal_nan=True):
         return False
@@ -190,7 +177,7 @@ def reference_matched_arrays(table, result, outcome):
     j = table.outcome_index(outcome)
     rows, sets, excluded = [], [], []
     for members in result.sets.split(result.members):
-        if any(table.outcome_missing[m, j] for m in members):
+        if any(math.isnan(table.outcomes[m, j]) for m in members):
             excluded.append(table.ids[members[0]])
             continue
         start = len(rows)
