@@ -22,10 +22,10 @@ from .config import (
     load_config,
 )
 from .dataset import (
+    Columns,
     Covariate,
     CovariateSchema,
     GeneratorConfig,
-    LoadOptions,
     SchemaError,
     SubjectTable,
     ValidationError,

@@ -17,10 +17,10 @@ import numpy as np
 from .dataset import (
     BINARY,
     CONTINUOUS,
+    Columns,
     Covariate,
     CovariateSchema,
     GeneratorConfig,
-    LoadOptions,
     OutcomeModel,
     ValidationError,
     finite_number,
@@ -107,11 +107,7 @@ class StudyConfig:
     data: str = "cohort.csv"
     output_dir: str = "out"
     seed: int = 0
-    id_column: str = "id"
-    treatment_column: str = "treated"
-    stratum_column: str = "stratum"
-    group_column: str = "group"
-    missing_token: str = "NA"
+    columns: Columns = field(default_factory=Columns)
     covariates: tuple[Covariate, ...] = ()
     primary_outcome: OutcomeSpec = field(default_factory=lambda: OutcomeSpec("y", CONTINUOUS))
     secondary_outcomes: tuple[OutcomeSpec, ...] = ()
@@ -151,17 +147,6 @@ class StudyConfig:
     @property
     def outcome_specs(self) -> tuple[OutcomeSpec, ...]:
         return (self.primary_outcome,) + self.secondary_outcomes
-
-    @property
-    def load_options(self) -> LoadOptions:
-        return LoadOptions(
-            treatment_column=self.treatment_column,
-            stratum_column=self.stratum_column,
-            id_column=self.id_column,
-            missing_token=self.missing_token,
-            outcome_columns=tuple(o.name for o in self.outcome_specs),
-            aux_columns=(self.group_column,),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +212,6 @@ def _expect_keys(obj: dict, required: set, optional: set, where: str) -> None:
 def config_from_dict(obj: dict) -> StudyConfig:
     base = default_config_dict()
     _expect_keys(obj, set(), set(base), "config")
-    columns = dict(base["columns"])
-    columns.update(obj.get("columns", {}))
-    _expect_keys(columns, set(), set(base["columns"]), "columns")
 
     def section(name, parser, default):
         if name not in obj:
@@ -239,6 +221,7 @@ def config_from_dict(obj: dict) -> StudyConfig:
         merged.update(obj[name])
         return parser(**merged)
 
+    columns = section("columns", Columns, Columns())
     matching = section("matching", MatchingParams, MatchingParams())
     inference = section("inference", _inference_params, InferenceParams())
     sensitivity = section("sensitivity", SensitivityParams, SensitivityParams())
@@ -249,11 +232,7 @@ def config_from_dict(obj: dict) -> StudyConfig:
         data=value["data"],
         output_dir=value["output_dir"],
         seed=value["seed"],
-        id_column=columns["id"],
-        treatment_column=columns["treatment"],
-        stratum_column=columns["stratum"],
-        group_column=columns["group"],
-        missing_token=columns["missing_token"],
+        columns=columns,
         covariates=tuple(_parse_covariate(c) for c in value["covariates"]),
         primary_outcome=_parse_outcome(value["primary_outcome"]),
         secondary_outcomes=tuple(_parse_outcome(o) for o in value["secondary_outcomes"]),
@@ -296,13 +275,7 @@ def default_config_dict() -> dict:
         "data": "cohort.csv",
         "output_dir": "out",
         "seed": 0,
-        "columns": {
-            "id": "id",
-            "treatment": "treated",
-            "stratum": "stratum",
-            "group": "group",
-            "missing_token": "NA",
-        },
+        "columns": dataclasses.asdict(Columns()),
         "covariates": [
             {"name": "x1", "kind": CONTINUOUS},
             {"name": "x2", "kind": CONTINUOUS},

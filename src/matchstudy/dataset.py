@@ -1,10 +1,12 @@
 """Cohort ingestion, preprocessing, and synthetic-cohort generation.
 
 Subjects live in an immutable :class:`SubjectTable`: one row per subject with a
-binary treatment flag, a stratum label, a covariate matrix and one or more
-outcome columns, where NaN, and only NaN, marks a missing value. All
-preprocessing steps are pure functions returning new tables, so a pipeline run
-can be replayed step by step.
+binary treatment flag, a stratum label, an optional control-subgroup label, a
+covariate matrix and one or more outcome columns, where NaN, and only NaN,
+marks a missing value. :class:`Columns` names the cohort file's id, treatment,
+stratum and group columns and its missing token. All preprocessing steps are
+pure functions returning new tables, so a pipeline run can be replayed step by
+step.
 """
 from __future__ import annotations
 
@@ -110,8 +112,8 @@ class SubjectTable:
             missing until imputation.
         outcome_names: Column names for ``outcomes``.
         outcomes: Float matrix, shape (n, q), NaN where the value is missing.
-        aux: Extra categorical columns (e.g. control-subgroup labels) kept
-            out of the covariate set; name -> array of string labels.
+        group: Control-subgroup label per row, which comparisons that name
+            groups select on; None when the cohort has no group column.
     """
 
     ids: tuple[str, ...]
@@ -121,7 +123,7 @@ class SubjectTable:
     covariates: np.ndarray
     outcome_names: tuple[str, ...] = ()
     outcomes: np.ndarray = field(default_factory=lambda: np.empty((0, 0)))
-    aux: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    group: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         n = len(self.ids)
@@ -140,9 +142,8 @@ class SubjectTable:
         q = len(self.outcome_names)
         if q and self.outcomes.shape != (n, q):
             raise ValidationError("outcome matrix shape mismatch")
-        for name, values in self.aux.items():
-            if len(values) != n:
-                raise ValidationError(f"aux column {name!r} length mismatch")
+        if self.group is not None and len(self.group) != n:
+            raise ValidationError("group vector length mismatch")
 
     @property
     def n(self) -> int:
@@ -183,7 +184,7 @@ class SubjectTable:
             covariates=self.covariates[rows].copy(),
             outcome_names=self.outcome_names,
             outcomes=self.outcomes[rows].copy() if self.outcome_names else self.outcomes,
-            aux={k: tuple(v[i] for i in rows) for k, v in self.aux.items()},
+            group=None if self.group is None else tuple(self.group[i] for i in rows),
         )
 
 
@@ -199,16 +200,25 @@ def id_order(ids: tuple[str, ...]) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class LoadOptions:
-    """Declarative description of a subject-level delimited text file."""
+class Columns:
+    """The cohort file's named columns and missing token: the config's
+    ``columns`` section. The schema names the covariate columns, and the
+    outcome specs the outcome columns."""
 
-    treatment_column: str
-    stratum_column: str
-    id_column: str = "id"
-    delimiter: str = ","
+    id: str = "id"
+    treatment: str = "treated"
+    stratum: str = "stratum"
+    group: str = "group"
     missing_token: str = "NA"
-    outcome_columns: tuple[str, ...] = ()
-    aux_columns: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        names = (self.id, self.treatment, self.stratum, self.group)
+        if not all(isinstance(name, str) and name for name in names):
+            raise ValidationError("columns: id, treatment, stratum and group must be non-empty strings")
+        if len(set(names)) != len(names):
+            raise ValidationError(f"columns: id, treatment, stratum and group must be distinct, got {list(names)}")
+        if not isinstance(self.missing_token, str):
+            raise ValidationError("columns: missing_token must be a string")
 
 
 def _utf8_lines(fh, path: str):
@@ -220,27 +230,32 @@ def _utf8_lines(fh, path: str):
         raise ValidationError(f"{path}: the file is not UTF-8 text ({err.reason})") from None
 
 
-def load_subjects(path: str, schema: CovariateSchema, options: LoadOptions) -> SubjectTable:
-    """Read a delimited UTF-8 text file into a :class:`SubjectTable`.
+def load_subjects(
+    path: str, schema: CovariateSchema, columns: Columns, outcomes: tuple[str, ...] = ()
+) -> SubjectTable:
+    """Read a comma-separated UTF-8 text file into a :class:`SubjectTable`.
 
-    The file is decoded as UTF-8 whatever the locale, so the same bytes give
-    the same ids everywhere; bytes that are not UTF-8 raise
-    ``ValidationError`` naming the file. The file is streamed: each row is
-    checked and parsed as it is read, and only what the table keeps outlives
-    it. That is the id, the treatment flag, the stratum and aux labels (each
-    distinct label one shared string), and the covariate then outcome values
-    in one packed float64 buffer.
+    The file must hold the id, treatment and stratum columns that
+    ``columns`` names, the schema's covariates and the ``outcomes`` columns;
+    the group column is read when the header has it. The file is decoded as
+    UTF-8 whatever the locale, so the same bytes give the same ids
+    everywhere, and a leading byte-order mark is skipped; bytes that are not
+    UTF-8 raise ``ValidationError`` naming the file. The file is streamed:
+    each row is checked and parsed as it is read, and only what the table
+    keeps outlives it. That is the id, the treatment flag, the stratum and
+    group labels (each distinct label one shared string), and the covariate
+    then outcome values in one packed float64 buffer.
 
-    Cells equal to ``options.missing_token`` become NaN, the table's one mark
-    of a missing value. A header that lacks a declared column or names a
+    Cells equal to ``columns.missing_token`` become NaN, the table's one mark
+    of a missing value. A header that lacks a required column or names a
     column twice, a row with the wrong number of fields, a repeated id, a
     non-binary treatment value, or any other numeric cell that does not
     parse or parses to NaN or an infinity raises with the offending
     row/column named. Rows are checked in file order and each row in the
     order above, so the error raised is the first one in the file.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(_utf8_lines(fh, path), delimiter=options.delimiter)
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(_utf8_lines(fh, path))
         try:
             header = next(reader)
         except StopIteration:
@@ -249,24 +264,18 @@ def load_subjects(path: str, schema: CovariateSchema, options: LoadOptions) -> S
         for i, name in enumerate(header):
             if col.setdefault(name, i) != i:
                 raise SchemaError(f"{path}: column {name!r} appears more than once in the header")
-        required = (
-            [options.id_column, options.treatment_column, options.stratum_column]
-            + list(schema.names)
-            + list(options.outcome_columns)
-            + list(options.aux_columns)
-        )
-        for name in required:
+        value_names = schema.names + outcomes
+        for name in (columns.id, columns.treatment, columns.stratum) + value_names:
             if name not in col:
                 raise SchemaError(f"{path}: missing required column {name!r}")
 
         n_fields = len(header)
-        id_at, z_at, stratum_at = col[options.id_column], col[options.treatment_column], col[options.stratum_column]
-        value_names = schema.names + tuple(options.outcome_columns)
+        id_at, z_at, stratum_at = col[columns.id], col[columns.treatment], col[columns.stratum]
+        group_at = col.get(columns.group)
         value_columns = [(col[name], name) for name in value_names]
-        missing = options.missing_token
-        labels: dict[str, str] = {}  # one shared string per distinct stratum or aux label
-        aux: dict[str, list[str]] = {name: [] for name in options.aux_columns}
-        aux_columns = [(col[name], aux[name]) for name in options.aux_columns]
+        missing = columns.missing_token
+        labels: dict[str, str] = {}  # one shared string per distinct stratum or group label
+        group: list[str] = []
         first_row: dict[str, int] = {}  # id -> the row it is on
         z = bytearray()
         stratum: list[str] = []
@@ -300,8 +309,8 @@ def load_subjects(path: str, schema: CovariateSchema, options: LoadOptions) -> S
                 values.append(value)
             z.append(int(z_val))
             stratum.append(labels.setdefault(row[stratum_at], row[stratum_at]))
-            for j, column in aux_columns:
-                column.append(labels.setdefault(row[j], row[j]))
+            if group_at is not None:
+                group.append(labels.setdefault(row[group_at], row[group_at]))
 
     n, p = len(first_row), len(schema.names)
     packed = np.frombuffer(values, dtype=np.float64).reshape(n, len(value_names))
@@ -311,34 +320,35 @@ def load_subjects(path: str, schema: CovariateSchema, options: LoadOptions) -> S
         stratum=tuple(stratum),
         covariate_names=schema.names,
         covariates=packed[:, :p].copy(),
-        outcome_names=tuple(options.outcome_columns),
+        outcome_names=outcomes,
         outcomes=packed[:, p:].copy(),
-        aux={k: tuple(v) for k, v in aux.items()},
+        group=None if group_at is None else tuple(group),
     )
 
 
-def save_subjects(table: SubjectTable, path: str, options: LoadOptions) -> None:
-    """Write a table back to delimited UTF-8 text; inverse of :func:`load_subjects`.
+def save_subjects(table: SubjectTable, path: str, columns: Columns) -> None:
+    """Write a table back to comma-separated UTF-8 text, with no byte-order
+    mark; inverse of :func:`load_subjects`.
 
-    Finite values are written with ``repr`` so a load/save/load cycle
-    round-trips bit-identically; NaN entries become the missing token.
+    The id, treatment and stratum columns come first under the names in
+    ``columns``, then the covariates and outcomes, then the group labels
+    under ``columns.group`` when the table has them. Finite values are
+    written with ``repr`` so a load/save/load cycle round-trips
+    bit-identically; NaN entries become the missing token.
     """
-    header = (
-        [options.id_column, options.treatment_column, options.stratum_column]
-        + list(table.covariate_names)
-        + list(table.outcome_names)
-        + list(table.aux.keys())
-    )
+    header = [columns.id, columns.treatment, columns.stratum, *table.covariate_names, *table.outcome_names]
+    if table.group is not None:
+        header.append(columns.group)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, delimiter=options.delimiter, lineterminator="\n")
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         outcomes = table.outcomes if table.outcome_names else np.empty((table.n, 0))
         for i in range(table.n):
             row = [table.ids[i], str(int(table.z[i])), table.stratum[i]]
             for value in table.covariates[i].tolist() + outcomes[i].tolist():
-                row.append(options.missing_token if math.isnan(value) else repr(value))
-            for values in table.aux.values():
-                row.append(values[i])
+                row.append(columns.missing_token if math.isnan(value) else repr(value))
+            if table.group is not None:
+                row.append(table.group[i])
             writer.writerow(row)
 
 
@@ -494,8 +504,10 @@ class GeneratorConfig:
 
     Covariates are ``n_continuous`` standard normals followed by ``n_binary``
     Bernoulli(0.5) columns. Treatment is logistic in the covariates. Strata
-    are drawn independently with the given probabilities. An optional control
-    subgroup label (aux column ``group``) supports comparison subsets.
+    are drawn independently with the given probabilities. When
+    ``control_groups`` is not empty, each control gets one of those subgroup
+    labels and each treated subject ``treated_group_label``: the table's
+    ``group``, which comparisons that name groups select on.
     """
 
     n: int
@@ -601,16 +613,15 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> SyntheticCohort:
     if config.covariate_missing_rate > 0.0:
         covs[rng.random((n, p)) < config.covariate_missing_rate] = np.nan
 
-    aux: dict[str, tuple[str, ...]] = {}
+    group = None
     if config.control_groups:
         gprobs = config.control_group_probs
         if gprobs is None:
             gprobs = tuple(1.0 / len(config.control_groups) for _ in config.control_groups)
         group_idx = rng.choice(len(config.control_groups), size=n, p=gprobs)
-        labels = [
+        group = tuple(
             config.treated_group_label if z[i] == 1 else config.control_groups[group_idx[i]] for i in range(n)
-        ]
-        aux["group"] = tuple(labels)
+        )
 
     width = len(str(n))
     table = SubjectTable(
@@ -621,7 +632,7 @@ def generate_synthetic(config: GeneratorConfig, seed: int) -> SyntheticCohort:
         covariates=covs,
         outcome_names=tuple(m.name for m in config.outcomes),
         outcomes=outs,
-        aux=aux,
+        group=group,
     )
     return SyntheticCohort(
         table=table,

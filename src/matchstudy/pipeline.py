@@ -200,22 +200,24 @@ def load_cohort(cfg: StudyConfig) -> SubjectTable:
         raise MissingIntermediateError(path, "simulate")
     if not os.path.isfile(path):
         raise ValidationError(f"{path}: the data path is not a file")
-    table = load_subjects(path, cfg.schema, cfg.load_options)
+    table = load_subjects(path, cfg.schema, cfg.columns, tuple(o.name for o in cfg.outcome_specs))
     order = id_order(table.ids)
     return table if np.array_equal(order, np.arange(table.n)) else table.subset(order)
 
 
 def _comparison_rows(cfg: StudyConfig, table: SubjectTable, comp: ComparisonSpec) -> tuple[np.ndarray, np.ndarray]:
-    """This comparison's rows of ``table`` and its treatment indicator on them."""
-    groups = np.asarray(table.aux.get(cfg.group_column, ("",) * table.n))
+    """This comparison's rows of ``table`` and its treatment indicator on them.
+    A comparison that names groups needs the cohort's group column."""
+    if table.group is None and (comp.treated_groups, comp.control_groups) != (None, None):
+        raise ValidationError(f"{comp.name}: names groups, but the cohort has no {cfg.columns.group!r} column")
     if comp.treated_groups is None:
         treated_mask = table.z == 1
     else:
-        treated_mask = (table.z == 0) & np.isin(groups, comp.treated_groups)
+        treated_mask = (table.z == 0) & np.isin(table.group, comp.treated_groups)
     if comp.control_groups is None:
         control_mask = (table.z == 0) & ~treated_mask
     else:
-        control_mask = (table.z == 0) & np.isin(groups, comp.control_groups) & ~treated_mask
+        control_mask = (table.z == 0) & np.isin(table.group, comp.control_groups) & ~treated_mask
     if not treated_mask.any():
         raise ValidationError(f"{comp.name}: empty treated arm")
     if not control_mask.any():
@@ -270,7 +272,7 @@ def stage_simulate(cfg: StudyConfig) -> str:
     cohort = generate_synthetic(cfg.simulate, seed=cfg.seed)
     path = _data_path(cfg)
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    save_subjects(cohort.table, path, cfg.load_options)
+    save_subjects(cohort.table, path, cfg.columns)
     return path
 
 

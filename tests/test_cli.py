@@ -2,6 +2,7 @@ import argparse
 import concurrent.futures.process
 import copy
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -23,7 +24,7 @@ from matchstudy import pipeline, propensity
 from matchstudy.cli import build_parser, main
 from matchstudy.config import config_from_dict, default_config, default_config_dict, load_config
 from matchstudy.matching import build_match
-from matchstudy.dataset import ValidationError
+from matchstudy.dataset import Columns, ValidationError
 
 
 def reduced_config_dict(out_dir, seed=7):
@@ -815,7 +816,7 @@ class TestCohortRead:
     def test_cohort_fault_in_run_fails_at_propensity(self, tmp_path, monkeypatch, capsys, error, code):
         # As before the cohort was shared: a validation error exits 1 with no
         # failure manifest, any other error exits 2 with one naming propensity.
-        def failing_load(path, schema, options):
+        def failing_load(path, *rest):
             raise error(f"{path}: cannot be read")
 
         monkeypatch.setattr(pipeline, "load_subjects", failing_load)
@@ -908,6 +909,90 @@ class TestCohortRead:
         assert main(["report", "--config", cfg_path]) == 2
         with open(os.path.join(out_dir, "failure_manifest.txt"), encoding="utf-8") as fh:
             assert line in fh.read()
+
+
+def _without_groups(out_dir, comparisons):
+    """The reduced config cut to ``comparisons`` comparisons, with a recipe
+    that draws no control subgroups, so its cohort has no group column."""
+    obj = reduced_config_dict(out_dir)
+    obj["comparisons"] = obj["comparisons"][:comparisons]
+    obj["simulate"].update(control_groups=[], control_group_probs=None)
+    return obj
+
+
+class TestColumns:
+    """The config's ``columns`` section names the cohort file's id,
+    treatment, stratum and group columns and its missing token; the group
+    column is optional unless a comparison names groups."""
+
+    def test_recipe_without_control_groups_runs_comparison_one(self, tmp_path):
+        out_dir = os.path.join(str(tmp_path), "out")
+        assert main(["run", "--config", write_config(tmp_path, _without_groups(out_dir, 1))]) == 0
+        with open(os.path.join(out_dir, "cohort.csv"), encoding="utf-8") as fh:
+            header = fh.readline()
+        assert header == "id,treated,stratum,x1,x2,x3,b1,y,y_bin,y_aux\n"
+
+    @pytest.mark.parametrize(
+        "columns",
+        [{"group": "subgroup"}, {"id": "pid", "treatment": "z", "stratum": "band", "missing_token": ""}],
+        ids=["group", "all"],
+    )
+    def test_renamed_columns_change_only_the_cohort_file(self, tmp_path, columns):
+        digests, cohorts = [], []
+        for name, renamed in (("default", {}), ("renamed", columns)):
+            out_dir = os.path.join(str(tmp_path), name)
+            obj = dict(reduced_config_dict(out_dir), propensity_methods=["mle"], columns=renamed)
+            assert main(["run", "--config", write_config(tmp_path, obj, f"{name}.json")]) == 0
+            digests.append(dir_digest(out_dir))
+            with open(os.path.join(out_dir, "cohort.csv"), newline="", encoding="utf-8") as fh:
+                cohorts.append(list(csv.reader(fh)))
+        assert set(digests[0]) == set(digests[1])
+        assert {name for name in digests[0] if digests[0][name] != digests[1][name]} == {"cohort.csv", "manifest.txt"}
+        (header, *rows), (renamed_header, *renamed_rows) = cohorts
+        cols = dataclasses.replace(Columns(), **columns)
+        assert renamed_header == [cols.id, cols.treatment, cols.stratum, *header[3:-1], cols.group]
+        assert renamed_rows == [[cols.missing_token if cell == "NA" else cell for cell in row] for row in rows]
+
+    def test_comparison_naming_groups_needs_the_group_column(self, tmp_path, capsys):
+        out_dir = os.path.join(str(tmp_path), "out")
+        assert main(["run", "--config", write_config(tmp_path, _without_groups(out_dir, 4))]) == 1
+        message = capsys.readouterr().err.splitlines()[-1]
+        assert message == "error: comparison-2: names groups, but the cohort has no 'group' column"
+        assert not os.path.exists(os.path.join(out_dir, "failure_manifest.txt"))
+
+    @pytest.mark.parametrize(
+        "columns, message",
+        [
+            (5, "expected an object"),
+            (None, "expected an object"),
+            (["id"], "expected an object"),
+            ({"missing_token": 5}, "missing_token must be a string"),
+            ({"missing_token": None}, "missing_token must be a string"),
+            ({"treatment": "id"}, "id, treatment, stratum and group must be distinct"),
+            ({"group": "stratum"}, "id, treatment, stratum and group must be distinct"),
+            ({"group": ""}, "id, treatment, stratum and group must be non-empty strings"),
+            ({"id": 5}, "id, treatment, stratum and group must be non-empty strings"),
+            ({"stratum": None}, "id, treatment, stratum and group must be non-empty strings"),
+        ],
+        ids=[
+            "number",
+            "null",
+            "list",
+            "numeric-token",
+            "null-token",
+            "treatment-is-id",
+            "group-is-stratum",
+            "empty-group",
+            "numeric-id",
+            "null-stratum",
+        ],
+    )
+    def test_bad_columns_section_is_a_configuration_error_before_any_stage(self, tmp_path, capsys, columns, message):
+        out_dir = os.path.join(str(tmp_path), "out")
+        obj = dict(reduced_config_dict(out_dir), columns=columns)
+        assert main(["run", "--config", write_config(tmp_path, obj)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: invalid configuration: columns: {message}")
+        assert not os.path.exists(out_dir)
 
 
 def _cores(monkeypatch, cores):

@@ -13,10 +13,10 @@ from matchstudy.config import default_config
 from matchstudy.dataset import (
     BINARY,
     CONTINUOUS,
+    Columns,
     Covariate,
     CovariateSchema,
     GeneratorConfig,
-    LoadOptions,
     SchemaError,
     SubjectTable,
     ValidationError,
@@ -32,7 +32,7 @@ from matchstudy.propensity import fit_mle
 from util import make_table, tables_equal
 
 SCHEMA2 = CovariateSchema((Covariate("x1", CONTINUOUS), Covariate("x2", BINARY)))
-OPTS = LoadOptions(treatment_column="treated", stratum_column="stratum")
+OPTS = Columns()
 
 
 def write_csv(path, text):
@@ -40,19 +40,19 @@ def write_csv(path, text):
     return str(path)
 
 
-def reference_load(path, schema, options):
+def reference_load(path, schema, options, outcomes):
     """Row-by-row reading with a check per cell, in the order the loader
     reports errors: field count, repeated id, treatment, covariates,
     outcomes."""
     with open(path, newline="") as fh:
-        reader = csv.reader(fh, delimiter=options.delimiter)
+        reader = csv.reader(fh)
         header = next(reader)
         rows = list(reader)
     col = {name: i for i, name in enumerate(header)}
-    n, p, q = len(rows), len(schema.names), len(options.outcome_columns)
+    n, p, q = len(rows), len(schema.names), len(outcomes)
     z = np.zeros(n, dtype=np.int64)
     covs, outs = np.full((n, p), np.nan), np.full((n, q), np.nan)
-    ids, stratum, aux = [], [], {name: [] for name in options.aux_columns}
+    ids, stratum, group = [], [], []
 
     def parse(cell, i, name):
         if cell == options.missing_token:
@@ -68,12 +68,12 @@ def reference_load(path, schema, options):
     for i, row in enumerate(rows):
         if len(row) != len(header):
             raise ValidationError(f"{path}: row {i}: expected {len(header)} fields, got {len(row)}")
-        subject = row[col[options.id_column]]
+        subject = row[col[options.id]]
         if subject in ids:
             first = ids.index(subject)
             raise ValidationError(f"{path}: row {i}: id {subject!r} repeats the id of row {first}")
         ids.append(subject)
-        z_cell = row[col[options.treatment_column]]
+        z_cell = row[col[options.treatment]]
         try:
             z_val = float(z_cell)
         except ValueError:
@@ -81,36 +81,36 @@ def reference_load(path, schema, options):
         if z_val not in (0.0, 1.0):
             raise ValidationError(f"{path}: row {i}: non-binary treatment value {z_cell!r}")
         z[i] = int(z_val)
-        stratum.append(row[col[options.stratum_column]])
+        stratum.append(row[col[options.stratum]])
         for j, name in enumerate(schema.names):
             covs[i, j] = parse(row[col[name]], i, name)
-        for j, name in enumerate(options.outcome_columns):
+        for j, name in enumerate(outcomes):
             outs[i, j] = parse(row[col[name]], i, name)
-        for name in options.aux_columns:
-            aux[name].append(row[col[name]])
+        if options.group in col:
+            group.append(row[col[options.group]])
     return SubjectTable(
         ids=tuple(ids),
         z=z,
         stratum=tuple(stratum),
         covariate_names=schema.names,
         covariates=covs,
-        outcome_names=tuple(options.outcome_columns),
+        outcome_names=tuple(outcomes),
         outcomes=outs,
-        aux={k: tuple(v) for k, v in aux.items()},
+        group=tuple(group) if options.group in col else None,
     )
 
 
 def table_bytes(table):
     arrays = (table.z, table.covariates, table.outcomes)
     return (
-        (table.ids, table.stratum, table.covariate_names, table.outcome_names, table.aux),
+        (table.ids, table.stratum, table.covariate_names, table.outcome_names, table.group),
         [(a.dtype.str, a.shape, a.strides, a.tobytes()) for a in arrays],
     )
 
 
-def outcome_of(load, path, schema, options):
+def outcome_of(load, path, schema, options, outcomes):
     try:
-        return table_bytes(load(path, schema, options))
+        return table_bytes(load(path, schema, options, outcomes))
     except ValueError as exc:
         return type(exc), str(exc)
 
@@ -190,17 +190,27 @@ class TestLoadSubjects:
             covariates=rng.normal(size=(20, 2)),
             outcomes=rng.normal(size=(20, 1)),
             outcome_names=("y",),
-            aux={"group": tuple("gh"[i % 2] for i in range(20))},
+            group=tuple("gh"[i % 2] for i in range(20)),
         )
-        opts = dataclasses.replace(OPTS, outcome_columns=("y",), aux_columns=("group",))
         p1 = tmp_path / "a.csv"
-        save_subjects(table, str(p1), opts)
-        loaded = load_subjects(str(p1), SCHEMA2, opts)
+        save_subjects(table, str(p1), OPTS)
+        loaded = load_subjects(str(p1), SCHEMA2, OPTS, ("y",))
         assert tables_equal(table, loaded)
         p2 = tmp_path / "b.csv"
-        save_subjects(loaded, str(p2), opts)
+        save_subjects(loaded, str(p2), OPTS)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        cfg = default_config()
+        cohort = generate_synthetic(dataclasses.replace(cfg.simulate, n=40), seed=3)
+        outcomes = tuple(o.name for o in cfg.outcome_specs)
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        save_subjects(cohort.table, str(plain), cfg.columns)
+        assert not plain.read_bytes().startswith(b"\xef\xbb\xbf")
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        table = load_subjects(str(plain), cfg.schema, cfg.columns, outcomes)
+        assert tables_equal(table, cohort.table)
+        assert tables_equal(load_subjects(str(marked), cfg.schema, cfg.columns, outcomes), table)
 
     @given(text=cohort_files())
     @example(text="id,treated,stratum,x1,x2,y,y2,group\ns0,1,a,0.5,x,2,2,g\ns1,2,a,0.5,2,2,2,g\n")
@@ -211,8 +221,10 @@ class TestLoadSubjects:
     @settings(max_examples=300, deadline=None)
     def test_same_table_or_error_as_the_row_by_row_reference(self, tmp_path_factory, text):
         path = write_csv(tmp_path_factory.getbasetemp() / "load_subjects_examples.csv", text)
-        opts = dataclasses.replace(OPTS, outcome_columns=("y", "y2"), aux_columns=("group",))
-        assert outcome_of(load_subjects, path, SCHEMA2, opts) == outcome_of(reference_load, path, SCHEMA2, opts)
+        outcomes = ("y", "y2")
+        assert outcome_of(load_subjects, path, SCHEMA2, OPTS, outcomes) == outcome_of(
+            reference_load, path, SCHEMA2, OPTS, outcomes
+        )
 
     def test_unparseable_cell_named_by_row_and_column(self, tmp_path):
         path = write_csv(tmp_path / "t.csv", "id,treated,stratum,x1,x2\na,1,s1,0.5,1\nb,0,s1,0.5,?\nc,3,s1,0.5,1\n")
@@ -225,9 +237,8 @@ class TestLoadSubjects:
         rows = ["id,treated,stratum,x1,x2,y", "a,1,s1,0.5,1,2", "b,0,s1,0.5,1,2", "c,3,s1,0.5,1,2"]
         rows[2] = rows[2].replace(",1,2", f",{cell},2" if column == "x2" else f",1,{cell}")
         path = write_csv(tmp_path / "t.csv", "\n".join(rows) + "\n")
-        opts = dataclasses.replace(OPTS, outcome_columns=("y",))
         with pytest.raises(ValidationError, match=rf"row 1: non-finite value '{cell}' in column '{column}'"):
-            load_subjects(path, SCHEMA2, opts)
+            load_subjects(path, SCHEMA2, OPTS, ("y",))
 
 
 class TestLoadMemory:
@@ -237,11 +248,12 @@ class TestLoadMemory:
         cfg = default_config()
         cohort = generate_synthetic(dataclasses.replace(cfg.simulate, n=2000), seed=7)
         path = str(tmp_path / "cohort.csv")
-        save_subjects(cohort.table, path, cfg.load_options)
+        save_subjects(cohort.table, path, cfg.columns)
         size = os.path.getsize(path)
+        outcomes = tuple(o.name for o in cfg.outcome_specs)
         tracemalloc.start()
         try:
-            table = load_subjects(path, cfg.schema, cfg.load_options)
+            table = load_subjects(path, cfg.schema, cfg.columns, outcomes)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -475,11 +487,11 @@ class TestSubjectTable:
             covariates=[[1.0], [2.0], [3.0]],
             outcomes=[[5.0], [6.0], [7.0]],
             outcome_names=("y",),
-            aux={"group": ("g", "h", "g")},
+            group=("g", "h", "g"),
         )
         sub = table.subset(np.array([True, False, True]))
         assert sub.ids == ("s000", "s002")
-        assert sub.aux["group"] == ("g", "g")
+        assert sub.group == ("g", "g")
         np.testing.assert_array_equal(sub.outcomes[:, 0], [5.0, 7.0])
 
     def test_row_of_follows_the_ids_of_a_replaced_table(self):

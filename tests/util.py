@@ -23,7 +23,7 @@ def make_table(
     ids=None,
     outcomes=None,
     outcome_names=(),
-    aux=None,
+    group=None,
 ) -> SubjectTable:
     z = np.asarray(z, dtype=np.int64)
     covariates = np.asarray(covariates, dtype=float)
@@ -50,7 +50,7 @@ def make_table(
         covariates=covariates,
         outcome_names=tuple(outcome_names),
         outcomes=outcomes,
-        aux=aux or {},
+        group=group,
     )
 
 
@@ -135,7 +135,7 @@ def tables_equal(a: SubjectTable, b: SubjectTable) -> bool:
         return False
     if not np.array_equal(a.outcomes, b.outcomes, equal_nan=True):
         return False
-    return a.aux == b.aux
+    return a.group == b.group
 
 
 def random_match(rng, n_sets, max_controls=15, missing_rate=0.1):
