@@ -76,7 +76,7 @@ from .pipeline import (
     run_pipeline,
 )
 from .propensity import PropensityFit, fit_bart_propensity, fit_bayes, fit_l1, fit_mle
-from .sensitivity import GammaCurve, SensitivityBound, gamma_threshold, sensitivity_mh, sensitivity_residual
+from .sensitivity import SensitivityCurve, gamma_threshold, sensitivity_mh, sensitivity_residual
 
 __version__ = "0.1.0"
 

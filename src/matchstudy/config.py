@@ -139,6 +139,15 @@ class StudyConfig:
         dup = {o.name for o in self.secondary_outcomes} & {self.primary_outcome.name}
         if dup:
             raise ValidationError(f"outcome listed as both primary and secondary: {sorted(dup)}")
+        # A real cohort's stratum column may also be a covariate; the recipe's
+        # writer would write that column twice.
+        covariates, outcomes = {c.name for c in self.covariates}, {o.name for o in self.outcome_specs}
+        for key in ("id", "treatment", "stratum", "group"):
+            name = getattr(self.columns, key)
+            if name in outcomes:
+                raise ValidationError(f"columns: {key} {name!r} names an outcome")
+            if name in covariates and (key != "stratum" or self.simulate is not None):
+                raise ValidationError(f"columns: {key} {name!r} names a covariate")
 
     @property
     def schema(self) -> CovariateSchema:

@@ -368,34 +368,40 @@ def conditional_logistic(y: np.ndarray, sets: SetLayout) -> ConditionalLogitResu
     )
 
 
+def row_sums(a: np.ndarray) -> np.ndarray:
+    """Sums over the last axis, each row summed as its own contiguous 1-D
+    array, so that every row's sum has the bits of the 1-D sum of its values."""
+    rows = np.ascontiguousarray(a).reshape(-1, a.shape[-1])
+    return np.array([row.sum() for row in rows]).reshape(a.shape[:-1])
+
+
 def bernoulli_convolution(probs: np.ndarray) -> np.ndarray:
-    """Exact pmf of a sum of independent Bernoulli variables."""
-    pmf = np.array([1.0])
-    for p in probs:
-        nxt = np.zeros(pmf.size + 1)
-        nxt[: pmf.size] += pmf * (1.0 - p)
-        nxt[1:] += pmf * p
+    """Exact pmf of a sum of independent Bernoulli variables, one sum per
+    row of ``probs`` (the variables run along its last axis)."""
+    pmf = np.ones(probs.shape[:-1] + (1,))
+    for j in range(probs.shape[-1]):
+        p = probs[..., j, None]
+        nxt = np.zeros(pmf.shape[:-1] + (pmf.shape[-1] + 1,))
+        nxt[..., :-1] += pmf * (1.0 - p)
+        nxt[..., 1:] += pmf * p
         pmf = nxt
     return pmf
 
 
-def event_tail_probabilities(probs: np.ndarray, t_obs: int, mode: str) -> tuple[float, float]:
+def event_tail_probabilities(probs: np.ndarray, t_obs: int, mode: str) -> tuple[np.ndarray, np.ndarray]:
     """(upper, lower) tail p for T = sum of Bernoulli(probs) at the observed
-    integer count; ``exact`` convolves, ``normal`` applies a 0.5 continuity
+    integer count, one pair per row of ``probs`` (the variables run along its
+    last axis); ``exact`` convolves, ``normal`` applies a 0.5 continuity
     correction."""
-    mean = float(np.sum(probs))
-    var = float(np.sum(probs * (1.0 - probs)))
     if mode == "exact":
         pmf = bernoulli_convolution(probs)
-        upper = float(pmf[t_obs:].sum())
-        lower = float(pmf[: t_obs + 1].sum())
-        return min(upper, 1.0), min(lower, 1.0)
+        return np.minimum(row_sums(pmf[..., t_obs:]), 1.0), np.minimum(row_sums(pmf[..., : t_obs + 1]), 1.0)
     if mode == "normal":
-        if var <= 0.0:
-            return 1.0, 1.0
-        sd = math.sqrt(var)
-        upper = float(ndtr(-((t_obs - 0.5 - mean) / sd)))
-        lower = float(ndtr((t_obs + 0.5 - mean) / sd))
+        mean, var = row_sums(probs), row_sums(probs * (1.0 - probs))
+        spread = var > 0.0
+        sd = np.sqrt(np.where(spread, var, 1.0))
+        upper = np.where(spread, ndtr(-((t_obs - 0.5 - mean) / sd)), 1.0)
+        lower = np.where(spread, ndtr((t_obs + 0.5 - mean) / sd), 1.0)
         return upper, lower
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -425,7 +431,7 @@ def mantel_haenszel(y: np.ndarray, sets: SetLayout, mode: str = "auto") -> TestR
     t_obs = int(round(float(t.sum())))
     probs = d / n
     mode = mh_tail_mode(mode, sets)
-    p_upper, p_lower = event_tail_probabilities(probs, t_obs, mode)
+    p_upper, p_lower = map(float, event_tail_probabilities(probs, t_obs, mode))
     return TestResult(
         statistic=float(t_obs),
         p_two_sided=min(1.0, 2.0 * min(p_upper, p_lower)),

@@ -265,8 +265,9 @@ def sensitivity_instance() -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ..
 def _check_sensitivity(rng: np.random.Generator) -> OracleCheck:
     resid, z, sets = sensitivity_instance()
     laid, layout = _laid_out(resid, z, sets)
-    for gamma in (1.0, 1.3, 1.8, 2.2):
-        sep = sensitivity.sensitivity_residual(laid, layout, gamma, direction="greater").p_one_sided
+    gammas = (1.0, 1.3, 1.8, 2.2)
+    curve = sensitivity.sensitivity_residual(laid, layout, gammas, direction="greater")
+    for gamma, sep in zip(gammas, curve.p_values):
         orc = sensitivity_grid_max_p(resid, z, sets, gamma)
         if sep < orc - 1e-9:
             return OracleCheck("sensitivity-grid", False, f"gamma {gamma}: bound {sep} below oracle {orc}")
@@ -282,10 +283,11 @@ def _check_moments(rng: np.random.Generator) -> OracleCheck:
         # between different cuts of a set are not.
         resid, z, sets = _random_sets(rng, sizes, rng.normal(size=3)[rng.integers(0, 3, size=sizes.sum())])
         laid, layout = _laid_out(resid, z, sets)
-        for gamma in (1.5, 2.0, 3.0):
-            got = sensitivity.sensitivity_residual(laid, layout, gamma, direction="greater").detail
+        gammas = (1.5, 2.0, 3.0)
+        curve = sensitivity.sensitivity_residual(laid, layout, gammas, direction="greater")
+        for gamma, *got in zip(gammas, curve.worst_mean, curve.worst_var):
             want = np.sum([brute_force_worst_moments(resid[s], gamma) for s in sets], axis=0)
-            dev = np.abs(np.array([got["worst_mean"], got["worst_var"]]) - want)
+            dev = np.abs(np.array(got) - want)
             if np.any(dev > 1e-9 * np.maximum(1.0, np.abs(want))):
                 return OracleCheck("separable-moments", False, f"trial {trial}, gamma {gamma}: {got} vs {want}")
     return OracleCheck("separable-moments", True, "30 instances at 3 gammas, worst-case moments within 1e-9")

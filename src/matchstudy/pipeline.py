@@ -652,20 +652,18 @@ def stage_sensitivity(cfg: StudyConfig, cohort: Cohort | None = None) -> None:
         outcomes = {}
         for outcome, data, seed in analyses:
             if outcome.kind == BINARY:
-                test, bound, values = "mantel-haenszel", sensitivity_mod.sensitivity_mh, data.r
+                test, curve = "mantel-haenszel", sensitivity_mod.sensitivity_mh(data.r, data.sets, grid)
             else:
-                test, bound = "residual", sensitivity_mod.sensitivity_residual
-                values = inference_mod.adjusted_residuals(data, 0.0, cfg.inference.adjustment, seed)
-            curve = sensitivity_mod.gamma_threshold(
-                lambda g: bound(values, data.sets, g).p_one_sided, grid, alpha=cfg.inference.alpha
-            )
+                resid = inference_mod.adjusted_residuals(data, 0.0, cfg.inference.adjustment, seed)
+                test, curve = "residual", sensitivity_mod.sensitivity_residual(resid, data.sets, grid)
+            threshold = sensitivity_mod.gamma_threshold(curve.p_values, grid, alpha=cfg.inference.alpha)
             outcomes[outcome.name] = {
                 "test": test,
-                "gammas": _jsonable(curve.gammas),
+                "gammas": _jsonable(grid),
                 "p_upper": _jsonable(curve.p_values),
-                "threshold": None if math.isnan(curve.threshold) else curve.threshold,
-                "insignificant_at_one": bool(curve.insignificant_at_one),
-                "beyond_grid": bool(curve.beyond_grid),
+                "threshold": None if math.isnan(threshold) else threshold,
+                "insignificant_at_one": threshold == 1.0,
+                "beyond_grid": math.isnan(threshold),
             }
         _write_json(
             _path(cfg, _stage_name("sensitivity", comp.name)),

@@ -252,9 +252,9 @@ def test_sensitivity_residual_reduces_to_test_at_gamma_one():
     rng = np.random.default_rng(21)
     for _ in range(5):
         resid, sets = random_matched_instance(rng, 40)
-        bound = sensitivity_residual(resid, sets, gamma=1.0, direction="greater")
+        curve = sensitivity_residual(resid, sets, [1.0], direction="greater")
         t = permutational_t_test(resid, sets, mode="normal-approx")
-        assert bound.p_one_sided == pytest.approx(t.p_upper, abs=1e-6)
+        assert curve.p_values[0] == pytest.approx(t.p_upper, abs=1e-6)
 
 
 def test_sensitivity_mh_reduces_to_test_at_gamma_one():
@@ -263,23 +263,23 @@ def test_sensitivity_mh_reduces_to_test_at_gamma_one():
         _, sets = random_matched_instance(rng, 12, max_controls=2)
         y = (rng.random(sets.z.size) < 0.4).astype(float)
         exact = mantel_haenszel(y, sets, mode="exact")
-        b_up = sensitivity_mh(y, sets, gamma=1.0, direction="greater", mode="exact")
-        b_lo = sensitivity_mh(y, sets, gamma=1.0, direction="less", mode="exact")
-        assert b_up.p_one_sided == pytest.approx(exact.p_upper, abs=1e-10)
-        assert b_lo.p_one_sided == pytest.approx(exact.p_lower, abs=1e-10)
+        b_up = sensitivity_mh(y, sets, [1.0], direction="greater", mode="exact")
+        b_lo = sensitivity_mh(y, sets, [1.0], direction="less", mode="exact")
+        assert b_up.p_values[0] == pytest.approx(exact.p_upper, abs=1e-10)
+        assert b_lo.p_values[0] == pytest.approx(exact.p_lower, abs=1e-10)
         normal = mantel_haenszel(y, sets, mode="normal")
-        n_up = sensitivity_mh(y, sets, gamma=1.0, direction="greater", mode="normal")
-        assert n_up.p_one_sided == pytest.approx(normal.p_upper, abs=1e-6)
+        n_up = sensitivity_mh(y, sets, [1.0], direction="greater", mode="normal")
+        assert n_up.p_values[0] == pytest.approx(normal.p_upper, abs=1e-6)
 
 
 def test_separable_bound_dominates_enumeration():
     resid, z, sets = sensitivity_instance()
     laid, layout = lay_out(resid, z, sets)
-    for gamma in (1.0, 1.2, 1.5, 2.0, 2.5):
-        bound = sensitivity_residual(laid, layout, gamma, direction="greater")
+    gammas = (1.0, 1.2, 1.5, 2.0, 2.5)
+    for gamma, bound in zip(gammas, sensitivity_residual(laid, layout, gammas, direction="greater").p_values):
         oracle = sensitivity_grid_max_p(resid, z, sets, gamma)
-        assert bound.p_one_sided >= oracle - 1e-9
-        assert bound.p_one_sided <= oracle + 0.01
+        assert bound >= oracle - 1e-9
+        assert bound <= oracle + 0.01
 
 
 def test_bound_curves_are_nondecreasing():
@@ -287,16 +287,10 @@ def test_bound_curves_are_nondecreasing():
     resid, sets = random_matched_instance(rng, 30)
     z = sets.z
     resid = resid + z * 0.8  # a real effect so the curve starts low
-    p_res = [
-        sensitivity_residual(resid, sets, g, direction="greater").p_one_sided
-        for g in SensitivityParams().grid()
-    ]
+    p_res = sensitivity_residual(resid, sets, SensitivityParams().grid(), direction="greater").p_values
     assert np.all(np.diff(p_res) >= -1e-12)
     y = (rng.random(z.size) < np.where(z == 1, 0.6, 0.3)).astype(float)
-    p_mh = [
-        sensitivity_mh(y, sets, g, direction="greater").p_one_sided
-        for g in SensitivityParams().grid()
-    ]
+    p_mh = sensitivity_mh(y, sets, SensitivityParams().grid(), direction="greater").p_values
     assert np.all(np.diff(p_mh) >= -1e-12)
 
 

@@ -973,6 +973,11 @@ class TestColumns:
             ({"group": ""}, "id, treatment, stratum and group must be non-empty strings"),
             ({"id": 5}, "id, treatment, stratum and group must be non-empty strings"),
             ({"stratum": None}, "id, treatment, stratum and group must be non-empty strings"),
+            ({"group": "x1"}, "group 'x1' names a covariate"),
+            ({"stratum": "b1"}, "stratum 'b1' names a covariate"),
+            ({"id": "y"}, "id 'y' names an outcome"),
+            ({"treatment": "x2"}, "treatment 'x2' names a covariate"),
+            ({"stratum": "y_bin"}, "stratum 'y_bin' names an outcome"),
         ],
         ids=[
             "number",
@@ -985,6 +990,11 @@ class TestColumns:
             "empty-group",
             "numeric-id",
             "null-stratum",
+            "group-is-covariate",
+            "simulated-stratum-is-covariate",
+            "id-is-outcome",
+            "treatment-is-covariate",
+            "stratum-is-outcome",
         ],
     )
     def test_bad_columns_section_is_a_configuration_error_before_any_stage(self, tmp_path, capsys, columns, message):
@@ -993,6 +1003,20 @@ class TestColumns:
         assert main(["run", "--config", write_config(tmp_path, obj)]) == 1
         assert capsys.readouterr().err.startswith(f"error: invalid configuration: columns: {message}")
         assert not os.path.exists(out_dir)
+
+    def test_real_cohort_whose_stratum_column_is_a_covariate_runs(self, tmp_path):
+        # Without a recipe nothing writes the file, so the stratum may be read
+        # from a covariate's column: here b1's, in place of the stratum column.
+        out_dir = os.path.join(str(tmp_path), "out")
+        obj = dict(reduced_config_dict(out_dir), propensity_methods=["mle"])
+        assert main(["simulate", "--config", write_config(tmp_path, obj)]) == 0
+        cohort = os.path.join(out_dir, "cohort.csv")
+        with open(cohort, newline="", encoding="utf-8") as fh:
+            rows = [row[:2] + row[3:] for row in csv.reader(fh)]
+        with open(cohort, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        obj.update(simulate=None, columns={"stratum": "b1"})
+        assert main(["run", "--config", write_config(tmp_path, obj, "real.json")]) == 0
 
 
 def _cores(monkeypatch, cores):
@@ -1229,7 +1253,7 @@ print(json.dumps({"after_import": after_import, "after_run": after_run}))
 
 
 # Runs every library site that reads distinct values with a plain np.unique
-# before: the grid, the sensitivity moments, and a validated BART fit (split
+# before: the grid, a sensitivity curve's moments, and a validated BART fit (split
 # cuts and the tree check); then a whole MLE-only run, whose report stage
 # took score quartiles with np.quantile.
 _NUMPY_MA_PROBE = """
@@ -1246,7 +1270,7 @@ from matchstudy.sensitivity import sensitivity_residual
 
 after_import = "numpy.ma" in sys.modules
 cohen_grid(1.3)
-sensitivity_residual(np.linspace(-1.0, 1.0, 12), SetLayout(np.array([2, 3, 3, 4])), 2.0)
+sensitivity_residual(np.linspace(-1.0, 1.0, 12), SetLayout(np.array([2, 3, 3, 4])), np.linspace(1.0, 3.0, 41))
 x = np.round(np.random.default_rng(0).normal(size=(12, 2)), 1)
 params = BartParams(num_trees=2, burn_in=2, draws=3)
 fit_bart_binary(x, (x[:, 0] > 0).astype(int), params=params, seed=0, validate=True)

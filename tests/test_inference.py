@@ -626,6 +626,20 @@ class TestEventTails:
         with pytest.raises(ValueError, match="mode"):
             event_tail_probabilities(np.array([0.5]), 0, "saddlepoint")
 
+    @pytest.mark.parametrize("mode", ["exact", "normal"])
+    def test_rows_are_their_one_dimensional_calls(self, mode):
+        # Each row of a 2-D probability array is one sum: its pmf and tails
+        # are bit for bit those of the row passed alone.
+        rng = np.random.default_rng(19)
+        probs = rng.uniform(0.0, 1.0, (7, 150))
+        probs[3] = 0.0  # no spread: the normal tails are 1
+        pmf = bernoulli_convolution(probs)
+        upper, lower = event_tail_probabilities(probs, 60, mode)
+        assert pmf.shape == (7, 151) and upper.shape == lower.shape == (7,)
+        for i, row in enumerate(probs):
+            np.testing.assert_array_equal(pmf[i], bernoulli_convolution(row))
+            assert (upper[i], lower[i]) == event_tail_probabilities(row, 60, mode)
+
 
 class TestNormalTails:
     """Normal tails come from scipy.special.ndtr in inference, sensitivity,
