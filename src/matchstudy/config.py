@@ -126,9 +126,6 @@ class StudyConfig:
             raise ValidationError("config lists no covariates")
         if not self.comparisons:
             raise ValidationError("config lists no comparisons")
-        names = [c.name for c in self.comparisons]
-        if len(set(names)) != len(names):
-            raise ValidationError("comparison names must be unique")
         for m in self.propensity_methods:
             if m not in METHOD_ORDER:
                 raise ValidationError(f"unknown propensity method {m!r}")
@@ -136,12 +133,21 @@ class StudyConfig:
             raise ValidationError("config lists no propensity methods")
         if not (finite_number(self.equivalence_margin_sd) and self.equivalence_margin_sd >= 0):
             raise ValidationError("equivalence_margin_sd must be finite and nonnegative")
-        dup = {o.name for o in self.secondary_outcomes} & {self.primary_outcome.name}
-        if dup:
-            raise ValidationError(f"outcome listed as both primary and secondary: {sorted(dup)}")
+        outcome_names = [o.name for o in self.outcome_specs]
+        for what, listed in (
+            ("comparison", [c.name for c in self.comparisons]),
+            ("propensity method", self.propensity_methods),
+            ("outcome", outcome_names),
+        ):
+            repeated = [name for i, name in enumerate(listed) if name in listed[:i]]
+            if repeated:
+                raise ValidationError(f"{what} {repeated[0]!r} is listed twice")
+        covariates, outcomes = {c.name for c in self.covariates}, set(outcome_names)
+        for name in outcome_names:
+            if name in covariates:
+                raise ValidationError(f"outcome {name!r} names a covariate")
         # A real cohort's stratum column may also be a covariate; the recipe's
         # writer would write that column twice.
-        covariates, outcomes = {c.name for c in self.covariates}, {o.name for o in self.outcome_specs}
         for key in ("id", "treatment", "stratum", "group"):
             name = getattr(self.columns, key)
             if name in outcomes:

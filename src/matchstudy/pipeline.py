@@ -14,7 +14,8 @@ in one place that its writer, its reader and the manifest share:
   (``_propensity_name``), ``match_<comp>_<method>.sets.txt`` /
   ``.ledger.csv`` (``_match_names``; the ledger opens with ``id,reason``),
   ``balance_<comp>.json``, ``inference_<comp>.json``,
-  ``sensitivity_<comp>.json`` (``_stage_name``);
+  ``sensitivity_<comp>.json`` (``_stage_name``); ``_write_json`` writes
+  every ``.json``, encoding numpy values and dataclasses as stages build them;
 * reports: ``balance_<comp>.csv`` / ``.md`` (``_balance_report_names``),
   ``match_summary.csv``, ``composition.csv``, ``inference.csv``,
   ``sensitivity.csv``, ``propensity_quantiles.csv``, ``decisions.txt``
@@ -168,8 +169,18 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
+def _json_default(value):
+    """A numpy array or scalar as its Python value, a dataclass as its field dict.
+    (An ``np.float64`` never gets here: it is a ``float``, and json writes it as one.)"""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    if dataclasses.is_dataclass(value):
+        return dataclasses.asdict(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _write_json(path: str, obj) -> None:
-    _write_text(path, json.dumps(obj, sort_keys=True, indent=1) + "\n")
+    _write_text(path, json.dumps(obj, sort_keys=True, indent=1, default=_json_default) + "\n")
 
 
 def _read_json(path: str, producer: str) -> dict:
@@ -362,18 +373,6 @@ def _fit_all(cfg: StudyConfig, tables: dict[str, SubjectTable], jobs: list[tuple
             pool.shutdown(cancel_futures=True)
 
 
-def _jsonable(value):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.floating, np.integer, np.bool_)):
-        return value.item()
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def stage_propensity(cfg: StudyConfig, cohort: Cohort | None = None) -> None:
     tables = (cohort or Cohort(cfg)).tables
     jobs = [(comp.name, method) for comp in cfg.comparisons for method in cfg.propensity_methods]
@@ -386,11 +385,11 @@ def stage_propensity(cfg: StudyConfig, cohort: Cohort | None = None) -> None:
                 "comparison": name,
                 "method": method,
                 "seed": seed,
-                "converged": bool(fit.converged),
-                "beta": _jsonable(fit.beta) if fit.beta is not None else None,
-                "diagnostics": _jsonable(fit.diagnostics),
-                "ids": list(tables[name].ids),
-                "scores": _jsonable(fit.scores),
+                "converged": fit.converged,
+                "beta": fit.beta,
+                "diagnostics": fit.diagnostics,
+                "ids": tables[name].ids,
+                "scores": fit.scores,
             },
         )
 
@@ -511,10 +510,10 @@ def stage_balance(cfg: StudyConfig, cohort: Cohort | None = None) -> None:
             rows = balance_mod.balance_table(ct, result, schema=cfg.schema, codes=codes)
             n_imbalanced = balance_mod.count_imbalanced(rows)
             per_method[method] = {
-                "rows": [dataclasses.asdict(r) for r in rows],
+                "rows": rows,
                 "imbalanced": n_imbalanced,
                 "dropped": result.n_dropped,
-                "counts": dataclasses.asdict(result.counts),
+                "counts": result.counts,
                 "n_sets": len(result.sets),
                 "composition": {str(k): v for k, v in matching_mod.composition(result).items()},
             }
@@ -524,10 +523,10 @@ def stage_balance(cfg: StudyConfig, cohort: Cohort | None = None) -> None:
             _path(cfg, _stage_name("balance", comp.name)),
             {
                 "comparison": comp.name,
-                "methods": list(cfg.propensity_methods),
+                "methods": cfg.propensity_methods,
                 "per_method": per_method,
                 "selected": cfg.propensity_methods[chosen.index],
-                "meets_bar": bool(chosen.meets_bar),
+                "meets_bar": chosen.meets_bar,
             },
         )
 
@@ -590,21 +589,20 @@ def _test_suite(cfg: StudyConfig, outcome, data: inference_mod.InferenceData, se
         "kind": outcome.kind,
         "adjustment": adjustment,
         "seed": seed,
-        "outcome_sd": float(np.std(data.r, ddof=1)),
+        "outcome_sd": np.std(data.r, ddof=1),
         "n_sets": len(data.sets),
-        "excluded_sets": list(data.excluded_sets),
-        "grid": _jsonable(region.grid),
-        "grid_p": _jsonable(region.p_values),
-        "accepted": _jsonable(region.accepted),
-        "hull": None if region.hull is None else [region.hull[0], region.hull[1]],
-        "non_monotone": bool(region.non_monotone),
+        "excluded_sets": data.excluded_sets,
+        "grid": region.grid,
+        "grid_p": region.p_values,
+        "accepted": region.accepted,
+        "hull": region.hull,
+        "non_monotone": region.non_monotone,
         "point": _fields(point, "statistic", "p_two_sided", "p_upper", "p_lower", "method"),
     }
     if outcome.kind == BINARY:
         mh = inference_mod.mantel_haenszel(data.r, data.sets)
-        clog = inference_mod.conditional_logistic(data.r, data.sets)
         out["mantel_haenszel"] = _fields(mh, "statistic", "p_two_sided", "p_upper", "method")
-        out["conditional_logistic"] = _fields(clog, "theta", "se", "p", "statistic", "identified", "n_informative")
+        out["conditional_logistic"] = inference_mod.conditional_logistic(data.r, data.sets)
         out["p_primary"] = mh.p_two_sided
     else:
         out["p_primary"] = point.p_two_sided
@@ -632,8 +630,7 @@ def stage_infer(cfg: StudyConfig, cohort: Cohort | None = None) -> None:
             _check_exact_mode(cfg, comp.name, outcome.name, data.sets)
             outcomes[outcome.name] = _test_suite(cfg, outcome, data, seed)
             if np.isnan(ct.outcomes[:, ct.outcome_index(outcome.name)]).any():
-                res = attrition_check(ct, outcome.name)
-                attrition[outcome.name] = {"coef": res.coef, "p": res.p, "separation": bool(res.separation)}
+                attrition[outcome.name] = attrition_check(ct, outcome.name)
         _write_json(
             _path(cfg, _stage_name("inference", comp.name)),
             {"comparison": comp.name, "selected": selected, "outcomes": outcomes, "attrition": attrition},
@@ -659,8 +656,8 @@ def stage_sensitivity(cfg: StudyConfig, cohort: Cohort | None = None) -> None:
             threshold = sensitivity_mod.gamma_threshold(curve.p_values, grid, alpha=cfg.inference.alpha)
             outcomes[outcome.name] = {
                 "test": test,
-                "gammas": _jsonable(grid),
-                "p_upper": _jsonable(curve.p_values),
+                "gammas": grid,
+                "p_upper": curve.p_values,
                 "threshold": None if math.isnan(threshold) else threshold,
                 "insignificant_at_one": threshold == 1.0,
                 "beyond_grid": math.isnan(threshold),

@@ -23,7 +23,7 @@ import matchstudy
 from matchstudy import pipeline, propensity
 from matchstudy.cli import build_parser, main
 from matchstudy.config import config_from_dict, default_config, default_config_dict, load_config
-from matchstudy.matching import build_match
+from matchstudy.matching import MatchCounts, build_match
 from matchstudy.dataset import Columns, ValidationError
 
 
@@ -272,6 +272,25 @@ class TestValidation:
         err = capsys.readouterr().err
         assert err.startswith("error: invalid configuration: ")
         assert "Traceback" not in err
+        assert not os.path.exists(out_dir)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"comparisons": [{"name": "comparison-1"}] * 2}, "comparison 'comparison-1' is listed twice"),
+            ({"propensity_methods": ["mle", "mle"]}, "propensity method 'mle' is listed twice"),
+            ({"secondary_outcomes": [{"name": "y_bin", "kind": "binary"}] * 2}, "outcome 'y_bin' is listed twice"),
+            ({"secondary_outcomes": [{"name": "y", "kind": "continuous"}]}, "outcome 'y' is listed twice"),
+            ({"secondary_outcomes": [{"name": "x1", "kind": "continuous"}]}, "outcome 'x1' names a covariate"),
+        ],
+        ids=["comparison", "method", "secondary-outcome", "primary-outcome", "outcome-is-covariate"],
+    )
+    def test_name_clash_is_a_configuration_error(self, tmp_path, capsys, change, message):
+        out_dir = os.path.join(str(tmp_path), "out")
+        obj = reduced_config_dict(out_dir)
+        obj.update(change)
+        assert main(["run", "--config", write_config(tmp_path, obj)]) == 1
+        assert capsys.readouterr().err == f"error: invalid configuration: {message}\n"
         assert not os.path.exists(out_dir)
 
     @pytest.mark.parametrize(
@@ -1195,6 +1214,47 @@ class TestStages:
                 manifests.append(None)
         assert errors[0] == errors[1] and errors[0].startswith("error: ")
         assert manifests == [first_line] * 2
+
+
+class TestWriteJson:
+    def test_numpy_values_and_dataclasses_write_as_their_python_twins(self, tmp_path):
+        record = {
+            "float": np.float64(0.1),
+            "nan": np.float64("nan"),
+            "int": np.int64(-7),
+            "flag": np.bool_(True),
+            "matrix": np.array([[1.5, np.nan], [-2.0, 1e-300]]),
+            "tuple": (np.int64(1), np.float64(2.5), "a"),
+            "nested": {"inner": {"flag": np.bool_(False), "value": np.float64(1 / 3)}},
+            "counts": MatchCounts(1, 2, 3, 4, 5, 6),
+        }
+        twin = {
+            "float": 0.1,
+            "nan": float("nan"),
+            "int": -7,
+            "flag": True,
+            "matrix": [[1.5, float("nan")], [-2.0, 1e-300]],
+            "tuple": [1, 2.5, "a"],
+            "nested": {"inner": {"flag": False, "value": 1 / 3}},
+            "counts": {
+                "n_miss_treated": 1,
+                "n_miss_control": 2,
+                "n_cs_treated": 3,
+                "n_cs_control": 4,
+                "n_matched_treated": 5,
+                "n_matched_control": 6,
+            },
+        }
+        path = os.path.join(str(tmp_path), "record.json")
+        pipeline._write_json(path, record)
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() == json.dumps(twin, sort_keys=True, indent=1) + "\n"
+
+    def test_a_value_json_cannot_encode_raises_and_writes_nothing(self, tmp_path):
+        path = os.path.join(str(tmp_path), "record.json")
+        with pytest.raises(TypeError, match="set"):
+            pipeline._write_json(path, {"ids": {"a", "b"}})
+        assert not os.path.exists(path)
 
 
 class TestOracle:
